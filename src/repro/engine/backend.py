@@ -101,8 +101,10 @@ class Instance:
     #: proof on the *plain* encoding — untrusted pre-pass hints are
     #: dropped so the refutation matches the CNF an auditor re-derives
     #: from the trace alone.  Backends without certificate support
-    #: ignore the flag; :func:`repro.engine.certify.ensure_certificate`
-    #: fills the gap afterwards.
+    #: (``readmap``, ``single-op``, ``exact``, ``sat-dpll``) ignore the
+    #: flag; :func:`repro.engine.certify.ensure_certificate` fills the
+    #: gap afterwards — the happens-before closure first, a
+    #: proof-logging SAT solve only when the closure is undecided.
     certify: bool = False
     _states: float | None = field(default=None, repr=False)
 

@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 from repro.core.checker import is_coherent_schedule, is_sc_schedule
 from repro.core.encode import encode_legal_schedule
+from repro.core.infer import infer_order
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Execution, Operation
 from repro.sat.drat import check_rup
@@ -161,15 +162,24 @@ def ensure_certificate(
     """Producer-side: attach a certificate to a decided result lacking one.
 
     HOLDS results get the ``witness`` marker (the schedule is already
-    the certificate).  A VIOLATED result without a certificate — exact
-    search exhausted, a failed VSC merge — is re-refuted on the
-    *original* execution via the certified SAT route, whose DRAT proof
-    then certifies the verdict.  (The §5.2 write-order route certifies
-    itself at the producer with an ``order`` certificate: its
-    refutations are relative to the supplied order, which a trace-only
-    SAT re-solve cannot reproduce.)  If the re-solve finds a schedule
-    instead, the two engines disagree; no certificate is attached and
-    validation will fail closed.
+    the certificate).  A VIOLATED VMC result without a certificate —
+    the read-map and single-op rows, exact search, DPLL — is re-refuted
+    on the *original* execution, cheapest route first:
+
+    1. the happens-before closure (:func:`repro.core.infer.infer_order`)
+       on a sync-free single-address execution — forced reads-from
+       saturation that, when it decides, yields a ``cycle`` or
+       ``infeasible`` certificate in polynomial time;
+    2. otherwise the certified SAT route, whose DRAT proof certifies
+       the verdict (the only route for VSC, e.g. a failed merge).
+
+    ``stats["certificate_via"]`` records the route (``"closure"`` or
+    the SAT method).  (The §5.2 write-order route certifies itself at
+    the producer with an ``order`` certificate: its refutations are
+    relative to the supplied order, which a trace-only re-solve cannot
+    reproduce.)  If the re-solve finds a schedule instead, the two
+    engines disagree; no certificate is attached and validation will
+    fail closed.
     """
     if result.unknown:
         return result
@@ -179,6 +189,12 @@ def ensure_certificate(
         return result
     if result.certificate is not None:
         return result
+    if problem == "vmc":
+        closure = _closure_certificate(execution)
+        if closure is not None:
+            result.certificate = closure
+            result.stats["certificate_via"] = "closure"
+            return result
     from repro.core.encode import sat_vmc, sat_vsc
 
     if problem == "vsc":
@@ -189,6 +205,18 @@ def ensure_certificate(
         result.certificate = recheck.certificate
         result.stats["certificate_via"] = recheck.method
     return result
+
+
+def _closure_certificate(execution: Execution) -> Certificate | None:
+    """The ``cycle``/``infeasible`` certificate the happens-before
+    closure derives for a sync-free single-address execution, or None
+    when the closure does not apply or leaves the execution undecided."""
+    if len(execution.addresses()) > 1 or any(
+        op.kind.is_sync for op in execution.all_ops()
+    ):
+        return None
+    decided = infer_order(execution).decided
+    return decided.certificate if decided is not None else None
 
 
 # ---------------------------------------------------------------------

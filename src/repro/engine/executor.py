@@ -571,6 +571,12 @@ def execute_plan(
             report.certified += 1
         elif result.unknown and result.unknown_reason == "uncertified":
             report.uncertified += 1
+        via = result.stats.get("certificate_via")
+        if via is not None and not got.cache_hit:
+            if via == "closure":
+                report.certified_via_closure += 1
+            else:
+                report.certified_via_sat += 1
         decided_by_prepass = (
             task.prepass is not None
             and task.prepass.decided is not None

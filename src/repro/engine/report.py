@@ -99,6 +99,12 @@ class EngineReport:
     #: Verdicts downgraded to UNKNOWN(uncertified) under
     #: ``--certify strict``.
     uncertified: int = 0
+    #: Certificates attached after the fact by
+    #: :func:`~repro.engine.certify.ensure_certificate` on freshly run
+    #: tasks, by route: the polynomial happens-before closure vs a
+    #: proof-logging SAT re-refutation (the slow one).
+    certified_via_closure: int = 0
+    certified_via_sat: int = 0
     #: Pre-pass aggregate counters (empty when the pre-pass ran on no
     #: task): tasks / decided / downgraded / edges_inferred /
     #: ops_eliminated / ops_before / ops_after.
@@ -172,7 +178,9 @@ class EngineReport:
         if self.certified or self.uncertified:
             lines.append(
                 f"certify: certified={self.certified} "
-                f"uncertified={self.uncertified}"
+                f"uncertified={self.uncertified} "
+                f"via[closure={self.certified_via_closure} "
+                f"sat={self.certified_via_sat}]"
             )
         if self.prepass.get("tasks"):
             pp = self.prepass

@@ -378,35 +378,22 @@ class AddressMonitor:
         """
         ex = self.window_execution(final)
         from repro.engine import verify_vmc_at
-        from repro.engine.backend import Instance
-        from repro.engine.prepass import prepass_vmc
 
         # Certification is always *attempted* (violations are rare and
         # windows small); ``certify`` only controls how the caller
-        # reacts to an uncertifiable verdict.  The polynomial pre-pass
-        # goes first: it decides the frontier's violation shapes
-        # (impossible read, forced cycle) with a cheap checkable
-        # certificate, whereas the full engine's certified fallback
-        # re-refutes through the SAT encoding — cubic in the window.
-        deep = None
-        info = prepass_vmc(
-            Instance(
-                ex.restrict_to_address(self.addr),
-                address=self.addr,
-                problem="vmc",
+        # reacts to an uncertifiable verdict.  The engine certifies a
+        # violation through the polynomial happens-before closure
+        # first, which decides the frontier's violation shapes
+        # (impossible read, forced cycle), so the SAT re-refutation —
+        # cubic in the window — is left to the closure's residue.
+        try:
+            deep = verify_vmc_at(ex, self.addr, certify="on")
+        except CertificationError:
+            deep = (
+                None
+                if certify != "off"
+                else verify_vmc_at(ex, self.addr, certify="off")
             )
-        )
-        if info is not None and info.decided is not None:
-            deep = info.decided
-        if deep is None or (deep.violated and deep.certificate is None):
-            try:
-                deep = verify_vmc_at(ex, self.addr, certify="on")
-            except CertificationError:
-                deep = (
-                    None
-                    if certify != "off"
-                    else verify_vmc_at(ex, self.addr, certify="off")
-                )
         if deep is not None and deep.violated:
             out = VerificationResult(
                 holds=False,

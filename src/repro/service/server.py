@@ -336,10 +336,13 @@ class Component:
     def start(self) -> None:
         self.beat = time.monotonic()
         self.crashed = None
-        self.thread = threading.Thread(
+        thread = threading.Thread(
             target=self._guard, name=f"repro-serve-{self.name}", daemon=True
         )
-        self.thread.start()
+        thread.start()
+        # Published only once started: a concurrent drain joins
+        # ``self.thread``, and joining an unstarted thread raises.
+        self.thread = thread
 
     def _guard(self) -> None:
         try:

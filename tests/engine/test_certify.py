@@ -25,13 +25,24 @@ from repro.engine import (
 )
 from tests.conftest import make_coherent_execution
 
-# A feasible encoding that is UNSAT — no polynomial row decides it, so
-# the SAT route must refute it with a RUP proof.
+# A feasible encoding that is UNSAT; a forced SAT backend refutes it
+# with a RUP proof (the read-map row and the happens-before closure
+# decide it too).
 INCOHERENT_SAT = (
     "P0: W(x,1) R(x,2)\n"
     "P1: W(x,2) R(x,1)\n"
     "P2: R(x,1) R(x,2)\n"
     "P3: R(x,2) R(x,1)"
+)
+
+# Incoherent, but no value has a unique writer, so forced reads-from
+# yields nothing and the happens-before closure leaves it undecided —
+# only the SAT route can certify it.
+CLOSURE_UNDECIDED = (
+    "P0: R(x,1) W(x,2) W(x,1)\n"
+    "P1: W(x,2)\n"
+    "P2: R(x,2)\n"
+    "P3: R(x,1) W(x,1)"
 )
 
 # The store-buffering litmus: per-address coherent, but not SC.
@@ -431,13 +442,52 @@ class TestEnsureCertificate:
         assert validate_result(ex, out)
 
     def test_uncertified_violation_is_rerefuted_via_sat(self):
-        ex = parse_trace(INCOHERENT_SAT)
+        ex = parse_trace(CLOSURE_UNDECIDED)
         res = VerificationResult(holds=False, method="exact")
         out = ensure_certificate(ex, res)
         assert out.certificate is not None
         assert out.certificate.kind == "rup"
         assert out.stats["certificate_via"] == "sat-cdcl"
         assert validate_result(ex, out)
+
+    @pytest.mark.parametrize(
+        "text, backend, kind",
+        [
+            # read-read inversion: P1 sees 2 before 1, against P0's order
+            ("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)", "readmap", "cycle"),
+            ("P0: W(x,1) W(x,2)\nP1: R(x,3) R(x,1)", "readmap", "infeasible"),
+        ],
+    )
+    def test_closure_certifies_without_sat(self, monkeypatch, text, backend, kind):
+        """A violation the closure decides is certified without ever
+        touching the SAT route."""
+        import repro.core.encode as encode
+
+        def no_sat(*_a, **_k):
+            raise AssertionError("SAT re-refutation on a closure-decided trace")
+
+        monkeypatch.setattr(encode, "sat_vmc", no_sat)
+        ex = parse_trace(text)
+        result = verify_vmc(ex, cache=False, certify="on")
+        res = result.per_address["x"]
+        assert res.violated and res.method == backend
+        assert res.certificate.kind == kind
+        assert res.stats["certificate_via"] == "closure"
+        assert validate_result(ex.restrict_to_address("x"), res)
+        assert result.report.certified_via_closure == 1
+        assert result.report.certified_via_sat == 0
+        assert "via[closure=1 sat=0]" in result.report.format()
+
+    def test_closure_skipped_for_vsc(self):
+        """VSC keeps the SAT route, even on a single-address trace the
+        closure would decide."""
+        ex = parse_trace(INCOHERENT_SAT)
+        out = ensure_certificate(
+            ex, VerificationResult(holds=False, method="exact"), problem="vsc"
+        )
+        assert out.certificate.kind == "rup"
+        assert out.stats["certificate_via"] == "sat-cdcl"
+        assert validate_result(ex, out, problem="vsc")
 
     def test_wrong_violated_verdict_stays_uncertified(self):
         """A 'violated' claim about a coherent trace cannot be certified:

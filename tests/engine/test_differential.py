@@ -16,8 +16,14 @@ trace.
 import pytest
 
 from repro.consistency.generate import candidate_executions, skeleton
+from repro.core.result import VerificationResult
 from repro.core.types import Execution, OpKind, Operation
-from repro.engine import validate_result, verify_vmc, vmc_registry
+from repro.engine import (
+    ensure_certificate,
+    validate_result,
+    verify_vmc,
+    vmc_registry,
+)
 from tests.conftest import make_coherent_execution
 
 SKELETONS = [
@@ -111,6 +117,42 @@ def test_write_order_backend_agrees_on_coherent(idx):
     )
     assert forced.holds
     _check_certified(ex, forced)
+
+
+def test_certified_verdicts_match_uncertified(monkeypatch):
+    """Certification never changes a verdict, every VIOLATED
+    certificate validates, and the happens-before closure alone
+    certifies every violated per-address instance of the corpus (the
+    SAT re-refutation is never needed here)."""
+    import repro.core.encode as encode
+
+    def no_sat(*_a, **_k):
+        raise AssertionError("the closure left a corpus instance undecided")
+
+    monkeypatch.setattr(encode, "sat_vmc", no_sat)
+    violated = 0
+    for idx, ex in enumerate(CORPUS):
+        plain = verify_vmc(ex, cache=False, early_exit=False)
+        certified = verify_vmc(ex, cache=False, early_exit=False, certify="on")
+        assert certified.holds == plain.holds, f"corpus[{idx}]"
+        assert certified.report.certified_via_sat == 0, f"corpus[{idx}]"
+        assert certified.per_address.keys() == plain.per_address.keys()
+        for addr, res in plain.per_address.items():
+            cres = certified.per_address[addr]
+            assert cres.holds == res.holds, f"corpus[{idx}] at {addr!r}"
+            if res.holds:
+                continue
+            violated += 1
+            sub = ex.restrict_to_address(addr)
+            check = validate_result(sub, cres)
+            assert check, f"corpus[{idx}] at {addr!r}: {check.reason}"
+            # A bare VIOLATED claim is certified by the closure too.
+            bare = ensure_certificate(
+                sub, VerificationResult(holds=False, method="exact")
+            )
+            assert bare.stats["certificate_via"] == "closure"
+            assert validate_result(sub, bare)
+    assert violated >= 90
 
 
 def test_parallel_matches_serial_on_corpus():

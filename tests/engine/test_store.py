@@ -15,6 +15,7 @@ import os
 import pytest
 
 from repro.core.builder import parse_trace
+from repro.core.result import Certificate, VerificationResult
 from repro.engine.cache import ResultCache, canonicalize
 from repro.engine.store import (
     _HEADER,
@@ -379,6 +380,52 @@ class TestCacheStoreTier:
         assert cache.stats.store_revalidation_failures == 1
         assert store.stats.tombstones == 1
         assert "store records failed revalidation" in cache.stats.summary()
+
+    def test_cycle_certificate_revalidated_from_store(self, tmp_path):
+        """A closure ``cycle`` certificate round-trips through the store
+        and revalidates on the hit; a tampered step fails closed — the
+        record is evicted and the task re-solved, never served."""
+        from repro.engine import validate_result, verify_vmc
+
+        ex = parse_trace("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)")
+        sub = ex.restrict_to_address("x")
+        cold = ResultCache(store=ResultStore(tmp_path / "store"))
+        first = verify_vmc(ex, cache=cold, certify="on").per_address["x"]
+        assert first.certificate.kind == "cycle"
+        assert first.stats["certificate_via"] == "closure"
+        cold.flush_store()
+
+        warm = ResultCache(store=ResultStore(tmp_path / "store"))
+        hit = verify_vmc(ex, cache=warm, certify="on").per_address["x"]
+        assert hit.violated and hit.stats.get("store_hit")
+        assert hit.stats.get("certified") and hit.certificate.kind == "cycle"
+        assert warm.stats.validation_failures == 0
+
+        # Reverse the first inferred (non-program-order) step.
+        store = ResultStore(tmp_path / "store")
+        (rec,) = store.entries()
+        steps, cycle = rec["certificate"].payload
+        i = next(k for k, st in enumerate(steps) if st[2] != "po")
+        u, v, rule, aux = steps[i]
+        bad = Certificate(
+            "cycle", (steps[:i] + ((v, u, rule, aux),) + steps[i + 1:], cycle)
+        )
+        assert not validate_result(
+            sub, VerificationResult(holds=False, method="t", certificate=bad)
+        )
+        store.put(
+            rec["key"], holds=False, method=rec["method"],
+            reason=rec["reason"], schedule_idx=None, stats=rec["stats"],
+            certificate=bad,
+        )
+        store.flush()
+
+        poisoned = ResultCache(store=ResultStore(tmp_path / "store"))
+        again = verify_vmc(ex, cache=poisoned, certify="on").per_address["x"]
+        assert poisoned.stats.store_revalidation_failures == 1
+        assert again.violated and not again.stats.get("store_hit")
+        assert again.stats.get("certified")
+        assert validate_result(sub, again)
 
 
 class TestRecordFormat:

@@ -41,6 +41,27 @@ def _wait_for(predicate, timeout=5.0, every=0.01):
     return predicate()
 
 
+def _slow_start_of(monkeypatch, name, skip=0, delay=0.3):
+    """Delay ``Thread.start`` for component ``name`` (after its first
+    ``skip`` starts), widening the window in which a component may be
+    seen with a thread that exists but has not started.  Returns an
+    event set when a delayed start begins."""
+    entered = threading.Event()
+    real = threading.Thread.start
+    seen = [0]
+
+    def start(thread):
+        if thread.name == f"repro-serve-{name}":
+            seen[0] += 1
+            if seen[0] > skip:
+                entered.set()
+                time.sleep(delay)
+        real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    return entered
+
+
 @pytest.fixture
 def boot(tmp_path):
     """Factory fixture: boot a socket server, auto-drain at teardown."""
@@ -338,6 +359,62 @@ class TestLifecycle:
         assert srv.stats.restarts >= 1
         assert comp.crashed is None  # cleared by the restart
         assert any("injected death" in d for d in srv.diagnostics)
+
+    def test_drain_right_after_start(self, tmp_path, monkeypatch):
+        """A drain racing ``start()`` completes: a component still being
+        started is not joined before its thread runs."""
+        sock = os.fspath(tmp_path / "repro.sock")
+        srv = VerificationServer(
+            ServiceConfig(socket_path=sock, workers=1, drain_grace_s=0.0)
+        )
+        srv.start()
+        srv.request_drain("drain right after start")
+        assert srv.wait(timeout=5.0), "drain did not complete"
+
+        entered = _slow_start_of(monkeypatch, "heartbeat")
+        srv = VerificationServer(
+            ServiceConfig(socket_path=sock, workers=1, drain_grace_s=0.0)
+        )
+        booting = threading.Thread(target=srv.start)
+        booting.start()
+        assert entered.wait(timeout=5.0)
+        srv.request_drain("drain during start")
+        assert srv.wait(timeout=5.0), "drain thread died mid-start"
+        booting.join(timeout=5.0)
+        assert not booting.is_alive()
+
+    def test_drain_during_supervisor_restart(self, tmp_path, monkeypatch):
+        from repro.service.server import Component
+
+        # Booted by hand: a drain that dies must fail the test, not
+        # hang the ``boot`` fixture's teardown.
+        srv = VerificationServer(ServiceConfig(
+            socket_path=os.fspath(tmp_path / "repro.sock"), workers=1,
+            supervisor_poll_s=0.02, drain_grace_s=0.0,
+        ))
+        srv.start()
+
+        class _DiesOnce(Component):
+            def __init__(self, server):
+                super().__init__("flaky", server)
+                self.runs = 0
+
+            def run(self):
+                self.runs += 1
+                if self.runs == 1:
+                    raise RuntimeError("injected death")
+                while not self.server.stopping.is_set():
+                    self.tick()
+                    time.sleep(0.01)
+
+        entered = _slow_start_of(monkeypatch, "flaky", skip=1)
+        comp = _DiesOnce(srv)
+        srv._components.append(comp)
+        comp.start()
+        assert entered.wait(timeout=5.0), "supervisor never restarted it"
+        srv.request_drain("drain during restart")
+        assert srv.wait(timeout=5.0), "drain thread died mid-restart"
+        assert comp.restarts == 1
 
     def test_wedged_worker_superseded(self, boot):
         policy = ResiliencePolicy(
