@@ -1,8 +1,8 @@
-"""Engine benchmark: pre-pass × pools × portfolio racing.
+"""Engine benchmark: pre-pass × jobs × portfolio racing.
 
 Two comparison matrices:
 
-* **Pre-pass / pool matrix** (portfolio off, isolating those effects):
+* **Pre-pass / jobs matrix** (portfolio off, isolating those effects):
   a corpus of multi-address coherent executions shaped like the worst
   case the pre-pass targets — per address, a message-passing write
   chain spread over many processes, closed by a re-write of the
@@ -111,6 +111,7 @@ from repro.engine import (  # noqa: E402
     verify_vmc,
 )
 from repro.engine.store import ResultStore  # noqa: E402
+from repro.util.timing import fit_loglog_slope  # noqa: E402
 
 
 def chain_address(
@@ -218,29 +219,28 @@ def build_race_corpus(quick: bool) -> list[Execution]:
     )
 
 
-# The pre-pass/pool matrix runs with the portfolio off so the medians
-# isolate the pre-pass and pool effects (and stay comparable with
-# earlier revisions of this file).
+# The pre-pass/jobs matrix runs with the portfolio off so the medians
+# isolate the pre-pass and parallelism effects.  ``jobs: 0`` means
+# ``--jobs``; the engine then runs the process pool exactly when heavy
+# tasks survive the pre-pass, and each arm records which loop ran.
 CONFIGS: dict[str, dict] = {
-    "baseline-serial": {"prepass": False, "jobs": 1, "pool": "thread"},
-    "baseline-thread": {"prepass": False, "jobs": 0, "pool": "thread"},
-    "baseline-process": {"prepass": False, "jobs": 0, "pool": "process"},
-    "prepass-serial": {"prepass": True, "jobs": 1, "pool": "thread"},
-    "prepass-thread": {"prepass": True, "jobs": 0, "pool": "thread"},
-    "prepass-process": {"prepass": True, "jobs": 0, "pool": "process"},
+    "baseline-serial": {"prepass": False, "jobs": 1},
+    "baseline-jobs": {"prepass": False, "jobs": 0},
+    "prepass-serial": {"prepass": True, "jobs": 1},
+    "prepass-jobs": {"prepass": True, "jobs": 0},
 }
 
 # The portfolio matrix: race vs each leg solo, pre-pass off so the
 # exponential tier actually runs.
 RACE_CONFIGS: dict[str, dict] = {
     "race-portfolio": {
-        "prepass": False, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": False, "jobs": 1, "portfolio": True,
     },
     "race-exact-solo": {
-        "prepass": False, "jobs": 1, "pool": "thread", "portfolio": "exact",
+        "prepass": False, "jobs": 1, "portfolio": "exact",
     },
     "race-sat-solo": {
-        "prepass": False, "jobs": 1, "pool": "thread", "portfolio": "sat",
+        "prepass": False, "jobs": 1, "portfolio": "sat",
     },
 }
 
@@ -263,11 +263,11 @@ RESILIENCE_CHAOS = ChaosSpec(
 )
 RESILIENCE_CONFIGS: dict[str, dict] = {
     "resilience-faultfree": {
-        "prepass": False, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": False, "jobs": 1, "portfolio": True,
         "resilience": ResiliencePolicy(retries=3, backoff_s=0.001),
     },
     "resilience-chaos": {
-        "prepass": False, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": False, "jobs": 1, "portfolio": True,
         "resilience": ResiliencePolicy(
             retries=3, backoff_s=0.001, chaos=RESILIENCE_CHAOS
         ),
@@ -287,15 +287,15 @@ RESILIENCE_GUARD_SLACK_S = 0.25
 # guard keeps the premium honest.
 CERTIFY_CONFIGS: dict[str, dict] = {
     "certify-off": {
-        "prepass": True, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": True, "jobs": 1, "portfolio": True,
         "certify": "off",
     },
     "certify-on": {
-        "prepass": True, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": True, "jobs": 1, "portfolio": True,
         "certify": "on",
     },
     "certify-strict": {
-        "prepass": True, "jobs": 1, "pool": "thread", "portfolio": True,
+        "prepass": True, "jobs": 1, "portfolio": True,
         "certify": "strict",
     },
 }
@@ -340,22 +340,6 @@ def build_scaling_execution(total_ops: int) -> Execution:
     return Execution.from_ops(ops, initial=initial, final=final)
 
 
-def _fit_loglog_exponent(sizes: list[int], times: list[float]) -> float:
-    """Least-squares slope of ln(time) vs ln(ops): the scaling exponent."""
-    import math
-
-    pts = [
-        (math.log(n), math.log(t)) for n, t in zip(sizes, times) if t > 0
-    ]
-    if len(pts) < 2:
-        return 0.0
-    mx = sum(x for x, _ in pts) / len(pts)
-    my = sum(y for _, y in pts) / len(pts)
-    num = sum((x - mx) * (y - my) for x, y in pts)
-    den = sum((x - mx) ** 2 for x, _ in pts)
-    return round(num / den, 3) if den else 0.0
-
-
 def run_scaling(quick: bool) -> tuple[dict, bool]:
     """Time each kernel backend across the size ladder (one repeat —
     the large sizes dominate and the comparison is across backends on
@@ -389,7 +373,7 @@ def run_scaling(quick: bool) -> tuple[dict, bool]:
         print(f"scaling {actual_ops[-1]:>7} ops  {row}")
 
     exponents = {
-        b: _fit_loglog_exponent(actual_ops, times[b]) for b in backends
+        b: round(fit_loglog_slope(actual_ops, times[b]), 3) for b in backends
     }
     print(
         "scaling exponents (fitted wall-time vs ops): "
@@ -1093,6 +1077,7 @@ def run_config(
     holds = 0
     unknowns = 0
     crashes = retries = quarantined = 0
+    pools: set[str] = set()
     certified = uncertified = 0
     prepass_stats: dict[str, int] = {}
     races = 0
@@ -1104,13 +1089,13 @@ def run_config(
                 ex,
                 prepass=cfg["prepass"],
                 jobs=njobs,
-                pool=cfg["pool"],
                 cache=False,
                 portfolio=portfolio,
                 resilience=resilience,
                 certify=certify,
             )
             if rep == 0:
+                pools.add(r.report.pool)
                 holds += bool(r)
                 unknowns += r.unknown
                 crashes += r.report.crashes
@@ -1129,7 +1114,7 @@ def run_config(
     out = {
         "prepass": cfg["prepass"],
         "jobs": njobs,
-        "pool": cfg["pool"],
+        "pool": "+".join(sorted(pools)),
         "portfolio": portfolio,
         "times_s": [round(t, 4) for t in times],
         "median_s": round(statistics.median(times), 4),
@@ -1381,7 +1366,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     payload = {
-        "benchmark": "engine-prepass-pools-portfolio",
+        "benchmark": "engine-prepass-jobs-portfolio",
         "recorded_utc": datetime.now(timezone.utc).isoformat(
             timespec="seconds"
         ),
@@ -1438,10 +1423,10 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.out)
     out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {out}")
-    target = speedups.get("prepass-process")
+    target = speedups.get("prepass-jobs")
     if target is not None and target < 2.0:
         print(
-            f"warning: prepass-process speedup {target}x is below the 2x "
+            f"warning: prepass-jobs speedup {target}x is below the 2x "
             f"target", file=sys.stderr,
         )
     if not guard_ok:

@@ -8,7 +8,7 @@ Commands:
   sequential consistency instead; ``--model NAME`` checks a
   consistency model (TSO/PSO/RMO/SC/coherence); ``--method NAME``
   forces an engine backend, ``--jobs N`` verifies addresses in
-  parallel (``--pool thread|process|auto`` picks the worker kind),
+  parallel on worker processes when heavy tasks survive the pre-pass,
   ``--no-prepass`` disables the polynomial pre-pass,
   ``--no-portfolio`` disables exact-vs-SAT racing on the exponential
   tier, ``--stats`` prints the engine report.  Resilience knobs:
@@ -83,7 +83,6 @@ from repro.engine import (
     CERTIFY_MODES,
     CHAOS_ENV,
     DEFAULT_WINDOW,
-    POOL_KINDS,
     CertificationError,
     ChaosSpec,
     ResiliencePolicy,
@@ -268,7 +267,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 method=args.method,
                 jobs=args.jobs,
                 cache=cache,
-                pool=args.pool,
                 prepass=not args.no_prepass,
                 portfolio=args.portfolio,
                 resilience=resilience,
@@ -731,7 +729,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         run.execution,
         write_orders=run.write_orders,
         jobs=args.jobs,
-        pool=args.pool,
     )
     print(f"coherence: {'holds' if result else 'VIOLATED'}")
     if not result:
@@ -918,15 +915,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="verify addresses in parallel on N workers (must be >= 1)",
-    )
-    p.add_argument(
-        "--pool",
-        choices=POOL_KINDS + ("auto",),
-        default="auto",
-        help="worker pool kind for --jobs > 1 (threads overlap waits; "
-        "processes scale across cores; auto picks processes exactly "
-        "when heavy exponential-tier tasks survive the pre-pass)",
+        help="verify addresses in parallel on N worker processes when "
+        "heavy exponential-tier tasks survive the pre-pass (must be >= 1)",
     )
     p.add_argument(
         "--no-prepass",
@@ -1316,9 +1306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", help="write the recorded trace to this JSON file")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="verify addresses in parallel on N workers")
-    p.add_argument("--pool", choices=POOL_KINDS + ("auto",), default="auto",
-                   help="worker pool kind for --jobs > 1")
+                   help="verify addresses in parallel on N worker "
+                   "processes when heavy tasks survive the pre-pass")
     p.add_argument("--stats", action="store_true",
                    help="print the engine report after verification")
     p.set_defaults(func=cmd_simulate)

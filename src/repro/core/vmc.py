@@ -21,7 +21,7 @@ The returned :class:`~repro.core.result.VerificationResult` records
 which algorithm decided the instance in ``method`` and carries the
 engine's :class:`~repro.engine.report.EngineReport` in ``report``.
 Multi-address executions decompose into independent per-address tasks;
-pass ``jobs=N`` to decide them on a thread pool, or a shared
+pass ``jobs=N`` to decide heavy ones on worker processes, or a shared
 :class:`~repro.engine.cache.ResultCache` to dedupe isomorphic
 sub-executions across calls.
 """
@@ -68,7 +68,6 @@ def verify_coherence(
     *,
     jobs: int = 1,
     cache=None,
-    pool: str = "auto",
     prepass: bool = True,
     portfolio=True,
     resilience=None,
@@ -81,10 +80,9 @@ def verify_coherence(
     are in ``result.per_address``.  For a single-address execution this
     is exactly the VMC decision problem.
 
-    ``jobs``, ``pool``, ``cache``, ``prepass`` and ``portfolio`` are
-    forwarded to the engine: ``jobs=N`` verifies addresses on a pool
-    (``pool="thread" | "process" | "auto"`` — auto picks processes
-    exactly when heavy exponential-tier tasks survive the pre-pass),
+    ``jobs``, ``cache``, ``prepass`` and ``portfolio`` are forwarded
+    to the engine: ``jobs=N`` verifies addresses on N worker processes
+    when heavy exponential-tier tasks survive the pre-pass,
     ``cache`` may be a shared :class:`repro.engine.ResultCache`
     (``None`` uses a fresh per-call cache, ``False`` disables caching),
     ``prepass=False`` skips the polynomial pre-pass, and
@@ -98,6 +96,6 @@ def verify_coherence(
     """
     return verify_vmc(
         execution, method=method, write_orders=write_orders, jobs=jobs,
-        cache=cache, pool=pool, prepass=prepass, portfolio=portfolio,
+        cache=cache, prepass=prepass, portfolio=portfolio,
         resilience=resilience, certify=certify,
     )

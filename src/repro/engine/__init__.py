@@ -10,8 +10,9 @@ extensible pipeline:
   touching any dispatch code;
 * :mod:`repro.engine.planner` — decomposes a multi-address execution
   into independent per-address tasks, ordered cheapest-first;
-* :mod:`repro.engine.executor` — runs the plan serially or on a thread
-  pool (``jobs=N``), early-exiting on the first violation;
+* :mod:`repro.engine.executor` — runs the plan serially, or on the
+  process pool of :mod:`repro.engine.pool` when ``jobs=N`` meets heavy
+  tasks, early-exiting on the first violation;
 * :mod:`repro.engine.cache` — canonical-fingerprint result cache so
   isomorphic sub-executions are decided once;
 * :mod:`repro.engine.report` — per-task stats aggregated into an
@@ -46,13 +47,7 @@ from repro.engine.certify import (
     validate_result,
 )
 from repro.engine.chaos import CHAOS_ENV, ChaosCrash, ChaosSpec
-from repro.engine.executor import (
-    POOL_KINDS,
-    ResiliencePolicy,
-    execute_plan,
-    resolve_pool,
-    run_task,
-)
+from repro.engine.executor import ResiliencePolicy, execute_plan
 from repro.engine.planner import PlannedTask, plan_vmc, plan_vsc
 from repro.engine.portfolio import (
     PORTFOLIO_MIN_STATES,
@@ -97,7 +92,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "EXACT_STATE_BUDGET",
     "EXPONENTIAL_TIER",
-    "POOL_KINDS",
     "PORTFOLIO_MIN_STATES",
     "RACE_STATE_BUDGET",
     "AddressMonitor",
@@ -142,8 +136,6 @@ __all__ = [
     "verify_many",
     "prepass_vmc",
     "prepass_vsc",
-    "resolve_pool",
-    "run_task",
     "validate_result",
     "verify_vmc",
     "verify_vmc_at",
@@ -172,7 +164,6 @@ def verify_vmc(
     cache: "ResultCache | bool | None" = None,
     registry: BackendRegistry | None = None,
     early_exit: bool = True,
-    pool: str = "auto",
     prepass: bool = True,
     portfolio=True,
     resilience: ResiliencePolicy | None = None,
@@ -183,9 +174,8 @@ def verify_vmc(
 
     Plans one task per constrained address (each shrunk or decided by
     the polynomial pre-pass unless ``prepass=False``), runs them (in
-    parallel when ``jobs > 1``, on threads or processes per ``pool`` —
-    ``"auto"`` picks processes exactly when the plan still contains
-    heavy exponential-tier work), and aggregates.  ``portfolio``
+    parallel on worker processes when ``jobs > 1`` and the plan still
+    contains heavy exponential-tier work), and aggregates.  ``portfolio``
     controls the exponential tier: True races exact search vs SAT per
     task, ``"exact"``/``"sat"`` force that leg, False keeps the
     router's single choice.  Per-address results (with witnesses) are
@@ -209,11 +199,7 @@ def verify_vmc(
         if certify != "off":
             result.certificate = Certificate("witness")
             result.stats["certified"] = True
-        result.report = EngineReport(
-            problem="vmc",
-            jobs=max(1, jobs),
-            pool=pool if pool != "auto" else "thread",
-        )
+        result.report = EngineReport(problem="vmc", jobs=max(1, jobs))
         return result
     t_plan = perf_counter()
     tasks = plan_vmc(
@@ -231,7 +217,6 @@ def verify_vmc(
         cache=_resolve_cache(cache),
         early_exit=early_exit,
         problem="vmc",
-        pool=pool,
         resilience=resilience,
         certify=certify,
     )

@@ -36,9 +36,7 @@ correctness probe for the admission-control math.
 
 from __future__ import annotations
 
-import concurrent.futures
 import traceback
-from collections import deque
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Mapping, Sequence
@@ -48,6 +46,7 @@ from repro.core.types import Address, Execution, Operation
 from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
 from repro.engine.certify import CertificationError, validate_result
 from repro.engine.executor import NO_RESILIENCE, ResiliencePolicy
+from repro.engine.pool import run_pool
 from repro.engine.store import ResultStore, fingerprint_key
 from repro.util.deadline import Deadline
 
@@ -430,12 +429,14 @@ def _run_uniques(
 
     n_shards = store.n_shards if store is not None else DEFAULT_SHARDS
     buckets = _bucketize(plan.uniques, jobs, n_shards)
-    queues: list[deque[list[int]]] = []
-    for bucket in buckets:
-        q: deque[list[int]] = deque()
-        for i in range(0, len(bucket), CHUNK_SIZE):
-            q.append(bucket[i:i + CHUNK_SIZE])
-        queues.append(q)
+    # Each bucket is a lane (one chunk in flight per bucket, so workers
+    # own disjoint shards); chunks are interleaved across buckets.
+    units = [
+        (b, bucket[i:i + CHUNK_SIZE])
+        for i in range(0, max(map(len, buckets)), CHUNK_SIZE)
+        for b, bucket in enumerate(buckets)
+        if i < len(bucket)
+    ]
     store_path = store.path if store is not None else None
     store_max_mb = (
         store.max_bytes / (1024 * 1024)
@@ -443,79 +444,35 @@ def _run_uniques(
         else None
     )
 
-    def submit(executor, bucket_idx: int, chunk: list[int], attempt: int):
+    def submit(chunk: list[int], attempt: int) -> tuple:
         items = [(uidx, plan.uniques[uidx]) for uidx in chunk]
-        fut = executor.submit(
+        return (
             _solve_chunk, items, store_path, store_max_mb,
             certify, task_policy, prepass, portfolio,
         )
-        return (fut, bucket_idx, chunk, attempt)
 
-    def quarantine(chunk: list[int]) -> None:
+    def accept(chunk: list[int], attempt: int, value) -> bool:
+        for uidx, result, err in value:
+            decided[uidx] = (result, err)
+        return False
+
+    def quarantine(chunk: list[int], attempt: int) -> bool:
         # Retries exhausted: decide the chunk in-process against the
         # parent's cache/store handle (flock keeps that safe).
         stats.quarantined_chunks += 1
         for uidx in chunk:
             serve(uidx)
+        return False
 
-    executor = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-    try:
-        in_flight: list[tuple] = []
-        # Seed the window: one chunk per bucket, at most `jobs` in
-        # flight ever — admission control by construction.
-        for b, q in enumerate(queues):
-            if q:
-                in_flight.append(submit(executor, b, q.popleft(), 0))
-        while in_flight:
-            done, _pending = concurrent.futures.wait(
-                [f for f, *_ in in_flight],
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            still: list[tuple] = []
-            finished_buckets: list[int] = []
-            for fut, b, chunk, attempt in in_flight:
-                if fut not in done:
-                    still.append((fut, b, chunk, attempt))
-                    continue
-                try:
-                    for uidx, result, err in fut.result():
-                        decided[uidx] = (result, err)
-                    finished_buckets.append(b)
-                except concurrent.futures.BrokenExecutor:
-                    executor.shutdown(wait=False, cancel_futures=True)
-                    executor = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=jobs
-                    )
-                    if attempt >= policy.retries:
-                        quarantine(chunk)
-                        finished_buckets.append(b)
-                    else:
-                        stats.chunk_retries += 1
-                        still.append(submit(executor, b, chunk, attempt + 1))
-            in_flight = still
-            for b in finished_buckets:
-                expired = (
-                    run_deadline is not None and run_deadline.expired()
-                )
-                if expired:
-                    continue  # stop admitting; drain what's in flight
-                if queues[b]:
-                    in_flight.append(
-                        submit(executor, b, queues[b].popleft(), 0)
-                    )
-        for q in queues:
-            for chunk in q:
-                for uidx in chunk:
-                    if uidx not in decided:
-                        decided[uidx] = (
-                            _unknown_budget(
-                                plan.uniques[uidx], policy.timeout
-                            ),
-                            None,
-                        )
-                        stats.budget_expired += 1
-    finally:
-        executor.shutdown(wait=True)
+    run = run_pool(
+        units, jobs, submit, accept, quarantine, policy, run_deadline
+    )
+    stats.chunk_retries += run.retries
+    for chunk in run.leftover:
+        for uidx in chunk:
+            unique = plan.uniques[uidx]
+            decided[uidx] = (_unknown_budget(unique, policy.timeout), None)
+            stats.budget_expired += 1
     return decided
 
 

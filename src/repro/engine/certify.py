@@ -163,7 +163,7 @@ def ensure_certificate(
 
     HOLDS results get the ``witness`` marker (the schedule is already
     the certificate).  A VIOLATED VMC result without a certificate —
-    the read-map and single-op rows, exact search, DPLL — is re-refuted
+    the read-map and single-op rows, exact search — is re-refuted
     on the *original* execution, cheapest route first:
 
     1. the happens-before closure (:func:`repro.core.infer.infer_order`)

@@ -1,24 +1,15 @@
-"""Task execution: serial, thread-pooled or process-pooled; cache-aware,
-early-exiting, and resilient.
+"""Task execution: serial or process-pooled; cache-aware, early-exiting,
+and resilient.
 
 ``jobs=1`` runs the plan in order on the calling thread — fully
-deterministic, the right mode for debugging and the default.
-``jobs>1`` fans tasks out over a :class:`concurrent.futures` pool,
-exploiting the per-address independence of coherence (paper Section 3):
-
-* ``pool="thread"`` — cheap to spin up, but the pure-Python backends
-  hold the GIL, so threads mostly overlap I/O and cache waits;
-* ``pool="process"`` — true multi-core scaling.  Tasks (including their
-  pre-pass state) are pickled into workers; the result cache stays in
-  the parent, which resolves hits and pre-pass-decided tasks inline
-  before anything is submitted, and stores worker results on
-  completion.
-
-Submission is windowed (``2 × jobs`` tasks in flight) so an early exit
-has something left to cancel: after the first *violated* task the
-executor cancels every not-yet-started future, stops submitting, and
-counts the avoided work in ``EngineReport.cancelled``.  In-flight tasks
-are harvested so their results are not silently discarded.
+deterministic, the right mode for debugging and the default.  With
+``jobs>1`` the plan runs on the process pool of
+:mod:`repro.engine.pool` exactly when some task carries heavy
+exponential-tier work (:func:`_is_heavy`), exploiting the per-address
+independence of coherence (paper Section 3); lighter plans run the
+serial loop, which a pool cannot beat.  The result cache stays in the
+parent.  After the first *violated* task the run stops, and the
+avoided work is counted in ``EngineReport.cancelled``.
 
 Resilience (:class:`ResiliencePolicy`) hardens the run against the
 failure modes of long campaigns:
@@ -39,7 +30,7 @@ failure modes of long campaigns:
   crashes, stalls, lost results and slow cache I/O at exactly these
   seams, so tests can prove the above without real worker deaths.
 
-Verdicts are identical in all modes — every backend is deterministic
+Verdicts are identical in both modes — every backend is deterministic
 and tasks share no state — though with ``early_exit`` the modes may
 *report* different subsets of per-address results for an incoherent
 execution (whichever tasks finished before the exit fired).
@@ -47,9 +38,6 @@ execution (whichever tasks finished before the exit fired).
 
 from __future__ import annotations
 
-import concurrent.futures
-import time
-from collections import deque
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -63,23 +51,12 @@ from repro.engine.certify import (
 )
 from repro.engine.chaos import ChaosCrash, ChaosSpec, tamper_result
 from repro.engine.planner import PlannedTask
+from repro.engine.pool import LostResult, backoff, run_pool
 from repro.engine.portfolio import PORTFOLIO_MIN_STATES, PortfolioBackend
 from repro.engine.prepass import EXPONENTIAL_TIER
 from repro.engine.report import EngineReport, TaskStats
 from repro.util.control import Cancelled
 from repro.util.deadline import Deadline
-
-POOL_KINDS = ("thread", "process")
-
-#: Exceptions that mean "the worker died", not "the task is wrong":
-#: retried with backoff, then quarantined.  Anything else (including a
-#: portfolio verdict disagreement) stays a hard error and propagates.
-RETRYABLE = (ChaosCrash, concurrent.futures.BrokenExecutor)
-
-#: Longest single retry-backoff sleep, so exponential backoff cannot
-#: dominate a run that has a wall-clock budget to respect.
-MAX_BACKOFF_S = 1.0
-
 
 @dataclass(frozen=True)
 class ResiliencePolicy:
@@ -123,8 +100,7 @@ def _is_heavy(task: PlannedTask) -> bool:
 
     Pre-pass-decided tasks cost nothing; small exact searches finish in
     microseconds.  Only surviving exponential-tier tasks with a
-    non-trivial state space justify paying process-pool pickling — and
-    under the GIL they are also the ones a thread pool cannot speed up.
+    non-trivial state space justify paying process-pool pickling.
     """
     if task.prepass is not None and task.prepass.decided is not None:
         return False
@@ -135,21 +111,6 @@ def _is_heavy(task: PlannedTask) -> bool:
         task.backend.tier >= threshold
         and task.run_instance.states > PORTFOLIO_MIN_STATES
     )
-
-
-def resolve_pool(pool: str, tasks: list[PlannedTask], jobs: int) -> str:
-    """Resolve ``pool="auto"`` to a concrete pool kind.
-
-    Processes win only when there is CPU-bound work to parallelise:
-    with ``jobs > 1`` and at least one heavy exponential-tier task the
-    GIL makes a thread pool *slower* than serial, so auto picks
-    ``process``; otherwise threads (cheap startup, no pickling).
-    """
-    if pool != "auto":
-        return pool
-    if jobs > 1 and any(_is_heavy(t) for t in tasks):
-        return "process"
-    return "thread"
 
 
 def _task_key(task: PlannedTask) -> str:
@@ -285,32 +246,6 @@ def _unknown_outcome(
     )
 
 
-def _backoff(policy: ResiliencePolicy, attempt: int,
-             run_deadline: Deadline | None) -> None:
-    """Exponential backoff before a crash retry, capped and clipped to
-    the run budget (waiting must never blow the deadline by itself)."""
-    delay = min(MAX_BACKOFF_S, policy.backoff_s * (2 ** attempt))
-    if delay <= 0:
-        return
-    if run_deadline is not None:
-        run_deadline.sleep(delay)
-    else:
-        time.sleep(delay)
-
-
-def _canon(
-    task: PlannedTask, cache: ResultCache | None
-) -> CanonicalInstance | None:
-    if cache is None:
-        return None
-    return canonicalize(
-        task.instance.execution,
-        task.instance.write_order,
-        task.instance.problem,
-        task.backend.name,
-    )
-
-
 def _finalize(
     task: PlannedTask,
     canon: CanonicalInstance | None,
@@ -365,9 +300,14 @@ def _cache_lookup(
     chaos: ChaosSpec | None,
     certify: str = "off",
 ) -> tuple[CanonicalInstance | None, VerificationResult | None]:
-    canon = _canon(task, cache)
-    if canon is None:
+    if cache is None:
         return None, None
+    canon = canonicalize(
+        task.instance.execution,
+        task.instance.write_order,
+        task.instance.problem,
+        task.backend.name,
+    )
     if chaos is not None:
         chaos.on_cache_io(_task_key(task), "lookup")
     hit = cache.lookup(canon)
@@ -395,84 +335,45 @@ def _cache_lookup(
     return canon, hit
 
 
-def run_task(
-    task: PlannedTask, cache: ResultCache | None, certify: str = "off"
-) -> tuple[VerificationResult, bool, float]:
-    """Decide one task, consulting ``cache`` first.
-
-    Returns ``(result, cache_hit, seconds)``.  The non-resilient entry
-    point kept for direct callers; the executor proper goes through
-    :func:`_run_task_resilient`.
-    """
-    out = _run_task_resilient(task, cache, NO_RESILIENCE, None, certify)
-    return out.result, out.cache_hit, out.seconds
-
-
 def _run_task_resilient(
     task: PlannedTask,
     cache: ResultCache | None,
     policy: ResiliencePolicy,
     run_deadline: Deadline | None,
     certify: str = "off",
+    attempt: int = 0,
 ) -> _Outcome:
-    """Cache-checked, deadline-capped, crash-retried serial execution."""
+    """Cache-checked, deadline-capped, crash-retried serial execution.
+
+    ``attempt`` counts crashes the task already suffered elsewhere:
+    the pool's quarantine resumes a task here after its worker retries
+    ran out, so it gets one in-process try before UNKNOWN(crashed).
+    """
     t0 = perf_counter()
     canon, hit = _cache_lookup(task, cache, policy.chaos, certify)
     if hit is not None:
         return _Outcome(hit, True, perf_counter() - t0)
     timeout, reason = _effective_timeout(policy, run_deadline)
-    attempt = 0
-    crashes = 0
     while True:
         try:
             result, _seconds = _decide_task(
                 task, timeout, policy.chaos, attempt, reason, certify
             )
             break
-        except RETRYABLE as e:
-            crashes += 1
+        except ChaosCrash as e:
             if attempt >= policy.retries:
                 return _unknown_outcome(
-                    task, "crashed", f"gave up after {crashes} crashes: {e}",
-                    attempts=attempt + 1, crashes=crashes, quarantined=True,
+                    task, "crashed",
+                    f"gave up after {attempt + 1} crashes: {e}",
+                    attempts=attempt + 1, crashes=attempt + 1,
+                    quarantined=True,
                 )
-            _backoff(policy, attempt, run_deadline)
+            backoff(policy, attempt, run_deadline)
             attempt += 1
     result = _finalize(task, canon, result, cache, policy.chaos, certify)
     return _Outcome(
         result, False, perf_counter() - t0,
-        attempts=attempt + 1, crashes=crashes,
-    )
-
-
-def _quarantine(
-    task: PlannedTask,
-    cache: ResultCache | None,
-    policy: ResiliencePolicy,
-    run_deadline: Deadline | None,
-    attempt: int,
-    crashes: int,
-    certify: str = "off",
-) -> _Outcome:
-    """A task that exhausted its pool retries runs once in-process —
-    a poisoned pickle or a worker-killing input cannot sink the sweep.
-    If it *still* dies, it is reported UNKNOWN(crashed)."""
-    t0 = perf_counter()
-    timeout, reason = _effective_timeout(policy, run_deadline)
-    try:
-        result, _seconds = _decide_task(
-            task, timeout, policy.chaos, attempt, reason, certify
-        )
-    except RETRYABLE as e:
-        return _unknown_outcome(
-            task, "crashed", f"gave up after {crashes + 1} crashes: {e}",
-            attempts=attempt + 1, crashes=crashes + 1, quarantined=True,
-        )
-    canon = _canon(task, cache)
-    result = _finalize(task, canon, result, cache, policy.chaos, certify)
-    return _Outcome(
-        result, False, perf_counter() - t0,
-        attempts=attempt + 1, crashes=crashes, quarantined=True,
+        attempts=attempt + 1, crashes=attempt,
     )
 
 
@@ -482,7 +383,6 @@ def execute_plan(
     cache: ResultCache | None = None,
     early_exit: bool = True,
     problem: str = "vmc",
-    pool: str = "thread",
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> tuple[dict, EngineReport]:
@@ -493,6 +393,10 @@ def execute_plan(
     instead records UNKNOWN(budget) results, so partial coverage is
     visible rather than silent).
 
+    With ``jobs > 1`` the tasks run on the process pool exactly when
+    some task is heavy (:func:`_is_heavy`); ``EngineReport.pool``
+    records ``"process"`` or ``"serial"``, whichever ran.
+
     ``certify`` is one of :data:`~repro.engine.certify.CERTIFY_MODES`:
     with ``"on"`` or ``"strict"`` every decided verdict must carry a
     certificate the trusted checker validates before the result is
@@ -500,21 +404,17 @@ def execute_plan(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if pool not in POOL_KINDS and pool != "auto":
-        raise ValueError(
-            f"unknown pool kind {pool!r}; choose from "
-            f"{POOL_KINDS + ('auto',)}"
-        )
     if certify not in CERTIFY_MODES:
         raise ValueError(
             f"unknown certify mode {certify!r}; choose from {CERTIFY_MODES}"
         )
     policy = resilience or NO_RESILIENCE
-    pool = resolve_pool(pool, tasks, jobs)
+    pooled = jobs > 1 and len(tasks) > 1 and any(map(_is_heavy, tasks))
     start = perf_counter()
     run_deadline = Deadline.after(policy.timeout)
     report = EngineReport(
-        problem=problem, jobs=jobs, pool=pool, planned=len(tasks)
+        problem=problem, jobs=jobs,
+        pool="process" if pooled else "serial", planned=len(tasks),
     )
     evictions_before = cache.stats.evictions if cache is not None else 0
     store_reval_before = (
@@ -522,7 +422,7 @@ def execute_plan(
     )
     outcomes: dict[int, _Outcome] = {}
 
-    if jobs <= 1 or len(tasks) <= 1:
+    if not pooled:
         for task in tasks:
             if run_deadline is not None and run_deadline.expired():
                 outcomes[task.order] = _unknown_outcome(
@@ -538,7 +438,7 @@ def execute_plan(
                 break
     else:
         _run_pooled(
-            tasks, jobs, cache, early_exit, pool, outcomes, report,
+            tasks, jobs, cache, early_exit, outcomes, report,
             policy, run_deadline, certify,
         )
 
@@ -666,182 +566,87 @@ def _aggregate_portfolio(
         }
 
 
-class _LostResult(RuntimeError):
-    """Chaos dropped a completed result on the pool boundary; the task
-    must be retried exactly as if the worker had died."""
-
-
 def _run_pooled(
     tasks: list[PlannedTask],
     jobs: int,
     cache: ResultCache | None,
     early_exit: bool,
-    pool: str,
     outcomes: dict[int, _Outcome],
     report: EngineReport,
     policy: ResiliencePolicy,
     run_deadline: Deadline | None,
     certify: str = "off",
 ) -> None:
-    """Windowed pool execution shared by both pool kinds.
+    """Run the plan on the process pool, one lane per task.
 
     Cache lookups, cache stores, and pre-pass-decided tasks are handled
-    in the parent — the cache's lock does not pickle, and a decided
-    task needs no worker anyway.  Only undecided work crosses the pool
-    boundary.
-
-    Failure handling: a retryable failure (dead worker, injected crash,
-    lost result) requeues the victim with backoff up to
-    ``policy.retries`` attempts, then quarantines it in-process; a
-    broken pool is rebuilt once per break with every in-flight task
-    requeued (the victim cannot be told apart from its innocent
-    neighbours).  ``KeyboardInterrupt`` cancels all futures, drains the
-    pool, and re-raises — no orphaned workers.
+    in the parent first — the cache's lock does not pickle, and a
+    decided task needs no worker anyway.  Only undecided work crosses
+    the pool boundary; a task whose worker retries run out is
+    quarantined to :func:`_run_task_resilient`.
     """
-    executor_cls = (
-        concurrent.futures.ProcessPoolExecutor
-        if pool == "process"
-        else concurrent.futures.ThreadPoolExecutor
-    )
-    max_workers = min(jobs, len(tasks))
-    window = 2 * jobs
     chaos = policy.chaos
-    # (task, attempt, crashes) triples; retries re-enter at the front.
-    pending: deque[tuple[PlannedTask, int, int]] = deque(
-        (t, 0, 0) for t in tasks
+    units: list[tuple[int, tuple[PlannedTask, CanonicalInstance | None]]] = []
+    for i, task in enumerate(tasks):
+        if run_deadline is not None and run_deadline.expired():
+            break
+        canon, hit = _cache_lookup(task, cache, chaos, certify)
+        if hit is not None:
+            outcomes[task.order] = _Outcome(hit, True, 0.0)
+        elif task.prepass is not None and task.prepass.decided is not None:
+            # Decided in the parent, so chaos must not ride into
+            # _decide_task (an injected crash would surface here as a
+            # hard error, not a retryable worker death); the semantic
+            # faults still apply, explicitly.
+            result, seconds = _decide_task(task, certify=certify)
+            if chaos is not None and not result.unknown:
+                result = tamper_result(chaos, _task_key(task), 0, result)
+            result = _finalize(task, canon, result, cache, chaos, certify)
+            outcomes[task.order] = _Outcome(result, False, seconds)
+        else:
+            units.append((task.order, (task, canon)))
+            continue
+        if early_exit and outcomes[task.order].result.violated:
+            report.cancelled += len(units) + len(tasks) - i - 1
+            return
+
+    def submit(item, attempt):
+        task, _ = item
+        timeout, reason = _effective_timeout(policy, run_deadline)
+        return _decide_task, task, timeout, chaos, attempt, reason, certify
+
+    def accept(item, attempt, value) -> bool:
+        task, canon = item
+        result, seconds = value
+        if chaos is not None and chaos.loses_result(_task_key(task), attempt):
+            raise LostResult(_task_key(task))
+        result = _finalize(task, canon, result, cache, chaos, certify)
+        outcomes[task.order] = _Outcome(
+            result, False, seconds, attempts=attempt + 1, crashes=attempt,
+        )
+        return early_exit and result.violated
+
+    def quarantine(item, attempt) -> bool:
+        task, _ = item
+        out = _run_task_resilient(
+            task, cache, policy, run_deadline, certify, attempt
+        )
+        out.quarantined = True
+        outcomes[task.order] = out
+        return early_exit and out.result.violated
+
+    run = run_pool(
+        units, jobs, submit, accept, quarantine, policy, run_deadline
     )
-    in_flight: dict[
-        concurrent.futures.Future,
-        tuple[PlannedTask, CanonicalInstance | None, int, int],
-    ] = {}
-    violated = False
-    budget_out = False
-    executor = executor_cls(max_workers=max_workers)
-    try:
-        while (pending or in_flight) and not violated:
-            if run_deadline is not None and run_deadline.expired():
-                budget_out = True
-                break
-            while pending and len(in_flight) < window and not violated:
-                task, attempt, crashes = pending.popleft()
-                canon, hit = _cache_lookup(task, cache, chaos, certify)
-                if hit is not None:
-                    outcomes[task.order] = _Outcome(hit, True, 0.0)
-                    violated = early_exit and hit.violated
-                    continue
-                if task.prepass is not None and task.prepass.decided is not None:
-                    # Decided in the parent, so chaos must not ride into
-                    # _decide_task (an injected crash would surface here
-                    # as a hard error, not a retryable worker death);
-                    # the semantic faults still apply, explicitly.
-                    result, seconds = _decide_task(task, certify=certify)
-                    if chaos is not None and not result.unknown:
-                        result = tamper_result(
-                            chaos, _task_key(task), attempt, result
-                        )
-                    result = _finalize(
-                        task, canon, result, cache, chaos, certify
-                    )
-                    outcomes[task.order] = _Outcome(result, False, seconds)
-                    violated = early_exit and result.violated
-                    continue
-                timeout, reason = _effective_timeout(policy, run_deadline)
-                fut = executor.submit(
-                    _decide_task, task, timeout, chaos, attempt, reason,
-                    certify,
-                )
-                in_flight[fut] = (task, canon, attempt, crashes)
-            if violated or not in_flight:
-                continue
-            wait_s = (
-                None if run_deadline is None
-                else max(0.01, min(0.25, run_deadline.remaining()))
+    if run.stopped:
+        report.cancelled += len(run.leftover)
+        return
+    # Tasks that never ran (budget expired first) are UNKNOWN(budget),
+    # not silently skipped: partial coverage must be visible.
+    for task in tasks:
+        if task.order not in outcomes:
+            outcomes[task.order] = _unknown_outcome(
+                task, "budget",
+                f"run budget {policy.timeout:g}s exhausted before "
+                f"the task could run",
             )
-            done, _running = concurrent.futures.wait(
-                in_flight,
-                timeout=wait_s,
-                return_when=concurrent.futures.FIRST_COMPLETED,
-            )
-            for fut in done:
-                task, canon, attempt, crashes = in_flight.pop(fut)
-                try:
-                    result, seconds = fut.result()
-                    if chaos is not None and chaos.loses_result(
-                        _task_key(task), attempt
-                    ):
-                        raise _LostResult(_task_key(task))
-                except RETRYABLE + (_LostResult,) as e:
-                    crashes += 1
-                    if isinstance(e, concurrent.futures.BrokenExecutor):
-                        # The pool is dead: rebuild it and requeue every
-                        # in-flight task — their futures are broken too.
-                        executor.shutdown(wait=False, cancel_futures=True)
-                        executor = executor_cls(max_workers=max_workers)
-                        for other in list(in_flight):
-                            t2, _c2, a2, cr2 = in_flight.pop(other)
-                            pending.appendleft((t2, a2 + 1, cr2 + 1))
-                    if attempt >= policy.retries:
-                        outcomes[task.order] = _quarantine(
-                            task, cache, policy, run_deadline,
-                            attempt + 1, crashes, certify,
-                        )
-                        violated = (
-                            early_exit and outcomes[task.order].result.violated
-                        )
-                    else:
-                        _backoff(policy, attempt, run_deadline)
-                        pending.appendleft((task, attempt + 1, crashes))
-                    continue
-                result = _finalize(task, canon, result, cache, chaos, certify)
-                outcomes[task.order] = _Outcome(
-                    result, False, seconds,
-                    attempts=attempt + 1, crashes=crashes,
-                )
-                if early_exit and result.violated:
-                    violated = True
-        if violated or budget_out:
-            # Cancel whatever has not started; count never-submitted
-            # tasks too — both are work the exit avoided.
-            for fut in list(in_flight):
-                if fut.cancel():
-                    report.cancelled += 1
-                    del in_flight[fut]
-            if violated:
-                report.cancelled += len(pending)
-            # In-flight tasks finish during pool shutdown (their worker-
-            # side deadlines are capped by the run budget, so this is
-            # bounded); harvest them so results are not discarded.
-            for fut, (task, canon, attempt, crashes) in list(in_flight.items()):
-                try:
-                    result, seconds = fut.result()
-                except concurrent.futures.CancelledError:
-                    continue
-                except RETRYABLE + (_LostResult,):
-                    outcomes[task.order] = _unknown_outcome(
-                        task, "crashed", "worker died during wind-down",
-                        attempts=attempt + 1, crashes=crashes + 1,
-                    )
-                    continue
-                result = _finalize(task, canon, result, cache, chaos, certify)
-                outcomes[task.order] = _Outcome(
-                    result, False, seconds,
-                    attempts=attempt + 1, crashes=crashes,
-                )
-            if budget_out:
-                # Tasks that never ran (queued or cancelled on the pool)
-                # are UNKNOWN(budget), not silently skipped: partial
-                # coverage must be visible.
-                for task in tasks:
-                    if task.order not in outcomes:
-                        outcomes[task.order] = _unknown_outcome(
-                            task, "budget",
-                            f"run budget {policy.timeout:g}s exhausted "
-                            f"before the task started",
-                        )
-    except KeyboardInterrupt:
-        # Ctrl-C must not orphan workers: cancel everything that has
-        # not started, drain what has, then re-raise to the caller.
-        executor.shutdown(wait=True, cancel_futures=True)
-        raise
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)

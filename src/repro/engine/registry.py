@@ -112,7 +112,6 @@ def build_vmc_registry() -> BackendRegistry:
     reg.register(ReadMapBackend())
     reg.register(ExactBackend())
     reg.register(SatBackend("cdcl", tier=4, aliases=("sat",)))
-    reg.register(SatBackend("dpll", tier=5))
     return reg
 
 
@@ -121,7 +120,6 @@ def build_vsc_registry() -> BackendRegistry:
     reg = BackendRegistry("vsc")
     reg.register(ExactVscBackend())
     reg.register(SatVscBackend("cdcl", tier=1, aliases=("sat",)))
-    reg.register(SatVscBackend("dpll", tier=2))
     return reg
 
 

@@ -64,7 +64,8 @@ class EngineReport:
 
     problem: str = "vmc"
     jobs: int = 1
-    pool: str = "thread"
+    #: ``"serial"`` or ``"process"``: whichever loop ran the tasks.
+    pool: str = "serial"
     planned: int = 0
     executed: int = 0
     cache_hits: int = 0

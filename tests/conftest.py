@@ -170,3 +170,13 @@ def small_cnfs(draw, max_vars: int = 5, max_clauses: int = 8, max_len: int = 3):
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture
+def force_pool(monkeypatch):
+    """Send every multi-task ``jobs > 1`` engine run to the process
+    pool, however light its tasks: by default the executor pools only
+    plans with heavy exponential-tier work."""
+    from repro.engine import executor
+
+    monkeypatch.setattr(executor, "_is_heavy", lambda task: True)

@@ -50,7 +50,7 @@ class TestRouting:
 
     def test_explicit_methods(self):
         ex = parse_trace("P0: W(x,1)\nP1: R(x,1)")
-        for method in ("readmap", "exact", "sat", "sat-dpll"):
+        for method in ("readmap", "exact", "sat", "sat-cdcl"):
             r = verify_coherence(ex, method=method)
             assert r, method
 
@@ -119,7 +119,7 @@ class TestVscDispatch:
         ex = parse_trace(
             "P0: W(x,1) W(y,1)\nP1: R(y,1) R(x,1)", initial={"x": 0, "y": 0}
         )
-        for method in ("auto", "exact", "sat", "sat-dpll"):
+        for method in ("auto", "exact", "sat", "sat-cdcl"):
             assert verify_sequential_consistency(ex, method=method), method
 
     def test_unknown_method(self):

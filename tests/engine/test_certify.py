@@ -532,13 +532,12 @@ class TestCertifiedEngine:
         [
             dict(portfolio=False),
             dict(portfolio=False, prepass=False),
-            dict(jobs=2, pool="thread"),
-            dict(jobs=2, pool="process"),
+            dict(jobs=2),
         ],
-        ids=["no-portfolio", "no-prepass", "thread-pool", "process-pool"],
+        ids=["no-portfolio", "no-prepass", "process-pool"],
     )
-    def test_certified_across_engine_configs(self, kwargs):
-        n = 6 if kwargs.get("pool") == "process" else 16
+    def test_certified_across_engine_configs(self, kwargs, force_pool):
+        n = 6 if kwargs.get("jobs") else 16
         for ex in CORPUS[:n]:
             result = verify_vmc(
                 ex, cache=False, early_exit=False, certify="on", **kwargs
@@ -546,7 +545,7 @@ class TestCertifiedEngine:
             _validated(ex, result)
 
     @pytest.mark.parametrize(
-        "name", ["single-op", "readmap", "exact", "sat-cdcl", "sat-dpll"]
+        "name", ["single-op", "readmap", "exact", "sat-cdcl"]
     )
     def test_forced_backends_are_certified(self, name):
         tiny = [

@@ -7,9 +7,10 @@ and agree with the fault-free verdicts wherever they decide — UNKNOWN
 only ever appears with a recorded reason and nonzero retry/quarantine
 counters.
 
-The chaos suite honours two environment variables so CI can re-run it
-on a real process pool: ``REPRO_CHAOS_JOBS`` (default 2) and
-``REPRO_CHAOS_POOL`` (default ``thread``).
+Tests that pass ``jobs > 1`` run on the engine's process pool (the
+``force_pool`` fixture routes light plans there too), so worker
+processes, pickling and lost results are exercised for real.
+``REPRO_CHAOS_JOBS`` (default 2) sets the pool width.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from repro.util.control import Cancelled
 from tests.conftest import make_coherent_execution
 
 CHAOS_JOBS = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
-CHAOS_POOL = os.environ.get("REPRO_CHAOS_POOL", "thread")
 
 
 # ---------------------------------------------------------------------
@@ -181,7 +181,7 @@ class TestChaosDifferential:
     def test_corpus_is_substantial(self):
         assert len(_corpus()) >= 150
 
-    def test_chaos_verdicts_match_fault_free(self):
+    def test_chaos_verdicts_match_fault_free(self, force_pool):
         corpus = _corpus()
         undecided = 0
         for ex in corpus:
@@ -190,7 +190,6 @@ class TestChaosDifferential:
             chaotic = verify_vmc(
                 ex,
                 jobs=CHAOS_JOBS,
-                pool=CHAOS_POOL,
                 cache=False,
                 early_exit=False,
                 resilience=self.POLICY,
@@ -269,7 +268,7 @@ class TestCrashRecovery:
         assert result.report.crashes >= 2  # first try + at least one retry
         assert result.report.unknown >= 1
 
-    def test_lost_results_recover_via_quarantine(self):
+    def test_lost_results_recover_via_quarantine(self, force_pool):
         """lost=1.0 drops every pooled result on harvest; quarantine
         runs the task in-process (no pool boundary to lose it on) and
         the verdict survives."""
@@ -281,7 +280,7 @@ class TestCrashRecovery:
             retries=1, backoff_s=0.0, chaos=ChaosSpec(lost=1.0, seed=0)
         )
         result = verify_vmc(
-            ex, jobs=2, pool="thread", cache=False, early_exit=False,
+            ex, jobs=2, cache=False, early_exit=False,
             prepass=False, resilience=policy,
         )
         assert not result.unknown
@@ -289,7 +288,7 @@ class TestCrashRecovery:
         assert result.report.quarantined >= 1
         assert result.report.retries >= 1
 
-    def test_moderate_lost_rate_recovers_by_retry(self):
+    def test_moderate_lost_rate_recovers_by_retry(self, force_pool):
         ex, _ = make_coherent_execution(
             12, 3, 4, addresses=("x", "y", "z"), num_values=3
         )
@@ -298,7 +297,7 @@ class TestCrashRecovery:
             retries=4, backoff_s=0.0, chaos=ChaosSpec(lost=0.5, seed=2)
         )
         result = verify_vmc(
-            ex, jobs=2, pool="thread", cache=False, early_exit=False,
+            ex, jobs=2, cache=False, early_exit=False,
             prepass=False, resilience=policy,
         )
         assert not result.unknown
@@ -372,10 +371,10 @@ class _SlowCoopLeg(Backend):
         raise Cancelled("slowcoop", 0)
 
 
-def _slow_task(ex: Execution, order: int = 0) -> PlannedTask:
-    inst = Instance(ex, address="x", problem="vmc")
+def _slow_task(ex: Execution, order: int = 0, address="x") -> PlannedTask:
+    inst = Instance(ex, address=address, problem="vmc")
     return PlannedTask(
-        order=order, address="x", instance=inst,
+        order=order, address=address, instance=inst,
         backend=_SlowCoopLeg(), estimate=1.0,
     )
 
@@ -407,28 +406,28 @@ class TestDeadlines:
             assert res.unknown
             assert res.unknown_reason == "budget"
 
-    def test_run_budget_yields_unknown_budget_pooled(self):
+    def test_run_budget_yields_unknown_budget_pooled(self, force_pool):
         ex, _ = make_coherent_execution(
             12, 3, 10, addresses=("x", "y", "z"), num_values=3
         )
         result = verify_vmc(
-            ex, jobs=2, pool="thread", cache=False, prepass=False,
+            ex, jobs=2, cache=False, prepass=False,
             resilience=ResiliencePolicy(timeout=0.0),
         )
         assert result.unknown
         assert result.unknown_reason == "budget"
         assert len(result.per_address) == 3
 
-    def test_budget_caps_slow_tasks_in_pool(self):
+    def test_budget_caps_slow_tasks_in_pool(self, force_pool):
         """A wedged (but cooperative) task under a run budget bows out
         as UNKNOWN(budget) instead of hanging the pool."""
         ex, _ = make_coherent_execution(6, 2, 11)
-        tasks = [_slow_task(ex, 0)]
+        tasks = [_slow_task(ex, 0), _slow_task(ex, 1, "y")]
         t0 = time.monotonic()
         results, report = execute_plan(
-            tasks, jobs=2, pool="thread",
-            resilience=ResiliencePolicy(timeout=0.2),
+            tasks, jobs=2, resilience=ResiliencePolicy(timeout=0.2),
         )
+        assert report.pool == "process"
         assert time.monotonic() - t0 < 30.0
         assert results["x"].unknown
         assert results["x"].unknown_reason == "budget"
@@ -623,7 +622,7 @@ class TestChaosCertification:
                     assert res.holds == baseline.per_address[addr].holds
         assert flips_caught > 0  # the rate actually injected flips
 
-    def test_flips_caught_across_the_pool_boundary(self):
+    def test_flips_caught_across_the_pool_boundary(self, force_pool):
         policy = ResiliencePolicy(
             retries=0, backoff_s=0.0,
             chaos=ChaosSpec(bad_verdict=1.0, seed=1),
@@ -632,7 +631,7 @@ class TestChaosCertification:
             12, 3, 21, addresses=("x", "y", "z"), num_values=3
         )
         result = verify_vmc(
-            ex, jobs=CHAOS_JOBS, pool=CHAOS_POOL, cache=False,
+            ex, jobs=CHAOS_JOBS, cache=False,
             early_exit=False, resilience=policy, certify="strict",
         )
         assert result.unknown
@@ -678,13 +677,16 @@ class TestChaosCertification:
 # Ctrl-C and orphaned workers (the satellite regression)
 # ---------------------------------------------------------------------
 class TestKeyboardInterrupt:
-    @pytest.mark.parametrize("pool", ["thread", "process"])
-    def test_interrupt_reraises_and_leaves_no_orphans(self, monkeypatch, pool):
+    @pytest.mark.parametrize("pool", ["process"])
+    def test_interrupt_reraises_and_leaves_no_orphans(
+        self, monkeypatch, force_pool, pool
+    ):
         ex, _ = make_coherent_execution(
             12, 3, 17, addresses=("x", "y", "z"), num_values=3
         )
         tasks = plan_vmc(ex, prepass=False, portfolio=False)
         assert len(tasks) > 1
+        assert execute_plan(tasks, jobs=2)[1].pool == pool
         real_wait = concurrent.futures.wait
         fired = []
 
@@ -696,19 +698,18 @@ class TestKeyboardInterrupt:
 
         monkeypatch.setattr(concurrent.futures, "wait", interrupting_wait)
         with pytest.raises(KeyboardInterrupt):
-            execute_plan(tasks, jobs=2, pool=pool)
+            execute_plan(tasks, jobs=2)
         assert fired  # the seam actually fired inside the pooled loop
         monkeypatch.undo()
-        if pool == "process":
-            _assert_no_orphans()
+        _assert_no_orphans()
 
-    def test_process_pool_runs_leave_no_orphans(self):
+    def test_process_pool_runs_leave_no_orphans(self, force_pool):
         ex, _ = make_coherent_execution(
             12, 3, 18, addresses=("x", "y", "z"), num_values=3
         )
-        result = verify_vmc(ex, jobs=2, pool="process", cache=False,
-                            prepass=False)
+        result = verify_vmc(ex, jobs=2, cache=False, prepass=False)
         assert not result.unknown
+        assert result.report.pool == "process"
         _assert_no_orphans()
 
 

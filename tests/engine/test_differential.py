@@ -34,7 +34,7 @@ SKELETONS = [
     "P0: W(x,1) R(x,?) W(x,2)\nP1: R(x,?)",
 ]
 
-FORCIBLE = ["single-op", "readmap", "exact", "sat-cdcl", "sat-dpll"]
+FORCIBLE = ["single-op", "readmap", "exact", "sat-cdcl"]
 
 
 def _corrupt(ex: Execution) -> Execution | None:

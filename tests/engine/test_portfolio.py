@@ -1,5 +1,5 @@
 """Portfolio racing, cooperative cancellation, budget fallback, and
-pool auto-resolution.
+the pooled-or-serial routing of heavy plans.
 
 The race must be invisible in verdicts (portfolio == serial on a
 differential corpus), visible in stats (winner / cancelled counters),
@@ -18,8 +18,8 @@ from repro.core.types import Execution, OpKind, Operation
 from repro.engine import (
     PORTFOLIO_MIN_STATES,
     PortfolioBackend,
+    execute_plan,
     plan_vmc,
-    resolve_pool,
     verify_vmc,
     vmc_registry,
 )
@@ -289,33 +289,38 @@ def test_forced_method_is_never_wrapped():
 
 
 # ---------------------------------------------------------------------
-# Pool auto-resolution
+# Pooled or serial
 # ---------------------------------------------------------------------
-def test_resolve_pool_explicit_kinds_pass_through():
-    assert resolve_pool("thread", [], 4) == "thread"
-    assert resolve_pool("process", [], 4) == "process"
-
-
-def test_resolve_pool_auto_light_plan_is_thread():
-    ex, _ = make_coherent_execution(18, 3, seed=9)
-    tasks = plan_vmc(ex, prepass=False)
-    assert resolve_pool("auto", tasks, 4) == "thread"
-
-
-def test_resolve_pool_auto_heavy_plan_is_process():
-    tasks = plan_vmc(_big_execution(), prepass=False)
-    assert resolve_pool("auto", tasks, 4) == "process"
-    # ... but only when there is parallelism to exploit.
-    assert resolve_pool("auto", tasks, 1) == "thread"
+def test_pool_only_for_jobs_and_a_heavy_task():
+    """``jobs > 1`` with a heavy task pools; anything else is serial."""
+    heavy = plan_vmc(_big_execution(), prepass=False) + plan_vmc(
+        _big_execution(8), prepass=False
+    )
+    light, _ = make_coherent_execution(
+        18, 3, seed=9, addresses=("x", "y")
+    )
+    light = plan_vmc(light, prepass=False)
+    for tasks, jobs, pool in [
+        (heavy, 2, "process"),
+        (heavy, 1, "serial"),
+        (heavy[:1], 2, "serial"),  # nothing to run alongside it
+        (light, 2, "serial"),
+        (heavy[:1] + light, 2, "process"),
+    ]:
+        for i, task in enumerate(tasks):
+            task.order, task.address = i, f"a{i}"
+        results, report = execute_plan(tasks, jobs=jobs)
+        assert report.pool == pool, (len(tasks), jobs)
+        assert all(r.holds for r in results.values())
 
 
 def test_engine_auto_pool_reported():
     ex, _ = make_coherent_execution(
         24, 2, seed=10, addresses=("x", "y"), num_values=3
     )
-    result = verify_vmc(ex, jobs=2, pool="auto", cache=False)
+    result = verify_vmc(ex, jobs=2, cache=False)
     assert result.holds
-    assert result.report.pool == "thread"  # light tasks stay on threads
+    assert result.report.pool == "serial"  # light tasks stay serial
 
 
 def test_engine_report_aggregates_races():
@@ -337,7 +342,6 @@ def test_cli_portfolio_flag(tmp_path, capsys):
     parser = build_parser()
     assert parser.parse_args(["verify", "t"]).portfolio is True
     assert parser.parse_args(["verify", "t", "--no-portfolio"]).portfolio is False
-    assert parser.parse_args(["verify", "t"]).pool == "auto"
 
     ex, _ = make_coherent_execution(10, 2, seed=11)
     trace = tmp_path / "trace.json"

@@ -202,7 +202,7 @@ class TestExecutorCounters:
         assert cache.stats.evictions == 1
         assert "evicted" in cache.stats.summary()
 
-    def test_cancellation_counter(self):
+    def test_cancellation_counter(self, force_pool):
         # One prepass-decided violated task (estimate 0, so planned
         # first) and several undecided ones: the parent resolves the
         # violation before submitting anything, so every other task is
@@ -219,32 +219,34 @@ class TestExecutorCounters:
             f"P1: {' '.join(lines1)} W(z,2) R(z,1)"
         )
         ex = parse_trace(text, initial={a: 0 for a in "abcdefghz"})
-        r = verify_vmc(ex, jobs=2, pool="thread")
+        r = verify_vmc(ex, jobs=2)
         assert not r
+        assert r.report.pool == "process"
         assert r.report.early_exit
         assert r.report.cancelled == 8
         serial = verify_vmc(ex, jobs=1)
         assert not serial
 
-    def test_process_pool_equivalence(self):
+    def test_process_pool_equivalence(self, force_pool):
         ex = _distinct_addr_traces()
         serial = verify_vmc(ex)
-        pooled = verify_vmc(ex, jobs=2, pool="process")
+        pooled = verify_vmc(ex, jobs=2)
         assert serial.holds == pooled.holds
         assert pooled.report.pool == "process"
         for addr, sub in pooled.per_address.items():
             assert sub.schedule is not None
             assert is_coherent_schedule(ex, sub.schedule, addr=addr)
 
-    def test_process_pool_rematerializes_witnesses(self):
+    def test_process_pool_rematerializes_witnesses(self, force_pool):
         # Eliminated reads must be spliced back even when the backend
         # ran in a worker process (the plan rides inside the task).
         ex = parse_trace(
             "P0: W(a,1) W(a,1) R(a,1)\nP1: W(b,2) W(b,2) R(b,2)",
             initial={"a": 0, "b": 0},
         )
-        r = verify_vmc(ex, jobs=2, pool="process", cache=False)
+        r = verify_vmc(ex, jobs=2, cache=False)
         assert r
+        assert r.report.pool == "process"
         for addr, sub in r.per_address.items():
             assert is_coherent_schedule(ex, sub.schedule, addr=addr)
 
@@ -254,9 +256,10 @@ class TestExecutorCounters:
             execute_plan(plan_vmc(ex), jobs=0)
 
     def test_bad_pool_rejected(self):
+        """There is one pool kind, so there is no ``pool=`` to pass."""
         ex = parse_trace("P0: W(x,1)")
-        with pytest.raises(ValueError, match="unknown pool"):
-            execute_plan(plan_vmc(ex), jobs=2, pool="fibers")
+        with pytest.raises(TypeError, match="pool"):
+            execute_plan(plan_vmc(ex), jobs=2, pool="thread")
 
 
 class TestCli:
@@ -282,6 +285,7 @@ class TestCli:
         assert exc.value.code == 2
 
     def test_pool_choice_validated(self, trace_file):
+        """There is one pool and no ``--pool`` option to choose it."""
         from repro.cli import main
 
         with pytest.raises(SystemExit) as exc:
@@ -294,7 +298,7 @@ class TestCli:
         assert main(["verify", trace_file, "--stats"]) == 0
         out = capsys.readouterr().out
         assert "prepass:" in out
-        assert "pool=thread" in out
+        assert "pool=serial" in out
         assert "evicted" in out
 
     def test_no_prepass_flag(self, trace_file, capsys):
@@ -305,10 +309,13 @@ class TestCli:
         assert "method: exact" in out
         assert "prepass:" not in out
 
-    def test_pool_process_runs(self, trace_file):
+    def test_pool_process_runs(self, tmp_path, capsys, force_pool):
         from repro.cli import main
 
-        assert main(["verify", trace_file, "--jobs", "2", "--pool", "process"]) == 0
+        path = tmp_path / "two.txt"
+        path.write_text("P0: W(x,1) W(x,1) W(y,2)\nP1: R(x,1) R(y,2)\n")
+        assert main(["verify", str(path), "--jobs", "2", "--stats"]) == 0
+        assert "pool=process" in capsys.readouterr().out
 
 
 class TestCampaignCacheReporting:

@@ -78,14 +78,13 @@ class TestLookup:
 
     def test_names_in_tier_order(self):
         assert vmc_registry().names() == [
-            "write-order", "single-op", "readmap", "exact",
-            "sat-cdcl", "sat-dpll",
+            "write-order", "single-op", "readmap", "exact", "sat-cdcl",
         ]
 
     def test_applicable_list(self):
         ex = parse_trace("P0: W(x,1) R(x,1)\nP1: R(x,1)")
         names = [b.name for b in vmc_registry().applicable(_instance(ex))]
-        assert names == ["readmap", "exact", "sat-cdcl", "sat-dpll"]
+        assert names == ["readmap", "exact", "sat-cdcl"]
 
     def test_duplicate_registration_rejected(self):
         reg = build_vmc_registry()
