@@ -34,7 +34,8 @@ Two comparison matrices:
   portfolio off, so every unique instance pays the SAT route) verified
   through the batch engine (``repro.engine.verify_many``) under four
   arms — store disabled, cold (empty store), warm (same store
-  directory, fresh process) and a sharded process-pool cold run.
+  directory, fresh process) and a cold run at ``--jobs N`` (the
+  executor's process pool; the parent does every store read/write).
   Guards: warm must beat cold by >= 3x (in practice it is orders of
   magnitude — a disk read versus a SAT solve), every warm verdict must
   be served from the store (zero solves, zero revalidation failures),
@@ -602,7 +603,7 @@ STORE_GUARD_WARM_SPEEDUP = 3.0
 STORE_GUARD_DISABLED_RATIO = 1.05
 #: ...with an absolute slack floor for sub-second noise.
 STORE_GUARD_DISABLED_SLACK_S = 0.1
-#: The sharded process pool must beat the serial cold arm by this
+#: The process-pool cold arm must beat the serial cold arm by this
 #: factor — enforced only on machines with >= STORE_JOBS_MIN_CPUS
 #: cores, since a pool cannot outrun serial on a single-core container.
 STORE_GUARD_JOBS_SPEEDUP = 2.0
@@ -621,7 +622,8 @@ def build_store_corpus(quick: bool) -> list[Execution]:
 
 def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
     """Time the persistent result store: disabled vs cold vs warm vs a
-    sharded process-pool cold run, against the direct-loop baseline."""
+    process-pool cold run (store I/O stays in the parent), against the
+    direct-loop baseline."""
     import os
     import tempfile
 
@@ -1351,7 +1353,7 @@ def main(argv: list[str] | None = None) -> int:
     # re-verification, with throughput/window/speedup guards.
     streaming_payload, streaming_ok = run_streaming(args.quick)
 
-    # Persistent-store arms: disabled vs cold vs warm vs sharded pool,
+    # Persistent-store arms: disabled vs cold vs warm vs process pool,
     # guarded on warm amortization and disabled overhead.
     store_payload, store_ok = run_store(args.quick, args.jobs)
 

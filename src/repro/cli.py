@@ -23,11 +23,11 @@ Commands:
   UNKNOWN(uncertified) and continues.
 * ``batch <paths...>``     — verify a directory / manifest of trace
   files as one campaign: every (file, address) task is canonicalized
-  and deduplicated batch-wide *before* any solving, unique instances
-  are sharded across a process pool by content fingerprint
-  (``--jobs``), and verdicts are served from / written to a persistent
-  content-addressed result store (``--store DIR``,
-  ``--store-max-mb``).  ``--dry-run`` prints the dedup plan and
+  and deduplicated batch-wide *before* any solving, heavy unique
+  instances run on a process pool (``--jobs``), and verdicts are
+  served from / written to a persistent content-addressed result
+  store (``--store DIR``, ``--store-max-mb``) under the same key
+  ``verify --store`` uses.  ``--dry-run`` prints the dedup plan and
   predicted store hits without solving; ``--json FILE`` writes the
   machine-readable report (per-file verdicts, hit provenance,
   certified counts).
@@ -985,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "batch",
         help="verify a directory/manifest of trace files as one "
-        "deduplicated, sharded campaign",
+        "deduplicated campaign",
     )
     p.add_argument(
         "paths",
@@ -1003,15 +1003,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="shard unique instances over N worker processes; workers "
-        "are partitioned by store shard, so they never contend on a "
-        "shard lock",
+        help="decide unique instances on N worker processes when heavy "
+        "exponential-tier tasks survive the pre-pass",
     )
     p.add_argument(
         "--dry-run",
         action="store_true",
         help="print the dedup plan (N files -> M unique instances, "
-        "predicted store hits, admission windows) without solving",
+        "predicted store hits) without solving",
     )
     p.add_argument(
         "--json",
@@ -1065,7 +1064,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonneg_int,
         default=None,
         metavar="N",
-        help="pool-breakage retries per chunk before it is quarantined "
+        help="pool-breakage retries per task before it is quarantined "
         "to in-process execution (default 2)",
     )
     p.add_argument(
@@ -1387,7 +1386,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="shard deduplicated instances over N worker processes",
+        help="decide deduplicated instances on N worker processes when "
+        "heavy tasks survive the pre-pass",
     )
     p.add_argument(
         "--certify",
@@ -1418,7 +1418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task-timeout", type=_nonneg_float, default=None,
                    metavar="S", help="soft deadline per unique instance")
     p.add_argument("--retries", type=_nonneg_int, default=None, metavar="N",
-                   help="pool-breakage retries per chunk (default 2)")
+                   help="pool-breakage retries per task (default 2)")
     p.add_argument("--chaos", default=None, metavar="SPEC",
                    help="inject engine faults; test-only, needs REPRO_CHAOS")
     _add_store_args(p)

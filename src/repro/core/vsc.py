@@ -15,9 +15,6 @@ from repro.core.result import VerificationResult
 from repro.core.types import Execution
 from repro.engine import verify_vsc
 
-# Backwards-compatible aliases (previously defined in repro.core.vmc).
-from repro.core.vmc import _estimated_states, _EXACT_STATE_BUDGET  # noqa: F401
-
 
 def verify_sequential_consistency(
     execution: Execution,

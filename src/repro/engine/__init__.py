@@ -9,7 +9,8 @@ extensible pipeline:
   registries; routing is data, and new deciders register without
   touching any dispatch code;
 * :mod:`repro.engine.planner` — decomposes a multi-address execution
-  into independent per-address tasks, ordered cheapest-first;
+  into independent per-address tasks, ordered cheapest-first, and is
+  the one place a task is served from the cache;
 * :mod:`repro.engine.executor` — runs the plan serially, or on the
   process pool of :mod:`repro.engine.pool` when ``jobs=N`` meets heavy
   tasks, early-exiting on the first violation;
@@ -47,8 +48,8 @@ from repro.engine.certify import (
     validate_result,
 )
 from repro.engine.chaos import CHAOS_ENV, ChaosCrash, ChaosSpec
-from repro.engine.executor import ResiliencePolicy, execute_plan
-from repro.engine.planner import PlannedTask, plan_vmc, plan_vsc
+from repro.engine.executor import ResiliencePolicy, execute_plan, execute_tasks
+from repro.engine.planner import PlannedTask, plan_task, plan_vmc, plan_vsc
 from repro.engine.portfolio import (
     PORTFOLIO_MIN_STATES,
     RACE_STATE_BUDGET,
@@ -126,10 +127,12 @@ __all__ = [
     "ensure_certificate",
     "estimated_states",
     "execute_plan",
+    "execute_tasks",
     "fingerprint",
     "fingerprint_key",
     "monitor_execution",
     "plan_batch",
+    "plan_task",
     "plan_vmc",
     "plan_vsc",
     "run_batch",
@@ -154,6 +157,25 @@ def _resolve_cache(cache: "ResultCache | bool | None") -> ResultCache | None:
     if cache is False:
         return None
     return cache
+
+
+def _plan_and_execute(plan, cache, **kwargs) -> tuple[dict, EngineReport]:
+    """``plan(cache)`` then :func:`execute_plan`, with planning (lookups
+    and pre-pass included) timed as the ``prepass`` stage and the store
+    records it rejected counted in the report."""
+    rejected = (
+        cache.stats.store_revalidation_failures if cache is not None else 0
+    )
+    t_plan = perf_counter()
+    tasks = plan(cache)
+    t_plan = perf_counter() - t_plan
+    results, report = execute_plan(tasks, cache=cache, **kwargs)
+    report.stage_times["prepass"] = t_plan
+    if cache is not None:
+        report.store_revalidation_failures = (
+            cache.stats.store_revalidation_failures - rejected
+        )
+    return results, report
 
 
 def verify_vmc(
@@ -201,24 +223,15 @@ def verify_vmc(
             result.stats["certified"] = True
         result.report = EngineReport(problem="vmc", jobs=max(1, jobs))
         return result
-    t_plan = perf_counter()
-    tasks = plan_vmc(
-        execution,
-        method=method,
-        write_orders=write_orders,
-        registry=registry,
-        prepass=prepass,
-        portfolio=portfolio,
-    )
-    t_plan = perf_counter() - t_plan
-    results, report = execute_plan(
-        tasks,
-        jobs=jobs,
-        cache=_resolve_cache(cache),
-        early_exit=early_exit,
-        problem="vmc",
-        resilience=resilience,
-        certify=certify,
+    results, report = _plan_and_execute(
+        lambda c: plan_vmc(
+            execution, method=method, write_orders=write_orders,
+            registry=registry, prepass=prepass, portfolio=portfolio,
+            cache=c, certify=certify,
+        ),
+        _resolve_cache(cache),
+        jobs=jobs, early_exit=early_exit, problem="vmc",
+        resilience=resilience, certify=certify,
     )
     per: dict[Address, VerificationResult] = {
         a: results[a] for a in addrs if a in results
@@ -255,7 +268,6 @@ def verify_vmc(
     agg.per_address = per
     if len(addrs) == 1:
         agg.address = addrs[0]
-    report.stage_times["prepass"] = t_plan
     agg.report = report
     return agg
 
@@ -274,24 +286,19 @@ def verify_vmc_at(
 ) -> VerificationResult:
     """Decide VMC at one address of a (possibly multi-address)
     execution."""
-    from repro.engine.planner import _prepassed_task
-
-    registry = registry or vmc_registry()
-    if method != "auto":
-        registry.get(method)
-    t_plan = perf_counter()
-    sub = execution.restrict_to_address(addr)
-    instance = Instance(sub, address=addr, write_order=write_order, problem="vmc")
-    task = _prepassed_task(
-        0, addr, instance, method, registry, prepass, portfolio
+    instance = Instance(
+        execution.restrict_to_address(addr), address=addr,
+        write_order=write_order, problem="vmc",
     )
-    t_plan = perf_counter() - t_plan
-    results, report = execute_plan(
-        [task], jobs=1, cache=_resolve_cache(cache), problem="vmc",
-        resilience=resilience, certify=certify,
+    results, report = _plan_and_execute(
+        lambda c: [plan_task(
+            0, addr, instance, method, registry, prepass, portfolio,
+            c, certify,
+        )],
+        _resolve_cache(cache),
+        problem="vmc", resilience=resilience, certify=certify,
     )
     result = results[addr]
-    report.stage_times["prepass"] = t_plan
     result.report = report
     return result
 
@@ -309,20 +316,14 @@ def verify_vsc(
     """Decide whether a sequentially consistent schedule exists
     (Definition 6.1).  VSC needs one schedule over all addresses at
     once, so there is a single task — no per-address parallelism."""
-    t_plan = perf_counter()
-    tasks = plan_vsc(
-        execution,
-        method=method,
-        registry=registry,
-        prepass=prepass,
-        portfolio=portfolio,
-    )
-    t_plan = perf_counter() - t_plan
-    results, report = execute_plan(
-        tasks, jobs=1, cache=_resolve_cache(cache), problem="vsc",
-        resilience=resilience, certify=certify,
+    results, report = _plan_and_execute(
+        lambda c: plan_vsc(
+            execution, method=method, registry=registry, prepass=prepass,
+            portfolio=portfolio, cache=c, certify=certify,
+        ),
+        _resolve_cache(cache),
+        problem="vsc", resilience=resilience, certify=certify,
     )
     result = results[None]
-    report.stage_times["prepass"] = t_plan
     result.report = report
     return result

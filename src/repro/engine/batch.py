@@ -1,4 +1,4 @@
-"""Sharded batch verification: many traces, one campaign.
+"""Batch verification: many traces, one campaign.
 
 The paper's hardness results (Theorem 4.2: VMC is NP-complete) mean
 campaign-scale throughput comes from *never solving the same instance
@@ -9,55 +9,41 @@ single solve.  This module is that data plane:
    decomposed into per-address tasks, exactly like
    :func:`repro.engine.plan_vmc` would.
 2. **Dedup** — every task is canonicalized up front
-   (:func:`repro.engine.cache.canonicalize`) and grouped by canonical
-   key *before any solving*: N tasks collapse to M unique instances,
-   and each unique is decided exactly once per batch.
-3. **Admission / sharding** — unique instances are bucketed by their
-   store shard (``fingerprint[0] % n_shards``), so with ``--jobs N``
-   every worker's working set maps to a *disjoint* set of persistent
-   store shards — workers never contend on a shard lock.  Buckets are
-   drained chunk-by-chunk with at most one chunk of a bucket in flight
-   (the PR-2 bounded-window discipline at batch granularity).
-4. **Serve or solve** — each unique consults the (store-backed) cache
-   first; hits pass the same on-hit validation seam as the executor's
-   (witness replay always, certificates under ``--certify``), and a
-   corrupt or stale record is evicted from both tiers and recomputed,
-   never served.  Misses run through :func:`repro.engine.verify_vmc_at`
-   under the per-batch :class:`~repro.engine.ResiliencePolicy` budget.
-5. **Report** — results fan back out to their sources; the aggregate
+   (:func:`repro.engine.cache.canonicalize`, under the same key every
+   front door uses) and grouped by canonical key *before any solving*:
+   N tasks collapse to M unique instances, and each unique is decided
+   exactly once per batch.
+3. **Serve or solve** — each unique goes through the executor's
+   planner (:func:`repro.engine.planner.plan_task`): a validated
+   memory or store hit is served, and a corrupt or stale record is
+   evicted from both tiers and recomputed, never served.  The misses
+   are decided by one executor run
+   (:func:`repro.engine.executor.execute_tasks`, no early exit) under
+   the batch's :class:`~repro.engine.ResiliencePolicy`; it pools heavy
+   work on processes, and all store I/O stays in this process.
+4. **Report** — results fan back out to their sources; the aggregate
    per source is ``VIOLATED > UNKNOWN > holds`` and the machine-
    readable report records per-source verdicts, hit provenance
    (solved / memory / store / dedup) and certified counts.
 
 ``repro batch`` (the CLI front-end) adds ``--dry-run``: print the
-dedup plan and predicted store hits without solving anything — a cheap
-correctness probe for the admission-control math.
+dedup plan and predicted store hits without solving anything.
 """
 
 from __future__ import annotations
 
-import traceback
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Mapping, Sequence
 
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
+from repro.engine.backend import Instance
 from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
-from repro.engine.certify import CertificationError, validate_result
-from repro.engine.executor import NO_RESILIENCE, ResiliencePolicy
-from repro.engine.pool import run_pool
-from repro.engine.store import ResultStore, fingerprint_key
-from repro.util.deadline import Deadline
-
-#: Default shard fanout used for bucketing when no store is attached
-#: (matches :class:`ResultStore`'s default so plans agree either way).
-DEFAULT_SHARDS = 16
-
-#: Uniques per pool submission.  Small enough to pipeline (a bucket
-#: with a slow chunk does not starve the window), large enough that
-#: pickling overhead amortizes.
-CHUNK_SIZE = 8
+from repro.engine.certify import CertificationError
+from repro.engine.executor import ResiliencePolicy, execute_tasks
+from repro.engine.planner import plan_task
+from repro.engine.store import ResultStore
 
 
 # ---------------------------------------------------------------------
@@ -80,7 +66,6 @@ class UniqueInstance:
     sub: Execution
     address: Any
     write_order: Sequence[Operation] | None
-    fp: bytes
     count: int = 1
 
 
@@ -123,7 +108,7 @@ class BatchPlan:
     def dedup_ratio(self) -> float:
         return len(self.tasks) / len(self.uniques) if self.uniques else 1.0
 
-    def describe(self, jobs: int = 1, n_shards: int = DEFAULT_SHARDS) -> str:
+    def describe(self, jobs: int = 1) -> str:
         """The ``--dry-run`` rendering of the plan."""
         lines = [
             f"batch plan: {len(self.labels)} sources, "
@@ -136,32 +121,14 @@ class BatchPlan:
                 f"store: {self.predicted_store_hits} predicted hits, "
                 f"{to_solve} to solve"
             )
-        buckets = _bucketize(self.uniques, jobs, n_shards)
-        chunks = sum(
-            (len(b) + CHUNK_SIZE - 1) // CHUNK_SIZE for b in buckets if b
-        )
         lines.append(
-            f"admission: jobs={jobs}, {sum(1 for b in buckets if b)} "
-            f"buckets over {n_shards} shards, {chunks} chunks of "
-            f"<={CHUNK_SIZE}, window {jobs} in flight"
+            f"solve: jobs={jobs}, one engine run over the uniques the "
+            f"cache misses (pooled only for heavy tasks)"
         )
         if self.errors:
             for idx in sorted(self.errors):
                 lines.append(f"error: {self.labels[idx]}: {self.errors[idx]}")
         return "\n".join(lines)
-
-
-def _bucketize(
-    uniques: list[UniqueInstance], jobs: int, n_shards: int
-) -> list[list[int]]:
-    """Partition unique indices into per-worker buckets **by shard**:
-    shard ``s`` always lands in bucket ``s % jobs``, so two workers can
-    never append to the same store shard."""
-    buckets: list[list[int]] = [[] for _ in range(max(1, jobs))]
-    for i, u in enumerate(uniques):
-        shard = u.fp[0] % n_shards
-        buckets[shard % max(1, jobs)].append(i)
-    return buckets
 
 
 # ---------------------------------------------------------------------
@@ -203,7 +170,6 @@ def plan_batch(
                         sub=sub,
                         address=addr,
                         write_order=wo,
-                        fp=fingerprint_key(canon.key),
                     )
                 )
             else:
@@ -222,137 +188,7 @@ def plan_batch(
 
 
 # ---------------------------------------------------------------------
-# Serve-or-solve (shared by the serial path and the workers)
-# ---------------------------------------------------------------------
-def _serve_or_solve(
-    unique: UniqueInstance,
-    cache: ResultCache | None,
-    certify: str,
-    task_policy: ResiliencePolicy | None,
-    prepass: bool,
-    portfolio: Any,
-) -> VerificationResult:
-    """Decide one unique instance: validated cache/store hit or a full
-    engine run.  Mirrors the executor's on-hit validation seam — the
-    canonical key is already in hand, so a warm hit skips planning and
-    the pre-pass entirely (that is the warm-store fast path)."""
-    from repro.engine import verify_vmc_at
-
-    if cache is not None:
-        hit = cache.lookup(unique.canon)
-        if hit is not None:
-            hit.address = unique.address
-            if hit.holds or certify != "off":
-                check = validate_result(
-                    unique.sub, hit, "vmc",
-                    write_order=unique.write_order,
-                )
-                if not check:
-                    cache.invalidate(unique.canon)
-                    hit = None
-                elif certify != "off":
-                    hit.stats["certified"] = True
-            if hit is not None:
-                return hit
-    result = verify_vmc_at(
-        unique.sub,
-        unique.address,
-        write_order=unique.write_order,
-        cache=False,  # batch-wide dedup already collapsed duplicates
-        prepass=prepass,
-        portfolio=portfolio,
-        resilience=task_policy,
-        certify=certify,
-    )
-    if cache is not None and not result.unknown:
-        cache.store(unique.canon, result)
-    return result
-
-
-def _slim(result: VerificationResult) -> VerificationResult:
-    """Strip the parent-irrelevant payload before crossing the pool
-    boundary (the per-task EngineReport is worker-local detail)."""
-    result.report = None
-    result.per_address = {}
-    return result
-
-
-def _task_policy(policy: ResiliencePolicy) -> ResiliencePolicy | None:
-    """The per-task slice of the batch policy: task deadline, retries
-    and chaos travel to the worker; the run budget stays with the
-    parent's admission control."""
-    if (
-        policy.task_timeout is None
-        and policy.chaos is None
-        and policy.retries == NO_RESILIENCE.retries
-    ):
-        return None
-    return ResiliencePolicy(
-        task_timeout=policy.task_timeout,
-        retries=policy.retries,
-        backoff_s=policy.backoff_s,
-        chaos=policy.chaos,
-    )
-
-
-# ---------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------
-#: Per-process cache singletons keyed by store identity, so one worker
-#: process reuses its memory tier and store handle across chunks.
-_WORKER_CACHES: dict[tuple, ResultCache] = {}
-
-
-def _worker_cache(
-    store_path: str | None, store_max_mb: float | None, chaos
-) -> ResultCache:
-    key = (store_path, store_max_mb, chaos)
-    cache = _WORKER_CACHES.get(key)
-    if cache is None:
-        store = (
-            ResultStore(store_path, max_mb=store_max_mb, chaos=chaos)
-            if store_path is not None
-            else None
-        )
-        cache = ResultCache(store=store)
-        _WORKER_CACHES[key] = cache
-    return cache
-
-
-def _solve_chunk(
-    items: list[tuple[int, UniqueInstance]],
-    store_path: str | None,
-    store_max_mb: float | None,
-    certify: str,
-    task_policy: ResiliencePolicy | None,
-    prepass: bool,
-    portfolio: Any,
-) -> list[tuple[int, VerificationResult | None, str | None]]:
-    """Process-pool unit: decide a chunk of uniques against this
-    worker's store shards, flush once, return slim results."""
-    cache = _worker_cache(
-        store_path, store_max_mb, task_policy.chaos if task_policy else None
-    )
-    out: list[tuple[int, VerificationResult | None, str | None]] = []
-    for uidx, unique in items:
-        try:
-            result = _serve_or_solve(
-                unique, cache, certify, task_policy, prepass, portfolio
-            )
-            out.append((uidx, _slim(result), None))
-        except CertificationError as e:
-            out.append((uidx, None, f"certification failed: {e}"))
-        except Exception as e:  # noqa: BLE001 - one bad instance never sinks a chunk
-            out.append(
-                (uidx, None, f"{type(e).__name__}: {e}\n"
-                 f"{traceback.format_exc(limit=3)}")
-            )
-    cache.flush_store()
-    return out
-
-
-# ---------------------------------------------------------------------
-# Parent-side execution
+# Serve or solve
 # ---------------------------------------------------------------------
 @dataclass
 class BatchStats:
@@ -371,109 +207,47 @@ class BatchStats:
     dedup_served: int = 0
     certified: int = 0
     budget_expired: int = 0
-    chunk_retries: int = 0
-    quarantined_chunks: int = 0
+    #: Failed pool attempts that were retried, and tasks quarantined to
+    #: in-process execution after their retries ran out.
+    retries: int = 0
+    quarantined: int = 0
     wall_s: float = 0.0
 
 
-def _unknown_budget(unique: UniqueInstance, timeout) -> VerificationResult:
-    return VerificationResult.make_unknown(
-        method="batch",
-        reason="budget",
-        detail=(
-            f"batch budget {timeout:g}s exhausted before the instance "
-            f"started"
-        ),
-        address=unique.address,
-    )
-
-
-def _run_uniques(
+def _decide(
     plan: BatchPlan,
+    uidxs: Sequence[int],
     jobs: int,
-    cache: ResultCache | None,
-    store: ResultStore | None,
-    policy: ResiliencePolicy,
+    cache: ResultCache,
+    policy: ResiliencePolicy | None,
     certify: str,
     prepass: bool,
     portfolio: Any,
     stats: BatchStats,
-) -> dict[int, tuple[VerificationResult | None, str | None]]:
-    """Decide every unique instance; returns uidx -> (result, error)."""
-    decided: dict[int, tuple[VerificationResult | None, str | None]] = {}
-    task_policy = _task_policy(policy)
-    run_deadline = Deadline.after(policy.timeout)
-
-    def serve(uidx: int) -> None:
-        unique = plan.uniques[uidx]
-        if run_deadline is not None and run_deadline.expired():
-            decided[uidx] = (_unknown_budget(unique, policy.timeout), None)
-            stats.budget_expired += 1
-            return
-        try:
-            decided[uidx] = (
-                _serve_or_solve(
-                    unique, cache, certify, task_policy, prepass, portfolio
-                ),
-                None,
-            )
-        except CertificationError as e:
-            decided[uidx] = (None, f"certification failed: {e}")
-        except Exception as e:  # noqa: BLE001
-            decided[uidx] = (None, f"{type(e).__name__}: {e}")
-
-    if jobs <= 1 or len(plan.uniques) <= 1:
-        for uidx in range(len(plan.uniques)):
-            serve(uidx)
-        return decided
-
-    n_shards = store.n_shards if store is not None else DEFAULT_SHARDS
-    buckets = _bucketize(plan.uniques, jobs, n_shards)
-    # Each bucket is a lane (one chunk in flight per bucket, so workers
-    # own disjoint shards); chunks are interleaved across buckets.
-    units = [
-        (b, bucket[i:i + CHUNK_SIZE])
-        for i in range(0, max(map(len, buckets)), CHUNK_SIZE)
-        for b, bucket in enumerate(buckets)
-        if i < len(bucket)
-    ]
-    store_path = store.path if store is not None else None
-    store_max_mb = (
-        store.max_bytes / (1024 * 1024)
-        if store is not None and store.max_bytes is not None
-        else None
-    )
-
-    def submit(chunk: list[int], attempt: int) -> tuple:
-        items = [(uidx, plan.uniques[uidx]) for uidx in chunk]
-        return (
-            _solve_chunk, items, store_path, store_max_mb,
-            certify, task_policy, prepass, portfolio,
+) -> dict[int, VerificationResult]:
+    """Plan the given uniques against the cache and run what it misses
+    in one executor run; returns uidx -> result."""
+    tasks = []
+    for uidx in uidxs:
+        u = plan.uniques[uidx]
+        instance = Instance(
+            u.sub, address=u.address, write_order=u.write_order
         )
-
-    def accept(chunk: list[int], attempt: int, value) -> bool:
-        for uidx, result, err in value:
-            decided[uidx] = (result, err)
-        return False
-
-    def quarantine(chunk: list[int], attempt: int) -> bool:
-        # Retries exhausted: decide the chunk in-process against the
-        # parent's cache/store handle (flock keeps that safe).
-        stats.quarantined_chunks += 1
-        for uidx in chunk:
-            serve(uidx)
-        return False
-
-    run = run_pool(
-        units, jobs, submit, accept, quarantine, policy, run_deadline
+        tasks.append(plan_task(
+            uidx, u.address, instance, prepass=prepass,
+            portfolio=portfolio, cache=cache, certify=certify,
+            canon=u.canon,
+        ))
+    results, report = execute_tasks(
+        tasks, jobs=jobs, cache=cache, early_exit=False,
+        resilience=policy, certify=certify,
     )
-    stats.chunk_retries += run.retries
-    for chunk in run.leftover:
-        for uidx in chunk:
-            unique = plan.uniques[uidx]
-            decided[uidx] = (_unknown_budget(unique, policy.timeout), None)
-            stats.budget_expired += 1
-    return decided
+    stats.retries += report.retries
+    stats.quarantined += report.quarantined
+    stats.budget_expired += sum(
+        r.unknown and r.unknown_reason == "budget" for r in results.values()
+    )
+    return results
 
 
 # ---------------------------------------------------------------------
@@ -538,11 +312,24 @@ def run_plan(
     )
     if cache is None:
         cache = ResultCache(store=store)
-    policy = resilience or NO_RESILIENCE
-    decided = _run_uniques(
-        plan, jobs, cache, store, policy, certify, prepass, portfolio, stats
-    )
-    cache.flush_store()
+    args = (jobs, cache, resilience, certify, prepass, portfolio, stats)
+    decided: dict[int, tuple[VerificationResult | None, str | None]]
+    try:
+        results = _decide(plan, range(len(plan.uniques)), *args)
+        decided = {uidx: (r, None) for uidx, r in results.items()}
+    except Exception:  # noqa: BLE001 - one bad instance never sinks a batch
+        decided = {}
+        # Re-decide each unique on its own, so the error lands on the
+        # sources of the instance that raised and nowhere else (what
+        # the failed run already cached is served).
+        for uidx in range(len(plan.uniques)):
+            try:
+                (result,) = _decide(plan, [uidx], *args).values()
+                decided[uidx] = (result, None)
+            except CertificationError as e:
+                decided[uidx] = (None, f"certification failed: {e}")
+            except Exception as e:  # noqa: BLE001
+                decided[uidx] = (None, f"{type(e).__name__}: {e}")
 
     outcomes = [SourceOutcome(label=label) for label in plan.labels]
     for idx, message in plan.errors.items():
@@ -635,10 +422,6 @@ def verify_many(
         (label, execution, None)
         for label, execution in zip(labels, executions)
     ]
-    if cache is None and store is not None:
-        cache = ResultCache(store=store)
-    elif cache is not None and store is None:
-        store = cache.store_tier
     plan = plan_batch(sources, write_orders=write_orders)
     outcomes, _stats = run_plan(
         plan,
@@ -692,13 +475,10 @@ def run_batch(
     but nothing is solved.
     """
     t0 = perf_counter()
-    if cache is None and store is not None:
-        cache = ResultCache(store=store)
-    elif cache is not None and store is None:
+    if store is None and cache is not None:
         store = cache.store_tier
     sources = load_sources(paths)
     plan = plan_batch(sources, store=store)
-    n_shards = store.n_shards if store is not None else DEFAULT_SHARDS
     report: dict[str, Any] = {
         "version": 1,
         "problem": "vmc",
@@ -722,7 +502,7 @@ def run_batch(
             "unique": len(plan.uniques),
             "dedup_ratio": round(plan.dedup_ratio, 4),
             "predicted_store_hits": plan.predicted_store_hits,
-            "text": plan.describe(jobs, n_shards),
+            "text": plan.describe(jobs),
         },
     }
     if dry_run:
@@ -776,8 +556,8 @@ def run_batch(
         "dedup_served": stats.dedup_served,
         "certified": stats.certified,
         "budget_expired": stats.budget_expired,
-        "chunk_retries": stats.chunk_retries,
-        "quarantined_chunks": stats.quarantined_chunks,
+        "retries": stats.retries,
+        "quarantined": stats.quarantined,
         "wall_s": round(perf_counter() - t0, 6),
     }
     if store is not None:

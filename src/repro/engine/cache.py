@@ -247,11 +247,11 @@ class ResultCache:
     With a :class:`~repro.engine.store.ResultStore` attached the cache
     becomes two-tiered: lookups fall through to the store on a memory
     miss (read-through, the loaded entry is promoted into memory) and
-    every store writes through to disk — so the executor, pre-pass,
-    portfolio, streaming, and batch paths all gain cross-run
+    every store writes through to disk — so every front door
+    (``verify``, ``batch``, ``serve``, campaigns) gains cross-run
     persistence without any call-site change.  Store-loaded verdicts
     pass through the same on-hit validation seam as memory hits
-    (:func:`repro.engine.executor._cache_lookup`); a failure evicts the
+    (:func:`repro.engine.planner.plan_task`); a failure evicts the
     record from *both* tiers and recomputes.
     """
 

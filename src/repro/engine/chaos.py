@@ -13,7 +13,7 @@ crash        worker, before decide  a worker process dying mid-task
 stall        worker, before decide  a hung backend / scheduler stall
 lost         parent, on harvest     a completed result dropped on the
                                     pool boundary (lost IPC message)
-slow-cache   parent, cache I/O      slow shared-cache reads/writes
+slow-cache   parent, cache write    slow shared-cache writes
 leg-stall    portfolio leg start    one race leg scheduled late / slowly
 bad-verdict  worker, after decide   a buggy solver reporting the
                                     opposite verdict
@@ -268,7 +268,7 @@ class ChaosSpec:
             remaining -= step
 
     def on_cache_io(self, key: str, io: str) -> None:
-        """Parent-side seam: injected latency on cache lookup/store."""
+        """Parent-side seam: injected latency on a cache write."""
         delay = self.cache_delay(key, io)
         if delay > 0:
             time.sleep(delay)

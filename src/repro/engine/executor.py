@@ -1,5 +1,5 @@
-"""Task execution: serial or process-pooled; cache-aware, early-exiting,
-and resilient.
+"""Task execution: serial or process-pooled; early-exiting and
+resilient.
 
 ``jobs=1`` runs the plan in order on the calling thread — fully
 deterministic, the right mode for debugging and the default.  With
@@ -7,9 +7,12 @@ deterministic, the right mode for debugging and the default.  With
 :mod:`repro.engine.pool` exactly when some task carries heavy
 exponential-tier work (:func:`_is_heavy`), exploiting the per-address
 independence of coherence (paper Section 3); lighter plans run the
-serial loop, which a pool cannot beat.  The result cache stays in the
-parent.  After the first *violated* task the run stops, and the
-avoided work is counted in ``EngineReport.cancelled``.
+serial loop, which a pool cannot beat.  Cache lookups happen in the
+planner (:func:`repro.engine.planner.plan_task`); the executor serves
+the hits it was handed and writes every other decided verdict back in
+:func:`_finalize`, in the parent.  After the first *violated* task the
+run stops, and the avoided work is counted in
+``EngineReport.cancelled``.
 
 Resilience (:class:`ResiliencePolicy`) hardens the run against the
 failure modes of long campaigns:
@@ -38,11 +41,12 @@ execution (whichever tasks finished before the exit fired).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from time import perf_counter
 
 from repro.core.result import VerificationResult
-from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
+from repro.engine.cache import ResultCache
 from repro.engine.certify import (
     CERTIFY_MODES,
     CertificationError,
@@ -87,6 +91,9 @@ NO_RESILIENCE = ResiliencePolicy()
 class _Outcome:
     """One task's execution record (richer than the public result)."""
 
+    #: The task as run: a deferred twin's placeholder is replaced by
+    #: its plan.
+    task: PlannedTask
     result: VerificationResult
     cache_hit: bool
     seconds: float
@@ -95,14 +102,22 @@ class _Outcome:
     quarantined: bool = False
 
 
+def _runs_backend(task: PlannedTask) -> bool:
+    """Whether a task still needs a backend run (served hits, deferred
+    twins and pre-pass verdicts are decided in the parent)."""
+    return task.backend is not None and (
+        task.prepass is None or task.prepass.decided is None
+    )
+
+
 def _is_heavy(task: PlannedTask) -> bool:
     """Whether a task carries exponential-tier work worth a process.
 
-    Pre-pass-decided tasks cost nothing; small exact searches finish in
+    Decided tasks cost nothing; small exact searches finish in
     microseconds.  Only surviving exponential-tier tasks with a
     non-trivial state space justify paying process-pool pickling.
     """
-    if task.prepass is not None and task.prepass.decided is not None:
+    if not _runs_backend(task):
         return False
     if isinstance(task.backend, PortfolioBackend):
         return True
@@ -229,13 +244,22 @@ def _effective_timeout(
     return policy.task_timeout, "timeout"
 
 
+def _backend_name(task: PlannedTask) -> str:
+    """The report's backend label (a served hit ran none; a deferred
+    twin that never ran was never bound)."""
+    if task.backend is not None:
+        return task.backend.name
+    return "cache" if task.hit is not None else "deferred"
+
+
 def _unknown_outcome(
     task: PlannedTask, reason: str, detail: str = "",
     attempts: int = 1, crashes: int = 0, quarantined: bool = False,
 ) -> _Outcome:
     return _Outcome(
+        task=task,
         result=VerificationResult.make_unknown(
-            method=task.backend.name, reason=reason, detail=detail,
+            method=_backend_name(task), reason=reason, detail=detail,
             address=task.address,
         ),
         cache_hit=False,
@@ -248,7 +272,6 @@ def _unknown_outcome(
 
 def _finalize(
     task: PlannedTask,
-    canon: CanonicalInstance | None,
     result: VerificationResult,
     cache: ResultCache | None,
     chaos: ChaosSpec | None = None,
@@ -257,6 +280,7 @@ def _finalize(
     # The trusted-checker gate: with certification enabled every
     # decided verdict is validated here — in the parent, against the
     # *original* execution, before it can reach the cache or the caller.
+    # This is also the only cache write.
     # ``on`` makes a failure loud (producer or checker is wrong; the
     # run must not quietly pick a side); ``strict`` degrades to a sound
     # UNKNOWN(uncertified) so sweeps survive an uncertifiable verdict.
@@ -285,57 +309,16 @@ def _finalize(
                 )
     # UNKNOWN is not a verdict: caching it would replay resource
     # exhaustion as if it were a property of the instance.
-    if cache is not None and canon is not None and not result.unknown:
+    if cache is not None and task.canon is not None and not result.unknown:
         if chaos is not None:
             chaos.on_cache_io(_task_key(task), "store")
-        cache.store(canon, result)
+        cache.store(task.canon, result)
     result.address = task.address
     result.stats.setdefault("cache_hit", False)
     return result
 
 
-def _cache_lookup(
-    task: PlannedTask,
-    cache: ResultCache | None,
-    chaos: ChaosSpec | None,
-    certify: str = "off",
-) -> tuple[CanonicalInstance | None, VerificationResult | None]:
-    if cache is None:
-        return None, None
-    canon = canonicalize(
-        task.instance.execution,
-        task.instance.write_order,
-        task.instance.problem,
-        task.backend.name,
-    )
-    if chaos is not None:
-        chaos.on_cache_io(_task_key(task), "lookup")
-    hit = cache.lookup(canon)
-    if hit is None:
-        return canon, None
-    hit.address = task.address
-    # On-hit validation.  Witness hits are *always* re-replayed against
-    # the current execution — the cached schedule was computed for an
-    # isomorphic instance, and serving it unchecked would launder a
-    # stale or corrupted entry into a verdict.  Refutation certificates
-    # are re-checked whenever certification is enabled (their uids /
-    # variable numberings may not survive the isomorphism).  Any
-    # failure drops the entry and recomputes: a cache miss, never a
-    # wrong answer.
-    if hit.holds or certify != "off":
-        check = validate_result(
-            task.instance.execution, hit, task.instance.problem,
-            write_order=task.instance.write_order,
-        )
-        if not check:
-            cache.invalidate(canon)
-            return canon, None
-        if certify != "off":
-            hit.stats["certified"] = True
-    return canon, hit
-
-
-def _run_task_resilient(
+def _run_task(
     task: PlannedTask,
     cache: ResultCache | None,
     policy: ResiliencePolicy,
@@ -343,16 +326,20 @@ def _run_task_resilient(
     certify: str = "off",
     attempt: int = 0,
 ) -> _Outcome:
-    """Cache-checked, deadline-capped, crash-retried serial execution.
+    """Decide one task in-process: serve its hit, or run it
+    deadline-capped and crash-retried, then finalize.
 
-    ``attempt`` counts crashes the task already suffered elsewhere:
-    the pool's quarantine resumes a task here after its worker retries
-    ran out, so it gets one in-process try before UNKNOWN(crashed).
+    A deferred twin is planned first (its lookup now sees the verdict
+    of the task it waited for).  ``attempt`` counts crashes the task
+    already suffered elsewhere: the pool's quarantine resumes a task
+    here after its worker retries ran out, so it gets one in-process
+    try before UNKNOWN(crashed).
     """
+    if task.deferred is not None:
+        task = task.deferred(task.order)
+    if task.hit is not None:
+        return _Outcome(task, task.hit, True, 0.0)
     t0 = perf_counter()
-    canon, hit = _cache_lookup(task, cache, policy.chaos, certify)
-    if hit is not None:
-        return _Outcome(hit, True, perf_counter() - t0)
     timeout, reason = _effective_timeout(policy, run_deadline)
     while True:
         try:
@@ -370,9 +357,9 @@ def _run_task_resilient(
                 )
             backoff(policy, attempt, run_deadline)
             attempt += 1
-    result = _finalize(task, canon, result, cache, policy.chaos, certify)
+    result = _finalize(task, result, cache, policy.chaos, certify)
     return _Outcome(
-        result, False, perf_counter() - t0,
+        task, result, False, perf_counter() - t0,
         attempts=attempt + 1, crashes=attempt,
     )
 
@@ -391,11 +378,35 @@ def execute_plan(
     ``results_by_address`` only contains the tasks that actually ran
     (early exit may skip the tail of the plan; a run-budget expiry
     instead records UNKNOWN(budget) results, so partial coverage is
-    visible rather than silent).
+    visible rather than silent).  :func:`execute_tasks` is the same
+    run keyed by plan position, for plans whose tasks share an
+    address.
+    """
+    results, report = execute_tasks(
+        tasks, jobs, cache, early_exit, problem, resilience, certify
+    )
+    return {
+        t.address: results[t.order] for t in tasks if t.order in results
+    }, report
 
-    With ``jobs > 1`` the tasks run on the process pool exactly when
-    some task is heavy (:func:`_is_heavy`); ``EngineReport.pool``
-    records ``"process"`` or ``"serial"``, whichever ran.
+
+def execute_tasks(
+    tasks: list[PlannedTask],
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+    early_exit: bool = True,
+    problem: str = "vmc",
+    resilience: ResiliencePolicy | None = None,
+    certify: str = "off",
+) -> tuple[dict[int, VerificationResult], EngineReport]:
+    """Run a plan; returns ``(results_by_order, report)``.
+
+    ``cache`` receives every decided verdict of a task planned with a
+    cache key (:func:`_finalize`); it should be the cache the plan was
+    made with.  With ``jobs > 1`` the tasks run on the process pool
+    exactly when some task is heavy (:func:`_is_heavy`);
+    ``EngineReport.pool`` records ``"process"`` or ``"serial"``,
+    whichever ran.
 
     ``certify`` is one of :data:`~repro.engine.certify.CERTIFY_MODES`:
     with ``"on"`` or ``"strict"`` every decided verdict must carry a
@@ -417,13 +428,12 @@ def execute_plan(
         pool="process" if pooled else "serial", planned=len(tasks),
     )
     evictions_before = cache.stats.evictions if cache is not None else 0
-    store_reval_before = (
-        cache.stats.store_revalidation_failures if cache is not None else 0
-    )
     outcomes: dict[int, _Outcome] = {}
 
-    if not pooled:
-        for task in tasks:
+    def serial(batch: list[PlannedTask]) -> bool:
+        """Run tasks in-process, in order; True once the early exit
+        fires."""
+        for task in batch:
             if run_deadline is not None and run_deadline.expired():
                 outcomes[task.order] = _unknown_outcome(
                     task, "budget",
@@ -431,29 +441,43 @@ def execute_plan(
                     f"the task started",
                 )
                 continue
-            outcomes[task.order] = _run_task_resilient(
+            out = outcomes[task.order] = _run_task(
                 task, cache, policy, run_deadline, certify
             )
-            if early_exit and outcomes[task.order].result.violated:
-                break
-    else:
-        _run_pooled(
-            tasks, jobs, cache, early_exit, outcomes, report,
-            policy, run_deadline, certify,
-        )
+            if early_exit and out.result.violated:
+                return True
+        return False
 
-    results: dict = {}
+    if not pooled:
+        serial(tasks)
+    elif not serial(
+        # Decided tasks first: they are free and may fire the early exit.
+        [t for t in tasks if not _runs_backend(t) and not t.deferred]
+    ) and not _run_pooled(
+        [t for t in tasks if _runs_backend(t)], jobs, cache, early_exit,
+        outcomes, policy, run_deadline, certify,
+    ):
+        # Deferred twins last: their lookups need the pool's verdicts.
+        serial([t for t in tasks if t.deferred])
+    report.cancelled = len(tasks) - len(outcomes)
+
+    results: dict[int, VerificationResult] = {}
     violated = False
     certify_s = 0.0
     decide_s = 0.0
+    prepassed = []
     for task in tasks:
         got = outcomes.get(task.order)
+        if got is not None:
+            task = got.task
+        if task.prepass is not None:
+            prepassed.append(task.prepass)
         if got is None:
             report.record(
                 TaskStats(
                     address=task.address,
-                    backend=task.backend.name,
-                    method=task.backend.name,
+                    backend=_backend_name(task),
+                    method=_backend_name(task),
                     estimate=task.estimate,
                     skipped=True,
                 )
@@ -461,7 +485,7 @@ def execute_plan(
             continue
         result = got.result
         violated = violated or result.violated
-        results[task.address] = result
+        results[task.order] = result
         certify_s += result.stats.pop("t_certify", 0.0)
         decide_s += got.seconds
         report.crashes += got.crashes
@@ -485,7 +509,7 @@ def execute_plan(
         report.record(
             TaskStats(
                 address=task.address,
-                backend="prepass" if decided_by_prepass else task.backend.name,
+                backend="prepass" if decided_by_prepass else _backend_name(task),
                 method=result.method,
                 estimate=task.estimate,
                 wall_time=got.seconds,
@@ -503,8 +527,21 @@ def execute_plan(
             )
         )
     report.early_exit = early_exit and violated and len(outcomes) < len(tasks)
-    _aggregate_portfolio(tasks, outcomes, report)
-    prepassed = [t.prepass for t in tasks if t.prepass is not None]
+    # Race records of fresh runs (a hit replays a verdict, not a race).
+    races = [
+        got.result.stats["portfolio"] for got in outcomes.values()
+        if not got.cache_hit
+        and isinstance(got.result.stats.get("portfolio"), dict)
+    ]
+    if races:
+        report.portfolio = {
+            "races": len(races),
+            "wins": dict(Counter(r.get("winner", "?") for r in races)),
+            "cancelled_legs": sum(r.get("cancelled", 0) for r in races),
+            "budget_exceeded": sum(
+                r.get("budget_exceeded", 0) for r in races
+            ),
+        }
     if prepassed:
         report.prepass = {
             "tasks": len(prepassed),
@@ -517,9 +554,6 @@ def execute_plan(
         }
     if cache is not None:
         report.cache_evictions = cache.stats.evictions - evictions_before
-        report.store_revalidation_failures = (
-            cache.stats.store_revalidation_failures - store_reval_before
-        )
         # fsync-on-batch: one durability point per engine run, not per
         # entry (a no-op without a store tier).
         cache.flush_store()
@@ -533,120 +567,60 @@ def execute_plan(
     return results, report
 
 
-def _aggregate_portfolio(
-    tasks: list[PlannedTask],
-    outcomes: dict[int, _Outcome],
-    report: EngineReport,
-) -> None:
-    """Fold per-task race records into the report's portfolio summary.
-
-    Cache hits are excluded — a hit replays a verdict, not a race."""
-    races = 0
-    wins: dict[str, int] = {}
-    cancelled = 0
-    budget_exceeded = 0
-    for task in tasks:
-        got = outcomes.get(task.order)
-        if got is None:
-            continue
-        record = got.result.stats.get("portfolio")
-        if got.cache_hit or not isinstance(record, dict):
-            continue
-        races += 1
-        winner = record.get("winner", "?")
-        wins[winner] = wins.get(winner, 0) + 1
-        cancelled += record.get("cancelled", 0)
-        budget_exceeded += record.get("budget_exceeded", 0)
-    if races:
-        report.portfolio = {
-            "races": races,
-            "wins": wins,
-            "cancelled_legs": cancelled,
-            "budget_exceeded": budget_exceeded,
-        }
-
-
 def _run_pooled(
     tasks: list[PlannedTask],
     jobs: int,
     cache: ResultCache | None,
     early_exit: bool,
     outcomes: dict[int, _Outcome],
-    report: EngineReport,
     policy: ResiliencePolicy,
     run_deadline: Deadline | None,
     certify: str = "off",
-) -> None:
-    """Run the plan on the process pool, one lane per task.
+) -> bool:
+    """Run backend-bound tasks on the process pool; True once the early
+    exit fires.
 
-    Cache lookups, cache stores, and pre-pass-decided tasks are handled
-    in the parent first — the cache's lock does not pickle, and a
-    decided task needs no worker anyway.  Only undecided work crosses
-    the pool boundary; a task whose worker retries run out is
-    quarantined to :func:`_run_task_resilient`.
+    Only the task crosses the pool boundary (the cache's lock does not
+    pickle); its verdict is finalized in the parent.  A task whose
+    worker retries run out is quarantined to :func:`_run_task`.
     """
     chaos = policy.chaos
-    units: list[tuple[int, tuple[PlannedTask, CanonicalInstance | None]]] = []
-    for i, task in enumerate(tasks):
-        if run_deadline is not None and run_deadline.expired():
-            break
-        canon, hit = _cache_lookup(task, cache, chaos, certify)
-        if hit is not None:
-            outcomes[task.order] = _Outcome(hit, True, 0.0)
-        elif task.prepass is not None and task.prepass.decided is not None:
-            # Decided in the parent, so chaos must not ride into
-            # _decide_task (an injected crash would surface here as a
-            # hard error, not a retryable worker death); the semantic
-            # faults still apply, explicitly.
-            result, seconds = _decide_task(task, certify=certify)
-            if chaos is not None and not result.unknown:
-                result = tamper_result(chaos, _task_key(task), 0, result)
-            result = _finalize(task, canon, result, cache, chaos, certify)
-            outcomes[task.order] = _Outcome(result, False, seconds)
-        else:
-            units.append((task.order, (task, canon)))
-            continue
-        if early_exit and outcomes[task.order].result.violated:
-            report.cancelled += len(units) + len(tasks) - i - 1
-            return
 
-    def submit(item, attempt):
-        task, _ = item
+    def submit(task, attempt):
         timeout, reason = _effective_timeout(policy, run_deadline)
-        return _decide_task, task, timeout, chaos, attempt, reason, certify
+        return (
+            _decide_task, replace(task, canon=None), timeout, chaos,
+            attempt, reason, certify,
+        )
 
-    def accept(item, attempt, value) -> bool:
-        task, canon = item
+    def accept(task, attempt, value) -> bool:
         result, seconds = value
         if chaos is not None and chaos.loses_result(_task_key(task), attempt):
             raise LostResult(_task_key(task))
-        result = _finalize(task, canon, result, cache, chaos, certify)
+        result = _finalize(task, result, cache, chaos, certify)
         outcomes[task.order] = _Outcome(
-            result, False, seconds, attempts=attempt + 1, crashes=attempt,
+            task, result, False, seconds, attempts=attempt + 1,
+            crashes=attempt,
         )
         return early_exit and result.violated
 
-    def quarantine(item, attempt) -> bool:
-        task, _ = item
-        out = _run_task_resilient(
-            task, cache, policy, run_deadline, certify, attempt
-        )
+    def quarantine(task, attempt) -> bool:
+        out = _run_task(task, cache, policy, run_deadline, certify, attempt)
         out.quarantined = True
         outcomes[task.order] = out
         return early_exit and out.result.violated
 
     run = run_pool(
-        units, jobs, submit, accept, quarantine, policy, run_deadline
+        tasks, jobs, submit, accept, quarantine, policy, run_deadline
     )
-    if run.stopped:
-        report.cancelled += len(run.leftover)
-        return
-    # Tasks that never ran (budget expired first) are UNKNOWN(budget),
-    # not silently skipped: partial coverage must be visible.
-    for task in tasks:
-        if task.order not in outcomes:
+    if not run.stopped:
+        # Tasks that never ran (budget expired first) are
+        # UNKNOWN(budget), not silently skipped: partial coverage must
+        # be visible.
+        for task in run.leftover:
             outcomes[task.order] = _unknown_outcome(
                 task, "budget",
                 f"run budget {policy.timeout:g}s exhausted before "
                 f"the task could run",
             )
+    return run.stopped

@@ -1,23 +1,28 @@
-"""The per-address planner.
+"""The per-address planner: the engine's one serve-or-solve decision.
 
 Coherence is decided independently per address (the paper's Section 3:
 an execution is coherent iff every address has a coherent schedule), so
 a multi-address VMC query decomposes into one task per constrained
-address.  The planner
+address.  For each task, :func:`plan_task`
 
-1. restricts the execution to each constrained address,
-2. resolves each task's backend — the registry's tier ladder for
+1. with a result cache, keys the task by ``(problem, requested method,
+   canonical form)`` and serves a validated memory or store hit as a
+   *decided* task — nothing further runs for it,
+2. otherwise resolves the backend — the registry's tier ladder for
    ``method="auto"``, or the forced backend (validated for
-   applicability) otherwise,
+   applicability),
 3. runs the polynomial pre-pass (:mod:`repro.engine.prepass`) on tasks
    that routed to the exponential tail of the ladder: the pre-pass may
    decide the task outright, downgrade it to the Section 5.2
    ``write-order`` backend, or shrink it to a kernel with ordering
    hints — the task's ``run_instance`` is what the backend executes,
-   while ``instance`` (the original) keys the result cache,
-4. orders the tasks cheapest-estimate-first, so that when the
-   execution is incoherent the executor's early exit tends to fire
-   before the expensive tasks run.
+   while ``instance`` (the original) is what the verdict is about.
+
+:func:`plan_vmc` then orders the tasks cheapest-estimate-first, so that
+when the execution is incoherent the executor's early exit tends to
+fire before the expensive tasks run.  The key ignores routing, the
+pre-pass and the portfolio, so every front door — ``verify``,
+``batch``, ``serve``, campaigns — reads the entries the others wrote.
 
 VSC does not decompose (a single schedule must serve all addresses at
 once); :func:`plan_vsc` emits the single whole-execution task, also
@@ -27,10 +32,14 @@ pre-passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import partial
+from typing import Callable, Mapping, Sequence
 
+from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import Backend, Instance
+from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
+from repro.engine.certify import validate_result
 from repro.engine.portfolio import (
     PORTFOLIO_MIN_STATES,
     RACE_STATE_BUDGET,
@@ -47,20 +56,32 @@ from repro.engine.registry import BackendRegistry, vmc_registry, vsc_registry
 
 @dataclass
 class PlannedTask:
-    """One unit of work: an instance bound to its chosen backend.
+    """One unit of work: an instance bound to its chosen backend, or
+    already decided by a validated cache hit.
 
-    ``instance`` is the original task (cache key); ``run_instance`` is
-    what the backend actually executes — the pre-pass kernel when the
-    pre-pass shrank or downgraded the task, otherwise the original.
+    ``instance`` is the original task (what the verdict is about);
+    ``run_instance`` is what the backend actually executes — the
+    pre-pass kernel when the pre-pass shrank or downgraded the task,
+    otherwise the original.
     """
 
     order: int            # position in the (cheapest-first) plan
     address: Address | None
     instance: Instance
-    backend: Backend
+    #: None for a served hit and for a deferred twin (not bound yet).
+    backend: Backend | None
     estimate: float
     run_instance: Instance | None = None
     prepass: PrepassInfo | None = None
+    #: The cache key (None when planned without a cache); the executor
+    #: writes the decided verdict under it.
+    canon: CanonicalInstance | None = None
+    #: A validated cache/store hit: the task is decided, nothing runs.
+    hit: VerificationResult | None = None
+    #: An isomorphic twin of an earlier task of the same plan that
+    #: missed the cache: ``deferred(order)`` plans it once that task is
+    #: decided, so the lookup hits instead of solving it again.
+    deferred: Callable[[int], "PlannedTask"] | None = None
 
     def __post_init__(self) -> None:
         if self.run_instance is None:
@@ -118,23 +139,83 @@ def _apply_portfolio(
     task.estimate = task.backend.cost_estimate(run)
 
 
-def _prepassed_task(
+def _key_method(method: str, registry: BackendRegistry) -> str:
+    """The method part of the cache key: ``"auto"``, or the forced
+    backend's name (aliases share entries; unknown names raise)."""
+    return method if method == "auto" else registry.get(method).name
+
+
+def _serve(
+    canon: CanonicalInstance,
+    instance: Instance,
+    cache: ResultCache,
+    certify: str,
+) -> VerificationResult | None:
+    """A validated cache or store hit, or None.
+
+    Witness hits are *always* re-replayed against the instance at hand
+    — the cached schedule was computed for an isomorphic instance, and
+    serving it unchecked would launder a stale or corrupted entry into
+    a verdict.  Refutation certificates are re-checked whenever
+    certification is enabled (their uids / variable numberings may not
+    survive the isomorphism).  Any failure drops the entry from both
+    tiers: a miss, never a wrong answer.
+    """
+    hit = cache.lookup(canon)
+    if hit is None:
+        return None
+    hit.address = instance.address
+    if hit.holds or certify != "off":
+        check = validate_result(
+            instance.execution, hit, instance.problem,
+            write_order=instance.write_order,
+        )
+        if not check:
+            cache.invalidate(canon)
+            return None
+        if certify != "off":
+            hit.stats["certified"] = True
+    return hit
+
+
+def plan_task(
     order: int,
     address: Address | None,
     instance: Instance,
-    method: str,
-    registry: BackendRegistry,
-    prepass: bool,
+    method: str = "auto",
+    registry: BackendRegistry | None = None,
+    prepass: bool = True,
     portfolio=True,
+    cache: ResultCache | None = None,
+    certify: str = "off",
+    canon: CanonicalInstance | None = None,
 ) -> PlannedTask:
-    """Select a backend, then let the pre-pass shrink/decide/downgrade.
+    """Serve one instance from the cache, or bind it to a backend.
 
-    The pre-pass only runs for auto-routed tasks that landed on the
-    exponential tiers — it cannot beat an already-polynomial backend,
-    and a forced ``method=`` is a contract with the caller.  Surviving
+    With a ``cache`` (``canon``, when given, is the instance's key
+    already computed by the caller) a validated hit comes back as a
+    decided task.  On a miss the backend is selected, then the
+    pre-pass may shrink, decide or downgrade the task.  The pre-pass
+    only runs for auto-routed tasks that landed on the exponential
+    tiers — it cannot beat an already-polynomial backend, and a forced
+    ``method=`` is a contract with the caller.  Surviving
     exponential-tier tasks are then subject to the portfolio policy
     (see :func:`_apply_portfolio`).
     """
+    if registry is None:
+        vmc = instance.problem == "vmc"
+        registry = vmc_registry() if vmc else vsc_registry()
+    if cache is not None:
+        if canon is None:
+            canon = canonicalize(
+                instance.execution, instance.write_order, instance.problem,
+                _key_method(method, registry),
+            )
+        hit = _serve(canon, instance, cache, certify)
+        if hit is not None:
+            return PlannedTask(
+                order, address, instance, None, 0.0, canon=canon, hit=hit
+            )
     if method == "auto":
         backend = registry.select(instance)
     else:
@@ -145,6 +226,7 @@ def _prepassed_task(
         instance=instance,
         backend=backend,
         estimate=backend.cost_estimate(instance),
+        canon=canon,
     )
     # Every built-in VSC backend is a search; for VMC the polynomial
     # tiers start below EXPONENTIAL_TIER.
@@ -175,24 +257,43 @@ def plan_vmc(
     registry: BackendRegistry | None = None,
     prepass: bool = True,
     portfolio=True,
+    cache: ResultCache | None = None,
+    certify: str = "off",
 ) -> list[PlannedTask]:
     """Decompose a (possibly multi-address) execution into per-address
-    tasks, cheapest first."""
+    tasks, served or bound by :func:`plan_task`, cheapest first."""
     registry = registry or vmc_registry()
-    if method != "auto":
-        registry.get(method)  # unknown method -> ValueError, before any work
+    key_method = _key_method(method, registry)  # unknown -> ValueError
+    plan = partial(
+        plan_task, method=method, registry=registry, prepass=prepass,
+        portfolio=portfolio, cache=cache, certify=certify,
+    )
     tasks: list[PlannedTask] = []
+    missed: dict = {}  # canonical key -> the first task that missed
     for pos, addr in enumerate(execution.constrained_addresses()):
         sub = execution.restrict_to_address(addr)
         wo = write_orders.get(addr) if write_orders else None
         instance = Instance(sub, address=addr, write_order=wo, problem="vmc")
-        tasks.append(
-            _prepassed_task(
-                pos, addr, instance, method, registry, prepass, portfolio
-            )
+        canon = (
+            canonicalize(sub, wo, "vmc", key_method)
+            if cache is not None else None
         )
+        first = missed.get(canon.key) if canon is not None else None
+        if first is not None:
+            tasks.append(PlannedTask(
+                pos, addr, instance, None, first.estimate, canon=canon,
+                deferred=partial(
+                    plan, address=addr, instance=instance, canon=canon
+                ),
+            ))
+            continue
+        task = plan(pos, addr, instance, canon=canon)
+        if canon is not None and task.hit is None:
+            missed[canon.key] = task
+        tasks.append(task)
     # Cheapest first; the original address position breaks ties so the
-    # plan (and therefore early-exit behaviour) is deterministic.
+    # plan (and therefore early-exit behaviour) is deterministic, and a
+    # deferred twin runs after the task it waits for.
     tasks.sort(key=lambda t: (t.estimate, t.order))
     for i, t in enumerate(tasks):
         t.order = i
@@ -205,14 +306,14 @@ def plan_vsc(
     registry: BackendRegistry | None = None,
     prepass: bool = True,
     portfolio=True,
+    cache: ResultCache | None = None,
+    certify: str = "off",
 ) -> list[PlannedTask]:
     """The single whole-execution VSC task."""
-    registry = registry or vsc_registry()
-    if method != "auto":
-        registry.get(method)
     instance = Instance(execution, address=None, problem="vsc")
     return [
-        _prepassed_task(
-            0, None, instance, method, registry, prepass, portfolio
+        plan_task(
+            0, None, instance, method, registry, prepass, portfolio,
+            cache, certify,
         )
     ]

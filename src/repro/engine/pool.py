@@ -1,16 +1,13 @@
 """The engine's one process-pool scheduler.
 
 Coherence is a per-location property (paper Section 3), so all of the
-engine's parallelism is over independent units of work: the
-per-address tasks of :mod:`repro.engine.executor` and the chunks of
-deduplicated uniques of :mod:`repro.engine.batch`.  :func:`run_pool`
-runs such units on a :class:`concurrent.futures.ProcessPoolExecutor`
-and owns everything about the pool:
+engine's parallelism is over independent units of work: the tasks of
+:mod:`repro.engine.executor`, whether a ``verify`` plan's addresses or
+a batch's deduplicated uniques.  :func:`run_pool` runs such units on a
+:class:`concurrent.futures.ProcessPoolExecutor` and owns everything
+about the pool:
 
-* **windowed submission** — at most ``2 × jobs`` units in flight, and
-  at most one per *lane* (a batch lane is a store-shard bucket, so two
-  workers never append to the same shard; an executor task is its own
-  lane);
+* **windowed submission** — at most ``2 × jobs`` units in flight;
 * **broken-pool rebuild** — a dead worker breaks the whole pool: it is
   rebuilt once per break, and every unit that was in flight on it
   fails (the victim cannot be told apart from its neighbours);
@@ -37,7 +34,7 @@ import concurrent.futures
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Iterable
 
 from repro.engine.chaos import ChaosCrash
 from repro.util.deadline import Deadline
@@ -72,7 +69,6 @@ def backoff(policy, attempt: int, run_deadline: Deadline | None) -> None:
 
 @dataclass
 class _Unit:
-    lane: Hashable
     item: Any
     #: Failed attempts so far.
     attempt: int = 0
@@ -93,7 +89,7 @@ class PoolRun:
 
 
 def run_pool(
-    units: Iterable[tuple[Hashable, Any]],
+    items: Iterable[Any],
     jobs: int,
     submit: Callable[[Any, int], tuple],
     accept: Callable[[Any, int, Any], bool],
@@ -101,8 +97,7 @@ def run_pool(
     policy,
     run_deadline: Deadline | None = None,
 ) -> PoolRun:
-    """Run ``(lane, item)`` units, in order, on a pool of ``jobs``
-    worker processes.
+    """Run ``items``, in order, on a pool of ``jobs`` worker processes.
 
     ``submit(item, attempt)`` returns ``(fn, *args)``, the call a worker
     makes; ``accept(item, attempt, value)`` consumes its value in the
@@ -112,7 +107,7 @@ def run_pool(
     deciding callbacks return True to stop the run.  ``policy`` supplies
     ``retries`` and ``backoff_s``.
     """
-    pending = deque(_Unit(lane, item) for lane, item in units)
+    pending = deque(_Unit(item) for item in items)
     run = PoolRun()
     if not pending:
         return run
@@ -139,13 +134,8 @@ def run_pool(
                         run.leftover.append(in_flight.pop(fut)[0].item)
                 run.leftover.extend(unit.item for unit in pending)
                 pending.clear()
-            busy = {unit.lane for unit, _ in in_flight.values()}
-            skipped: list[_Unit] = []
             while admitting and pending and len(in_flight) < window:
                 unit = pending.popleft()
-                if unit.lane in busy:
-                    skipped.append(unit)
-                    continue
                 fn, *args = submit(unit.item, unit.attempt)
                 try:
                     fut = pool.submit(fn, *args)
@@ -154,8 +144,6 @@ def run_pool(
                     rebuild()
                     fut = pool.submit(fn, *args)
                 in_flight[fut] = (unit, pool)
-                busy.add(unit.lane)
-            pending.extendleft(reversed(skipped))
             if not in_flight:
                 continue
             wait_s = (

@@ -14,9 +14,10 @@ Layout (``store_dir/``)::
     shards/00/.lock       flock target (never replaced, unlike the log)
     ...
 
-The first fingerprint byte picks the shard (``fp[0] % n_shards``), so a
-batch runner can partition work by fingerprint and give every worker a
-disjoint set of shards to write.
+The first fingerprint byte picks the shard (``fp[0] % n_shards``), so
+concurrent writers in different processes (``verify``, ``batch``,
+``serve``, campaigns sharing one store) contend per shard, not per
+store.
 
 Record log format (``serialize_bin`` conventions):
 

@@ -23,7 +23,7 @@ Verification routes through the batch engine
 simulated first, then canonicalized and deduplicated across the whole
 campaign before any solving — fingerprint-identical per-address
 histories, which campaigns repeat constantly, are decided once.
-``jobs`` shards the deduplicated instances over a process pool, one
+``jobs`` runs heavy deduplicated instances on a process pool, one
 :class:`~repro.engine.ResultCache` carries hits across cells, a
 ``store`` (:class:`~repro.engine.ResultStore`) warm-starts repeated
 campaigns from disk, a ``resilience`` policy bounds the whole sweep,

@@ -71,9 +71,8 @@ from repro.service.queue import (
 )
 from repro.service.tenants import TenantLimitError, TenantStores
 
-#: Same-options requests gulped per worker batch (mirrors the batch
-#: engine's chunk size, so one ``verify_many`` call sees a dedupable
-#: group).
+#: Same-options requests gulped per worker batch, so one
+#: ``verify_many`` call sees a dedupable group.
 BATCH_WINDOW = 8
 
 _RECV_CHUNK = 1 << 16

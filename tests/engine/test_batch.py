@@ -1,4 +1,4 @@
-"""The sharded batch engine and the ``repro batch`` CLI.
+"""The batch engine and the ``repro batch`` CLI.
 
 The acceptance property is *differential*: a 150+-execution corpus
 decided cold (empty store), warm (second pass over the same store) and
@@ -27,7 +27,7 @@ from repro.engine import (
     run_batch,
     verify_many,
 )
-from repro.engine.batch import CHUNK_SIZE, _bucketize, load_sources
+from repro.engine.batch import load_sources
 from repro.engine.store import ResultStore
 from tests.conftest import make_coherent_execution
 
@@ -117,22 +117,6 @@ class TestPlan:
         plan = plan_batch([("a", ex, None)], store=store)
         assert plan.predicted_store_hits == 1
 
-    def test_buckets_map_shards_disjointly(self):
-        class FakeUnique:
-            def __init__(self, b):
-                self.fp = bytes([b]) + b"\0" * 31
-
-        uniques = [FakeUnique(b) for b in range(64)]
-        for jobs in (1, 2, 3, 5):
-            buckets = _bucketize(uniques, jobs, 16)
-            assert len(buckets) == jobs
-            owner = {}
-            for w, bucket in enumerate(buckets):
-                for i in bucket:
-                    shard = uniques[i].fp[0] % 16
-                    assert owner.setdefault(shard, w) == w
-            assert sum(len(b) for b in buckets) == len(uniques)
-
 
 class TestVerifyMany:
     def test_verdicts_and_provenance(self):
@@ -211,10 +195,10 @@ class TestDifferentialColdWarmDisabled:
             o.provenance.get("solved", 0) for o in warm
         ) == 0
 
-    def test_jobs_differential(self, tmp_path):
+    def test_jobs_differential(self, tmp_path, force_pool):
         """A real process pool agrees with the serial path verdict for
-        verdict, and its workers' store writes land in the shared
-        store."""
+        verdict, and the verdicts its workers decided land in the
+        shared store."""
         corpus = _corpus(20)
         labels = [f"ex{i}" for i in range(len(corpus))]
         serial = verify_many(corpus, labels=labels, certify="on")
@@ -226,7 +210,7 @@ class TestDifferentialColdWarmDisabled:
         assert [o.verdict for o in serial] == [o.verdict for o in pooled]
         for s, p in zip(serial, pooled):
             assert _signature(s) == _signature(p)
-        # Workers flushed: a fresh handle sees their results.
+        # The parent flushed: a fresh handle sees the pooled results.
         reopened = ResultStore(tmp_path / "store")
         assert len(reopened) > 0
 
@@ -418,7 +402,3 @@ class TestBatchCLI:
         ])
         assert rc == 2
         assert "store" in capsys.readouterr().err
-
-
-def test_chunk_size_sane():
-    assert 1 <= CHUNK_SIZE <= 64

@@ -1,18 +1,20 @@
 """The process-pool scheduler, and real worker deaths under it.
 
 :func:`repro.engine.pool.run_pool` is tested directly with trivial
-picklable functions (lanes, window, retries, budget, early stop,
-Ctrl-C).  Chaos crashes (:mod:`repro.engine.chaos`) raise an exception
-inside a healthy worker; the worker-death tests here kill the worker
-process itself with ``os._exit(1)``, so the pool really breaks and must
-be rebuilt, through both callers: the executor and the batch engine.
-Each killer dies on its first attempt only, keyed on a marker file
-under ``tmp_path``, and never in the test process itself.
+picklable functions (window, retries, budget, early stop, Ctrl-C).
+Chaos crashes (:mod:`repro.engine.chaos`) raise an exception inside a
+healthy worker; the worker-death tests here kill the worker process
+itself with ``os._exit(1)``, so the pool really breaks and must
+be rebuilt, through both front doors: ``verify_vmc`` and the batch
+engine, which decides its missed uniques with the same executor.  Each
+killer dies on its first attempt only, keyed on a marker file under
+``tmp_path``, and never in the test process itself.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import multiprocessing
 import os
 import time
@@ -23,7 +25,7 @@ from repro.core.types import Execution
 from repro.engine import (
     BackendRegistry,
     ResiliencePolicy,
-    batch,
+    executor,
     plan_batch,
     verify_many,
     verify_vmc,
@@ -65,14 +67,14 @@ class _DieOnceExact(ExactBackend):
         return super().run_resilient(instance, should_stop)
 
 
-_REAL_SOLVE_CHUNK = batch._solve_chunk
+_REAL_DECIDE_TASK = executor._decide_task
 
 
-def _die_once_chunk(items, store_path, *args):
-    """``batch._solve_chunk``, except that the first worker to run a
-    chunk dies; the marker sits next to the store directory."""
-    _die_once(os.path.join(os.path.dirname(store_path), "died"))
-    return _REAL_SOLVE_CHUNK(items, store_path, *args)
+def _die_once_decide(marker, task, *args):
+    """``executor._decide_task``, the unit a pool worker runs, except
+    that the first worker to run one dies."""
+    _die_once(marker)
+    return _REAL_DECIDE_TASK(task, *args)
 
 
 def _heavy_corpus() -> list[Execution]:
@@ -138,6 +140,9 @@ class TestExecutorWorkerDeath:
 
 
 class TestBatchWorkerDeath:
+    """The batch's uniques are light, so ``force_pool`` sends them to
+    the pool anyway; the killer replaces the worker unit."""
+
     @pytest.fixture
     def corpus(self):
         corpus = []
@@ -154,11 +159,17 @@ class TestBatchWorkerDeath:
             (o.verdict, _per_address(o.result)) for o in outcomes
         ]
 
+    def _kill_first_worker(self, monkeypatch, marker):
+        monkeypatch.setattr(
+            executor, "_decide_task",
+            functools.partial(_die_once_decide, str(marker)),
+        )
+
     def test_dead_worker_is_rebuilt_and_retried(
-        self, tmp_path, corpus, monkeypatch
+        self, tmp_path, corpus, monkeypatch, force_pool
     ):
         serial = verify_many(corpus, certify="on")
-        monkeypatch.setattr(batch, "_solve_chunk", _die_once_chunk)
+        self._kill_first_worker(monkeypatch, tmp_path / "died")
         pooled = verify_many(
             corpus, jobs=2, store=ResultStore(tmp_path / "store"),
             certify="on",
@@ -171,9 +182,11 @@ class TestBatchWorkerDeath:
         _assert_no_orphans()
 
     @pytest.mark.parametrize("retries", [0, 2])
-    def test_counters(self, tmp_path, corpus, monkeypatch, retries):
+    def test_counters(
+        self, tmp_path, corpus, monkeypatch, force_pool, retries
+    ):
         serial = verify_many(corpus, certify="on")
-        monkeypatch.setattr(batch, "_solve_chunk", _die_once_chunk)
+        self._kill_first_worker(monkeypatch, tmp_path / "died")
         store = ResultStore(tmp_path / "store")
         plan = plan_batch([(f"ex{i}", ex, None) for i, ex in enumerate(corpus)])
         outcomes, stats = run_plan(
@@ -184,10 +197,10 @@ class TestBatchWorkerDeath:
         assert not any(o.error for o in outcomes)
         assert self._verdicts(outcomes) == self._verdicts(serial)
         if retries:
-            assert stats.chunk_retries >= 1
-            assert stats.quarantined_chunks == 0
+            assert stats.retries >= 1
+            assert stats.quarantined == 0
         else:
-            assert stats.quarantined_chunks >= 1
+            assert stats.quarantined >= 1
         _assert_no_orphans()
 
 
@@ -201,20 +214,6 @@ def _echo(item, attempt):
 def _nap(item, seconds):
     time.sleep(seconds)
     return item
-
-
-def _hold_lane(lock_dir, lane, item):
-    """Hold ``lane``'s lock file for a moment; report an overlap if
-    another worker already holds it."""
-    path = os.path.join(lock_dir, f"lane{lane}")
-    try:
-        fd = os.open(path, os.O_CREAT | os.O_EXCL)
-    except FileExistsError:
-        return ("overlap", item)
-    time.sleep(0.01)
-    os.close(fd)
-    os.unlink(path)
-    return ("ok", item)
 
 
 def _crash_first(item, attempt):
@@ -253,9 +252,9 @@ class _Recorder:
         self.quarantined[item] = attempt
         return False
 
-    def run(self, units, jobs=2, policy=_POLICY, deadline=None):
+    def run(self, items, jobs=2, policy=_POLICY, deadline=None):
         return run_pool(
-            units, jobs, self.submit, self.accept, self.quarantine,
+            items, jobs, self.submit, self.accept, self.quarantine,
             policy, deadline,
         )
 
@@ -263,7 +262,7 @@ class _Recorder:
 class TestScheduler:
     def test_every_unit_accepted_once(self):
         rec = _Recorder()
-        run = rec.run([(i, i) for i in range(20)])
+        run = rec.run(list(range(20)))
         assert rec.accepted == {i: (0, i) for i in range(20)}
         assert run.leftover == [] and not run.stopped and run.retries == 0
         _assert_no_orphans()
@@ -272,21 +271,6 @@ class TestScheduler:
         run = _Recorder().run([])
         assert run.leftover == [] and not run.stopped
         assert multiprocessing.active_children() == []
-
-    def test_at_most_one_unit_per_lane_in_flight(self, tmp_path):
-        lanes = 2
-        rec = _Recorder()
-
-        def submit(item, attempt):
-            return _hold_lane, str(tmp_path), item % lanes, item
-
-        run_pool(
-            [(i % lanes, i) for i in range(16)], 4, submit, rec.accept,
-            rec.quarantine, _POLICY,
-        )
-        assert sorted(rec.accepted) == list(range(16))
-        assert {v[0] for _a, v in rec.accepted.values()} == {"ok"}
-        _assert_no_orphans()
 
     def test_window_is_twice_jobs(self):
         rec = _Recorder()
@@ -298,7 +282,7 @@ class TestScheduler:
             return _nap, item, 0.02
 
         run_pool(
-            [(i, i) for i in range(24)], 2, submit, rec.accept,
+            list(range(24)), 2, submit, rec.accept,
             rec.quarantine, _POLICY,
         )
         assert len(rec.accepted) == 24
@@ -306,7 +290,7 @@ class TestScheduler:
 
     def test_crashes_retry_then_succeed(self):
         rec = _Recorder(fn=_crash_first)
-        run = rec.run([(i, i) for i in range(6)])
+        run = rec.run(list(range(6)))
         assert rec.accepted == {i: (1, i) for i in range(6)}
         assert run.retries == 6
         assert rec.quarantined == {}
@@ -314,7 +298,7 @@ class TestScheduler:
     def test_no_retries_quarantines(self):
         rec = _Recorder(fn=_crash_first)
         run = rec.run(
-            [(i, i) for i in range(4)],
+            list(range(4)),
             policy=ResiliencePolicy(retries=0, backoff_s=0.0),
         )
         assert rec.accepted == {}
@@ -323,13 +307,13 @@ class TestScheduler:
 
     def test_rejected_value_is_retried(self):
         rec = _Recorder(lose=[3])
-        run = rec.run([(i, i) for i in range(5)])
+        run = rec.run(list(range(5)))
         assert rec.accepted[3] == (1, 3)
         assert run.retries == 1
 
     def test_expired_budget_admits_nothing(self):
         rec = _Recorder()
-        run = rec.run([(i, i) for i in range(5)], deadline=Deadline.after(0))
+        run = rec.run(list(range(5)), deadline=Deadline.after(0))
         assert rec.submitted == [] and rec.accepted == {}
         assert run.leftover == list(range(5)) and not run.stopped
         _assert_no_orphans()
@@ -346,7 +330,7 @@ class TestScheduler:
 
         t0 = time.monotonic()
         run = run_pool(
-            [(i, i) for i in range(40)], 2, submit, accept,
+            list(range(40)), 2, submit, accept,
             lambda item, attempt: False, _POLICY, Deadline.after(0.25),
         )
         assert time.monotonic() - t0 < 5.0
@@ -358,7 +342,7 @@ class TestScheduler:
 
     def test_early_stop_cancels_the_rest(self):
         rec = _Recorder(stop_on=2)
-        run = rec.run([(i, i) for i in range(40)])
+        run = rec.run(list(range(40)))
         assert run.stopped
         assert 2 in rec.accepted
         assert run.leftover  # the tail was never admitted
@@ -378,7 +362,7 @@ class TestScheduler:
         monkeypatch.setattr(concurrent.futures, "wait", interrupting_wait)
         rec = _Recorder()
         with pytest.raises(KeyboardInterrupt):
-            rec.run([(i, i) for i in range(10)])
+            rec.run(list(range(10)))
         assert fired
         monkeypatch.undo()
         _assert_no_orphans()
