@@ -224,6 +224,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     t_load = perf_counter() - t_load
+    store = None
     try:
         resilience = _resilience_from_args(args)
         store = _store_from_args(args, resilience)
@@ -285,6 +286,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # are usage errors.
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if store is not None:
+            store.close()  # the command's one durability point
     if result.report is not None:
         result.report.stage_times["load"] = t_load
     return _print_result(result, label, args.witness, args.stats)
@@ -333,18 +337,22 @@ def cmd_batch(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    report = run_batch(
-        paths,
-        jobs=args.jobs,
-        store=store,
-        resilience=resilience,
-        certify=args.certify,
-        prepass=not args.no_prepass,
-        portfolio=args.portfolio,
-        dry_run=args.dry_run,
-    )
-    if args.store_quota_report and store is not None:
-        report["store_quota"] = store.quota_report()
+    try:
+        report = run_batch(
+            paths,
+            jobs=args.jobs,
+            store=store,
+            resilience=resilience,
+            certify=args.certify,
+            prepass=not args.no_prepass,
+            portfolio=args.portfolio,
+            dry_run=args.dry_run,
+        )
+        if args.store_quota_report and store is not None:
+            report["store_quota"] = store.quota_report()
+    finally:
+        if store is not None:
+            store.close()
     if args.json:
         text = json.dumps(report, indent=2, default=str)
         if args.json == "-":
@@ -800,29 +808,33 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"campaign: {msg}", file=sys.stderr, flush=True)
 
-    report = run_campaign(
-        sites=sites,
-        substrates=substrates,
-        runs_per_cell=args.runs_per_cell,
-        num_processors=args.processors,
-        ops_per_processor=args.ops,
-        num_addresses=args.addresses,
-        write_fraction=args.write_fraction,
-        fault_rate=args.fault_rate,
-        max_events=args.max_events if args.max_events else None,
-        base_seed=args.seed,
-        values=args.values,
-        workload=args.workload,
-        delay_models=delay_models,
-        num_homes=args.homes,
-        jobs=args.jobs,
-        cache=cache,
-        store=store,
-        run_cache=args.run_cache,
-        resilience=resilience,
-        certify=args.certify,
-        progress=say,
-    )
+    try:
+        report = run_campaign(
+            sites=sites,
+            substrates=substrates,
+            runs_per_cell=args.runs_per_cell,
+            num_processors=args.processors,
+            ops_per_processor=args.ops,
+            num_addresses=args.addresses,
+            write_fraction=args.write_fraction,
+            fault_rate=args.fault_rate,
+            max_events=args.max_events if args.max_events else None,
+            base_seed=args.seed,
+            values=args.values,
+            workload=args.workload,
+            delay_models=delay_models,
+            num_homes=args.homes,
+            jobs=args.jobs,
+            cache=cache,
+            store=store,
+            run_cache=args.run_cache,
+            resilience=resilience,
+            certify=args.certify,
+            progress=say,
+        )
+    finally:
+        if store is not None:
+            store.close()
     if args.json:
         text = json.dumps(report.to_json(), indent=2, default=str)
         if args.json == "-":

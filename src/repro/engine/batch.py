@@ -56,6 +56,10 @@ class BatchTask:
     source: int
     address: Any
     unique: int
+    #: A duplicate's own canonical op listing (``None`` for the task
+    #: that represents its unique): the unique's witness is mapped
+    #: onto these operations, position by position.
+    ops: list[Operation] | None = None
 
 
 @dataclass
@@ -162,6 +166,7 @@ def plan_batch(
             wo = wos.get(addr) if wos else None
             canon = canonicalize(sub, wo, "vmc", "auto")
             uidx = by_key.get(canon.key)
+            ops = None
             if uidx is None:
                 uidx = by_key[canon.key] = len(uniques)
                 uniques.append(
@@ -174,7 +179,10 @@ def plan_batch(
                 )
             else:
                 uniques[uidx].count += 1
-            tasks.append(BatchTask(source=i, address=addr, unique=uidx))
+                ops = canon.ops
+            tasks.append(
+                BatchTask(source=i, address=addr, unique=uidx, ops=ops)
+            )
     predicted = -1
     if store is not None:
         predicted = sum(1 for u in uniques if store.contains(u.canon))
@@ -285,6 +293,37 @@ def _aggregate_source(
     outcome.result = agg
 
 
+def _fan_out(
+    result: VerificationResult,
+    task: BatchTask,
+    canon: CanonicalInstance,
+) -> VerificationResult:
+    """The unique's result as the duplicate ``task`` sees it: addressed
+    to its own address, and with the witness re-materialized onto its
+    own operations through the shared canonical positions — the same
+    mapping a cache hit uses."""
+    if task.ops is None and task.address == result.address:
+        return result
+    schedule = result.schedule
+    if task.ops is not None and schedule is not None:
+        try:
+            schedule = [task.ops[canon.index_of[op.uid]] for op in schedule]
+        except KeyError:
+            # A witness op outside the canonical listing (as in
+            # ResultCache.store): no witness beats a foreign one.
+            schedule = None
+    return VerificationResult(
+        holds=result.holds,
+        method=result.method,
+        schedule=schedule,
+        reason=result.reason,
+        address=task.address,
+        stats=dict(result.stats),
+        unknown=result.unknown,
+        certificate=result.certificate,
+    )
+
+
 def _classify(result: VerificationResult) -> str:
     if result.stats.get("store_hit"):
         return "store"
@@ -303,7 +342,12 @@ def run_plan(
     prepass: bool = True,
     portfolio: Any = True,
 ) -> tuple[list[SourceOutcome], BatchStats]:
-    """Decide a planned batch and fan results back to the sources."""
+    """Decide a planned batch and fan results back to the sources.
+
+    Store records are left to the store's group commit: the front
+    door that owns the durability boundary (:func:`verify_many`,
+    :func:`run_batch`, the daemon once its queue goes idle) flushes.
+    """
     t0 = perf_counter()
     stats = BatchStats(
         sources=len(plan.labels),
@@ -358,23 +402,10 @@ def run_plan(
         if result.stats.get("certified"):
             outcome.certified += 1
             stats.certified += 1
-        materialized = result
-        if task.address != result.address:
-            # A duplicate under a different address label: same verdict,
-            # re-addressed.
-            materialized = VerificationResult(
-                holds=result.holds,
-                method=result.method,
-                schedule=result.schedule,
-                reason=result.reason,
-                address=task.address,
-                stats=dict(result.stats),
-                unknown=result.unknown,
-                certificate=result.certificate,
-            )
-        items_by_source.setdefault(task.source, []).append(
-            (task.address, materialized)
-        )
+        items_by_source.setdefault(task.source, []).append((
+            task.address,
+            _fan_out(result, task, plan.uniques[task.unique].canon),
+        ))
     for i, outcome in enumerate(outcomes):
         if outcome.error is not None:
             stats.errors += 1
@@ -415,6 +446,8 @@ def verify_many(
     store-backed for cross-run warm starts).  Returns one
     :class:`SourceOutcome` per execution, in order; a per-execution
     engine exception lands in ``outcome.error`` instead of raising.
+    The store is flushed once, at the end: the batch is one durability
+    point.
     """
     if labels is None:
         labels = [f"<execution {i}>" for i in range(len(executions))]
@@ -423,6 +456,8 @@ def verify_many(
         for label, execution in zip(labels, executions)
     ]
     plan = plan_batch(sources, write_orders=write_orders)
+    if cache is not None:
+        store = cache.store_tier  # run_plan decides through the cache
     outcomes, _stats = run_plan(
         plan,
         jobs=jobs,
@@ -433,6 +468,8 @@ def verify_many(
         prepass=prepass,
         portfolio=portfolio,
     )
+    if store is not None:
+        store.flush()
     return outcomes
 
 
@@ -526,6 +563,8 @@ def run_batch(
         prepass=prepass,
         portfolio=portfolio,
     )
+    if store is not None:
+        store.flush()
     report["files"] = [
         {
             "path": o.label,

@@ -33,11 +33,13 @@ never a wrong answer.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Hashable, Sequence
 
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Execution, Operation
+from repro.engine.store import fingerprint_key
 
 if TYPE_CHECKING:
     from repro.engine.store import ResultStore
@@ -53,6 +55,11 @@ class CanonicalInstance:
     ops: list[Operation]
     #: uid -> position in ``ops``.
     index_of: dict[tuple[int, int], int]
+
+    @cached_property
+    def fingerprint(self) -> bytes:
+        """The store's content address of ``key``, hashed once."""
+        return fingerprint_key(self.key)
 
 
 def canonicalize(
@@ -247,9 +254,10 @@ class ResultCache:
     With a :class:`~repro.engine.store.ResultStore` attached the cache
     becomes two-tiered: lookups fall through to the store on a memory
     miss (read-through, the loaded entry is promoted into memory) and
-    every store writes through to disk — so every front door
-    (``verify``, ``batch``, ``serve``, campaigns) gains cross-run
-    persistence without any call-site change.  Store-loaded verdicts
+    every store writes through into the store's group commit — so every
+    front door (``verify``, ``batch``, ``serve``, campaigns) gains
+    cross-run persistence, made durable at the front door's own
+    boundary (see :mod:`repro.engine.store`).  Store-loaded verdicts
     pass through the same on-hit validation seam as memory hits
     (:func:`repro.engine.planner.plan_task`); a failure evicts the
     record from *both* tiers and recomputes.

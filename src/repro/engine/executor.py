@@ -553,10 +553,9 @@ def execute_tasks(
             "ops_after": sum(p.ops_after for p in prepassed),
         }
     if cache is not None:
+        # The store tier group-commits on its own budget; the front
+        # door that opened it flushes at its boundary.
         report.cache_evictions = cache.stats.evictions - evictions_before
-        # fsync-on-batch: one durability point per engine run, not per
-        # entry (a no-op without a store tier).
-        cache.flush_store()
     report.stage_times["search"] = max(0.0, decide_s - certify_s)
     if certify != "off":
         report.stage_times["certify"] = certify_s

@@ -32,17 +32,31 @@ Record log format (``serialize_bin`` conventions):
 
 Durability and concurrency:
 
-* writes are buffered in the process and appended in one batch by
-  :meth:`ResultStore.flush` — one exclusive ``flock`` + one ``fsync``
-  per shard per batch, not per entry (the executor flushes once per
-  engine run);
+* group commit: ``put``/``lookup``/``invalidate`` buffer their
+  ``RECORD``/``TOUCH``/``TOMBSTONE`` records in the process (visible to
+  this handle at once) and append them in one batch — one exclusive
+  ``flock`` + one ``fsync`` per dirty shard — when the pending bytes
+  reach :data:`PENDING_BYTES` or the oldest pending record is
+  :data:`PENDING_AGE_S` old, on :meth:`ResultStore.flush` /
+  :meth:`ResultStore.close` / ``with`` exit, and at interpreter exit
+  (or garbage collection) for a handle nobody closed.  Front doors
+  flush at their own boundary: a batch, a daemon request group, a CLI
+  command's end;
+* a crash loses at most the records still pending: a later run misses
+  and recomputes them, and the CRC and key-equality checks below mean
+  nothing torn or partial is ever served;
+* a flush appends the pending records after a catch-up scan of other
+  writers' appends and advances its view past its own bytes without
+  reading them back; a reader re-scans a shard only when its
+  ``stat`` (inode, size, mtime) moved since its last scan;
 * a torn or truncated tail (crash mid-append) is *skipped* on read with
   a byte-offset diagnostic, and truncated away by the next writer while
   it holds the exclusive lock (only then is "torn" distinguishable from
   "another writer's append in flight");
 * ``TOUCH`` records propagate LRU recency across processes; compaction
-  (triggered when the store exceeds ``max_mb``) rewrites overweight
-  shards newest-last, dropping the least recently used entries.
+  (triggered at a flush when the store exceeds ``max_mb``) rewrites
+  overweight shards newest-last, dropping the least recently used
+  entries.
 
 Trust: the store itself only guarantees *integrity of transport*
 (CRC + key equality).  Verdict-level trust is the caller's business —
@@ -61,9 +75,10 @@ import pickle
 import struct
 import threading
 import time
+import weakref
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Hashable
+from typing import TYPE_CHECKING, Any, Callable, Hashable
 
 try:  # pragma: no cover - Linux/macOS always have fcntl
     import fcntl
@@ -96,6 +111,12 @@ _FP_LEN = 32
 #: — and by writers that omit them — stay readable; the quota report
 #: simply counts those entries as untimed.
 _TS = struct.Struct("<d")
+
+#: Group-commit budgets: pending records are appended once this many
+#: bytes are buffered, or once the oldest of them is this many seconds
+#: old (checked whenever a record is buffered or looked up).
+PENDING_BYTES = 1 << 20
+PENDING_AGE_S = 1.0
 
 
 def fingerprint_key(key: Hashable) -> bytes:
@@ -189,7 +210,7 @@ class _Shard:
 
     __slots__ = (
         "path", "lock_path", "index", "recency", "recency_ts", "seq",
-        "scanned", "generation", "torn_at", "pending",
+        "scanned", "generation", "torn_at", "pending", "stat",
     )
 
     def __init__(self, path: str, lock_path: str):
@@ -210,8 +231,14 @@ class _Shard:
         #: Offset of the torn tail already diagnosed (avoid recounting
         #: the same tail on every refresh while a writer is in flight).
         self.torn_at = -1
-        #: Encoded records buffered for the next flush.
-        self.pending: list[bytes] = []
+        #: Records buffered for the next flush, in order, as
+        #: ``(type, fingerprint, value, encoded)`` — the decoded form
+        #: replays them onto the view after the append (see
+        #: :func:`_append`), the encoded one is what goes to disk.
+        self.pending: list[tuple[int, bytes, Any, bytes]] = []
+        #: ``(st_ino, st_size, st_mtime_ns)`` of the log as last
+        #: scanned or written: an unchanged stat means nothing to read.
+        self.stat: tuple[int, int, int] | None = None
 
     def reset(self) -> None:
         self.index.clear()
@@ -221,10 +248,180 @@ class _Shard:
         self.scanned = 0
         self.generation = -1
         self.torn_at = -1
+        self.stat = None
+
+    def note_stat(self, fh) -> None:
+        st = os.fstat(fh.fileno())
+        self.stat = (st.st_ino, st.st_size, st.st_mtime_ns)
+
+    def apply(self, rtype: int, fp: bytes, value: Any) -> None:
+        """Apply one decoded record to the view: ``value`` is the entry
+        dict of a ``RECORD``, the timestamp (or ``None``) of a
+        ``TOUCH``; a ``TOMBSTONE`` has none."""
+        self.seq += 1
+        if rtype == REC_RECORD:
+            self.index[fp] = value
+            self.recency[fp] = self.seq
+            ts = value.get("ts")
+            if isinstance(ts, float):
+                self.recency_ts[fp] = ts
+        elif rtype == REC_TOUCH:
+            if fp in self.index:
+                self.recency[fp] = self.seq
+                if value is not None:
+                    self.recency_ts[fp] = value
+        elif rtype == REC_TOMBSTONE:
+            self.index.pop(fp, None)
+            self.recency.pop(fp, None)
+            self.recency_ts.pop(fp, None)
 
 
 def _encode(rtype: int, payload: bytes) -> bytes:
     return _REC.pack(rtype, len(payload), zlib.crc32(payload)) + payload
+
+
+def _decode(rtype: int, payload: bytes) -> tuple[bytes, Any]:
+    """Split a CRC-valid payload into its fingerprint and value."""
+    fp = payload[:_FP_LEN]
+    if rtype == REC_RECORD:
+        try:
+            return fp, pickle.loads(payload[_FP_LEN:])
+        except Exception:
+            # Counted by the caller as torn (CRC passed but the pickle
+            # is not loadable — same recovery: skip).
+            raise _TornRecord("unpicklable entry payload")
+    if rtype == REC_TOUCH and len(payload) >= _FP_LEN + _TS.size:
+        return fp, _TS.unpack_from(payload, _FP_LEN)[0]
+    return fp, None
+
+
+def _read_header(fh, shard: _Shard) -> int | None:
+    """Validate the header; returns the generation or ``None`` when the
+    file is empty / shorter than a header (treated as new)."""
+    fh.seek(0)
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        return None
+    magic, version, _reserved, generation = _HEADER.unpack(raw)
+    if magic != MAGIC:
+        raise StoreFormatError(
+            f"bad magic {magic!r}; not a result-store shard", shard.path
+        )
+    if version != VERSION:
+        raise StoreFormatError(
+            f"unsupported shard version {version}", shard.path
+        )
+    return generation
+
+
+def _scan(shard: _Shard, fh, on_torn: Callable[[_Shard, int, str], None]) -> None:
+    """Advance ``shard``'s view to the end of the good prefix;
+    ``on_torn(shard, offset, why)`` reports a torn tail."""
+    size = os.fstat(fh.fileno()).st_size
+    if size < shard.scanned:
+        shard.reset()  # compacted underneath us
+    gen = _read_header(fh, shard)
+    if gen is None:
+        shard.scanned = 0
+        return
+    if shard.generation != -1 and gen != shard.generation:
+        shard.reset()
+    shard.generation = gen
+    good = max(shard.scanned, _HEADER.size)
+    if size > good:
+        fh.seek(good)
+        data = fh.read(size - good)
+        off = 0
+        n = len(data)
+        while off < n:
+            if off + _REC.size > n:
+                on_torn(shard, good + off, "truncated record header")
+                break
+            rtype, length, crc = _REC.unpack_from(data, off)
+            if rtype not in _REC_TYPES or length > MAX_PAYLOAD:
+                on_torn(
+                    shard, good + off,
+                    f"bad record header (type={rtype}, len={length})",
+                )
+                break
+            end = off + _REC.size + length
+            if end > n:
+                on_torn(shard, good + off, "truncated record payload")
+                break
+            payload = data[off + _REC.size:end]
+            if zlib.crc32(payload) != crc:
+                on_torn(shard, good + off, "payload CRC mismatch")
+                break
+            try:
+                shard.apply(rtype, *_decode(rtype, payload))
+            except _TornRecord as e:
+                on_torn(shard, good + off, str(e))
+                break
+            off = end
+        good += off
+    shard.scanned = good
+    shard.note_stat(fh)
+
+
+def _append(shard: _Shard, on_torn: Callable[[_Shard, int, str], None]) -> None:
+    """Append ``shard.pending`` under the exclusive lock with one
+    ``fsync``, then advance the view past the bytes just written."""
+    pending = shard.pending
+    shard.pending = []
+    records = b"".join(rec for *_, rec in pending)
+    with _Flock(shard.lock_path, exclusive=True):
+        try:
+            fh = open(shard.path, "r+b")
+        except FileNotFoundError:
+            fh = open(shard.path, "w+b")
+        with fh:
+            if os.fstat(fh.fileno()).st_size < _HEADER.size:
+                fh.seek(0)
+                fh.truncate(0)
+                fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
+                # Flush before any fstat: a buffered header would read
+                # as an empty file and spuriously reset the view.
+                fh.flush()
+                shard.generation = 0
+                shard.scanned = _HEADER.size
+            # Catch up on other writers' appends, then cut any torn
+            # tail: we hold the exclusive lock, so an invalid tail
+            # cannot be an append in flight — it is a crash residue.
+            _scan(shard, fh, on_torn)
+            if os.fstat(fh.fileno()).st_size > shard.scanned:
+                fh.truncate(shard.scanned)
+            fh.seek(shard.scanned)
+            fh.write(records)
+            fh.flush()
+            os.fsync(fh.fileno())
+            # Nobody else can append or compact while we hold the lock,
+            # so the log is exactly the scanned prefix plus our records:
+            # skip reading them back, and replay their decoded form so
+            # the view orders them after the catch-up (a catch-up that
+            # reset the view or tombstoned one of them is repaired).
+            shard.scanned += len(records)
+            for rtype, fp, value, _rec in pending:
+                shard.apply(rtype, fp, value)
+            shard.note_stat(fh)
+            shard.torn_at = -1
+
+
+def _ignore_torn(shard: _Shard, offset: int, why: str) -> None:
+    pass
+
+
+def _flush_at_exit(shards: list[_Shard], lock: threading.Lock, pid: int) -> None:
+    """The finalizer of a handle nobody closed: append what is pending
+    (in the process that buffered it — never in a forked child)."""
+    if os.getpid() != pid:
+        return
+    with lock:
+        for shard in shards:
+            if shard.pending:
+                try:
+                    _append(shard, _ignore_torn)
+                except OSError:
+                    pass  # a lost record costs a recompute, nothing more
 
 
 class ResultStore:
@@ -266,6 +463,13 @@ class ResultStore:
         ]
         for shard in self._shards:
             os.makedirs(os.path.dirname(shard.path), exist_ok=True)
+        #: Bytes buffered across all shards, and when the oldest of them
+        #: was buffered (``None`` while nothing is pending).
+        self._pending_bytes = 0
+        self._pending_since: float | None = None
+        weakref.finalize(
+            self, _flush_at_exit, self._shards, self._lock, os.getpid()
+        )
 
     # ------------------------------------------------------------------
     # Meta
@@ -302,105 +506,22 @@ class ResultStore:
         """First fingerprint byte picks the shard."""
         return fp[0] % self.n_shards
 
-    def _key_of(self, canon: "CanonicalInstance | Hashable") -> Hashable:
+    @staticmethod
+    def _address(
+        canon: "CanonicalInstance | Hashable",
+    ) -> tuple[Hashable, bytes]:
+        """The canonical key and its fingerprint — computed once per
+        :class:`~repro.engine.cache.CanonicalInstance`, shared by its
+        lookup and its put."""
+        fp = getattr(canon, "fingerprint", None)
+        if fp is not None:
+            return canon.key, fp
         key = getattr(canon, "key", canon)
-        return key
+        return key, fingerprint_key(key)
 
     # ------------------------------------------------------------------
     # Scanning
     # ------------------------------------------------------------------
-    def _read_header(self, fh, shard: _Shard) -> int | None:
-        """Validate the header; returns the generation or ``None`` when
-        the file is empty / shorter than a header (treated as new)."""
-        fh.seek(0)
-        raw = fh.read(_HEADER.size)
-        if len(raw) < _HEADER.size:
-            return None
-        magic, version, _reserved, generation = _HEADER.unpack(raw)
-        if magic != MAGIC:
-            raise StoreFormatError(
-                f"bad magic {magic!r}; not a result-store shard", shard.path
-            )
-        if version != VERSION:
-            raise StoreFormatError(
-                f"unsupported shard version {version}", shard.path
-            )
-        return generation
-
-    def _apply(self, shard: _Shard, rtype: int, payload: bytes) -> None:
-        shard.seq += 1
-        fp = payload[:_FP_LEN]
-        if rtype == REC_RECORD:
-            try:
-                entry = pickle.loads(payload[_FP_LEN:])
-            except Exception:
-                # Counted by the caller as torn (CRC passed but the
-                # pickle is not loadable — same recovery: skip).
-                raise _TornRecord("unpicklable entry payload")
-            shard.index[fp] = entry
-            shard.recency[fp] = shard.seq
-            ts = entry.get("ts")
-            if isinstance(ts, float):
-                shard.recency_ts[fp] = ts
-        elif rtype == REC_TOUCH:
-            if fp in shard.index:
-                shard.recency[fp] = shard.seq
-                if len(payload) >= _FP_LEN + _TS.size:
-                    shard.recency_ts[fp] = _TS.unpack_from(
-                        payload, _FP_LEN
-                    )[0]
-        elif rtype == REC_TOMBSTONE:
-            shard.index.pop(fp, None)
-            shard.recency.pop(fp, None)
-            shard.recency_ts.pop(fp, None)
-
-    def _scan(self, shard: _Shard, fh) -> None:
-        """Advance ``shard``'s view to the end of the good prefix."""
-        size = os.fstat(fh.fileno()).st_size
-        if size < shard.scanned:
-            shard.reset()  # compacted underneath us
-        gen = self._read_header(fh, shard)
-        if gen is None:
-            shard.scanned = 0
-            return
-        if shard.generation != -1 and gen != shard.generation:
-            shard.reset()
-        shard.generation = gen
-        good = max(shard.scanned, _HEADER.size)
-        if size <= good:
-            shard.scanned = good
-            return
-        fh.seek(good)
-        data = fh.read(size - good)
-        off = 0
-        n = len(data)
-        while off < n:
-            if off + _REC.size > n:
-                self._torn(shard, good + off, "truncated record header")
-                break
-            rtype, length, crc = _REC.unpack_from(data, off)
-            if rtype not in _REC_TYPES or length > MAX_PAYLOAD:
-                self._torn(
-                    shard, good + off,
-                    f"bad record header (type={rtype}, len={length})",
-                )
-                break
-            end = off + _REC.size + length
-            if end > n:
-                self._torn(shard, good + off, "truncated record payload")
-                break
-            payload = data[off + _REC.size:end]
-            if zlib.crc32(payload) != crc:
-                self._torn(shard, good + off, "payload CRC mismatch")
-                break
-            try:
-                self._apply(shard, rtype, payload)
-            except _TornRecord as e:
-                self._torn(shard, good + off, str(e))
-                break
-            off = end
-        shard.scanned = good + off
-
     def _torn(self, shard: _Shard, offset: int, why: str) -> None:
         if shard.torn_at == offset:
             return  # same in-flight tail as last refresh
@@ -412,10 +533,19 @@ class ResultStore:
         )
 
     def _refresh(self, shard: _Shard) -> None:
+        """Catch up on other writers — unless the log's stat shows
+        nothing new since the last scan.  A view that is stale anyway
+        (a same-size rewrite within the mtime granularity) can only
+        turn a hit into a miss, i.e. a recompute."""
         try:
+            st = os.stat(shard.path)
+            if st.st_size == shard.scanned and shard.stat == (
+                st.st_ino, st.st_size, st.st_mtime_ns
+            ):
+                return
             with _Flock(shard.lock_path, exclusive=False):
                 with open(shard.path, "rb") as fh:
-                    self._scan(shard, fh)
+                    _scan(shard, fh, self._torn)
         except FileNotFoundError:
             pass
 
@@ -430,8 +560,7 @@ class ResultStore:
         ``certificate``.  A fingerprint match with a different full key
         (hash collision / stale format) is a miss, never served.
         """
-        key = self._key_of(canon)
-        fp = fingerprint_key(key)
+        key, fp = self._address(canon)
         if self.chaos is not None:
             delay = self.chaos.store_delay(fp.hex(), "lookup")
             if delay > 0:
@@ -444,25 +573,23 @@ class ResultStore:
                 entry = shard.index.get(fp)
             if entry is None or entry.get("key") != key:
                 self.stats.misses += 1
+                self._maybe_commit()
                 return None
             self.stats.hits += 1
             # Cross-process LRU: recency travels as a TOUCH record
             # (timestamped, so quota reports can age entries).
             now = time.time()
-            shard.seq += 1
-            shard.recency[fp] = shard.seq
-            shard.recency_ts[fp] = now
-            shard.pending.append(_encode(REC_TOUCH, fp + _TS.pack(now)))
+            self._buffer(shard, REC_TOUCH, fp, now, fp + _TS.pack(now))
             out = dict(entry)
             out["stats"] = dict(entry.get("stats") or {})
+            self._maybe_commit()
         if self.chaos is not None and self.chaos.corrupts_store_record(fp.hex()):
             _tamper_entry(out)
         return out
 
     def contains(self, canon: "CanonicalInstance | Hashable") -> bool:
         """Uncounted probe (the ``batch --dry-run`` predictor)."""
-        key = self._key_of(canon)
-        fp = fingerprint_key(key)
+        key, fp = self._address(canon)
         with self._lock:
             shard = self._shards[self.shard_of(fp)]
             entry = shard.index.get(fp)
@@ -500,14 +627,16 @@ class ResultStore:
         stats: dict[str, Any],
         certificate: Any = None,
     ) -> None:
-        """Buffer one entry for the next :meth:`flush`.
+        """Buffer one entry for the next group commit.
 
-        The entry is visible to this process immediately; other
-        processes see it after the flush.  Payloads are pickled here so
-        later caller-side mutation cannot leak into the log.
+        The entry is visible to this handle immediately; other handles
+        and processes see it once it is flushed — when a budget
+        (:data:`PENDING_BYTES` / :data:`PENDING_AGE_S`) is spent at this
+        handle's next call, or at its owner's flush or close.  Payloads
+        are pickled here so later caller-side mutation cannot leak into
+        the log.
         """
-        key = self._key_of(canon)
-        fp = fingerprint_key(key)
+        key, fp = self._address(canon)
         entry = {
             "key": key,
             "holds": bool(holds),
@@ -524,85 +653,72 @@ class ResultStore:
         payload = fp + pickle.dumps(entry, protocol=4)
         with self._lock:
             shard = self._shards[self.shard_of(fp)]
-            shard.seq += 1
-            shard.index[fp] = entry
-            shard.recency[fp] = shard.seq
-            shard.recency_ts[fp] = entry["ts"]
-            shard.pending.append(_encode(REC_RECORD, payload))
+            self._buffer(shard, REC_RECORD, fp, entry, payload)
             self.stats.stores += 1
+            self._maybe_commit()
 
     def invalidate(self, canon: "CanonicalInstance") -> None:
         """Evict an entry whose verdict failed revalidation (tombstone
         persists the eviction so no later process trusts it either)."""
-        key = self._key_of(canon)
-        fp = fingerprint_key(key)
+        _key, fp = self._address(canon)
         with self._lock:
             shard = self._shards[self.shard_of(fp)]
-            present = shard.index.pop(fp, None)
-            shard.recency.pop(fp, None)
-            shard.recency_ts.pop(fp, None)
-            if present is not None or self._on_disk(shard, fp):
-                shard.pending.append(_encode(REC_TOMBSTONE, fp))
+            if fp not in shard.index:
+                self._refresh(shard)  # it may be on disk all the same
+            if fp in shard.index:
+                self._buffer(shard, REC_TOMBSTONE, fp, None, fp)
                 self.stats.tombstones += 1
+            self._maybe_commit()
 
-    def _on_disk(self, shard: _Shard, fp: bytes) -> bool:
-        self._refresh(shard)
-        return fp in shard.index
+    def _buffer(
+        self, shard: _Shard, rtype: int, fp: bytes, value: Any,
+        payload: bytes,
+    ) -> None:
+        """Apply a record to this handle's view now; queue it for the
+        next group commit (caller holds ``self._lock``)."""
+        shard.apply(rtype, fp, value)
+        record = _encode(rtype, payload)
+        shard.pending.append((rtype, fp, value, record))
+        self._pending_bytes += len(record)
+        if self._pending_since is None:
+            self._pending_since = time.monotonic()
+
+    def _maybe_commit(self) -> None:
+        """Group-commit once a budget is spent (caller holds the lock)."""
+        if self._pending_since is not None and (
+            self._pending_bytes >= PENDING_BYTES
+            or time.monotonic() - self._pending_since >= PENDING_AGE_S
+        ):
+            self._commit()
 
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
     def flush(self) -> None:
         """Append all buffered records — one exclusive lock and one
-        ``fsync`` per dirty shard — then compact if over budget."""
+        ``fsync`` per dirty shard — then compact if over budget (a
+        no-op when nothing is pending)."""
         with self._lock:
-            for shard in self._shards:
-                if shard.pending:
-                    self._flush_shard(shard)
-            if self.max_bytes is not None:
-                self._maybe_compact()
+            self._commit()
+
+    def _commit(self) -> None:
+        if self._pending_since is None:
+            return
+        for shard in self._shards:
+            if shard.pending:
+                self._flush_shard(shard)
+        self._pending_bytes = 0
+        self._pending_since = None
+        self._maybe_compact()
 
     def _flush_shard(self, shard: _Shard) -> None:
-        records = b"".join(shard.pending)
-        shard.pending.clear()
         if self.chaos is not None:
             delay = self.chaos.store_delay(
                 os.path.basename(os.path.dirname(shard.path)), "flush"
             )
             if delay > 0:
                 time.sleep(delay)
-        with _Flock(shard.lock_path, exclusive=True):
-            try:
-                fh = open(shard.path, "r+b")
-            except FileNotFoundError:
-                fh = open(shard.path, "w+b")
-            with fh:
-                if os.fstat(fh.fileno()).st_size < _HEADER.size:
-                    fh.seek(0)
-                    fh.truncate(0)
-                    fh.write(_HEADER.pack(MAGIC, VERSION, 0, 0))
-                    # Flush before any fstat: a buffered header would
-                    # read as an empty file and spuriously reset the
-                    # shard's in-memory view.
-                    fh.flush()
-                    shard.generation = 0
-                    shard.scanned = _HEADER.size
-                # Catch up on other writers' appends, then cut any torn
-                # tail: we hold the exclusive lock, so an invalid tail
-                # cannot be an append in flight — it is a crash residue.
-                self._scan(shard, fh)
-                if os.fstat(fh.fileno()).st_size > shard.scanned:
-                    fh.truncate(shard.scanned)
-                fh.seek(shard.scanned)
-                fh.write(records)
-                fh.flush()
-                os.fsync(fh.fileno())
-                # Re-scan over the appended records rather than trusting
-                # offset arithmetic: applying them is idempotent, and it
-                # repairs the view even when a concurrent compaction
-                # reset it mid-flush.
-                self._scan(shard, fh)
-                shard.torn_at = -1
+        _append(shard, self._torn)
 
     def total_bytes(self) -> int:
         total = 0
@@ -696,9 +812,7 @@ class ResultStore:
             return 0
         before = self.stats.evictions
         with self._lock:
-            for shard in self._shards:
-                if shard.pending:
-                    self._flush_shard(shard)
+            self._commit()
             self._maybe_compact()
         return self.stats.evictions - before
 
@@ -712,7 +826,7 @@ class ResultStore:
         with _Flock(shard.lock_path, exclusive=True):
             try:
                 with open(shard.path, "rb") as fh:
-                    self._scan(shard, fh)
+                    _scan(shard, fh, self._torn)
             except FileNotFoundError:
                 return
             by_recency = sorted(
@@ -745,6 +859,8 @@ class ResultStore:
                 os.fsync(fh.fileno())
                 new_size = fh.tell()
             os.replace(tmp, shard.path)
+            with open(shard.path, "rb") as fh:
+                shard.note_stat(fh)
             for fp in evicted:
                 shard.index.pop(fp, None)
                 shard.recency.pop(fp, None)
@@ -757,6 +873,8 @@ class ResultStore:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Flush what is pending.  The handle stays usable; a handle
+        never closed is flushed when collected or at interpreter exit."""
         self.flush()
 
     def __enter__(self) -> "ResultStore":

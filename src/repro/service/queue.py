@@ -146,8 +146,8 @@ class BoundedRequestQueue:
 
         With ``same``, only items whose ``same(value)`` equals the
         first item's key join the batch (the worker pool batches
-        same-tenant/same-options requests so one ``verify_many`` call
-        can dedup across them); others stay queued in order.
+        same-tenant/same-options requests so one batch plan can dedup
+        across them); others stay queued in order.
         """
         with self._cond:
             if not self._items:

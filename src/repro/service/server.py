@@ -15,8 +15,11 @@ explicit liveness beat):
   one round-trip, per-tenant share caps keep one flooder from
   occupying the queue;
 * **worker pool** — N threads draining same-tenant/same-options
-  batches into :func:`repro.engine.batch.verify_many`, so concurrent
-  duplicate requests are canonicalized, deduplicated and solved once;
+  batches into one batch plan (:func:`repro.engine.batch.run_plan`),
+  so concurrent duplicate requests are canonicalized, deduplicated and
+  solved once; a worker that finds the queue idle flushes the tenant
+  stores, so a request group's records reach disk off every request's
+  path;
   worker-process crash recovery, deadlines and fault injection ride
   the engine's existing :class:`ResiliencePolicy`;
 * **tenant stores** — per-client namespaces with independent LRU
@@ -49,7 +52,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, BinaryIO, Callable
 
 from repro.core.serialize import parse_trace_bytes
-from repro.engine.batch import verify_many
+from repro.engine.batch import plan_batch, run_plan
 from repro.engine.executor import ResiliencePolicy
 from repro.service import protocol
 from repro.service.protocol import (
@@ -71,8 +74,8 @@ from repro.service.queue import (
 )
 from repro.service.tenants import TenantLimitError, TenantStores
 
-#: Same-options requests gulped per worker batch, so one
-#: ``verify_many`` call sees a dedupable group.
+#: Same-options requests gulped per worker batch, so one batch
+#: plan sees a dedupable group.
 BATCH_WINDOW = 8
 
 _RECV_CHUNK = 1 << 16
@@ -469,6 +472,9 @@ class _Worker(Component):
                 ),
             )
             if not batch:
+                # Idle: the request group is over — its records become
+                # durable now, off every request's path.
+                server.tenants.flush_all()
                 continue
             self.busy = True
             try:
@@ -834,11 +840,12 @@ class VerificationServer:
                         self, response_error(pending.req.id, str(e))
                     )
                 return
-            outcomes = verify_many(
-                executions,
-                labels=[
-                    f"{p.req.source}#{p.req.id}" for p in pendings
-                ],
+            plan = plan_batch([
+                (f"{p.req.source}#{p.req.id}", ex, None)
+                for p, ex in zip(pendings, executions)
+            ])
+            outcomes, _stats = run_plan(
+                plan,
                 jobs=1,
                 cache=cache,
                 resilience=self._policy_for(req0),
@@ -851,7 +858,6 @@ class VerificationServer:
                 pending.respond(
                     self, response_for_outcome(pending.req.id, outcome)
                 )
-            cache.flush_store()
         except Exception as e:  # noqa: BLE001 — answer, then recover
             for pending in batch:
                 if not pending.responded:

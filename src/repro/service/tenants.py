@@ -100,7 +100,12 @@ class TenantStores:
             store.flush()
 
     def close_all(self) -> None:
-        self.flush_all()
+        """Close every tenant store (the drain's last durability
+        point)."""
+        with self._lock:
+            stores = list(self._stores.values())
+        for store in stores:
+            store.close()
 
     def quota_report(self) -> dict[str, Any]:
         """Per-tenant per-shard occupancy (see

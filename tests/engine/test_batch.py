@@ -17,6 +17,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.builder import parse_trace
+from repro.core.checker import is_coherent_schedule
 from repro.core.serialize import save
 from repro.core.types import Execution, OpKind, Operation
 from repro.engine import (
@@ -28,6 +29,7 @@ from repro.engine import (
     verify_many,
 )
 from repro.engine.batch import load_sources
+from repro.engine.certify import validate_result
 from repro.engine.store import ResultStore
 from tests.conftest import make_coherent_execution
 
@@ -127,6 +129,29 @@ class TestVerifyMany:
         assert [o.verdict for o in outcomes] == ["holds", "holds", "VIOLATED"]
         assert outcomes[0].provenance == {"solved": 1}
         assert outcomes[1].provenance == {"dedup": 1}
+
+    def test_duplicate_witness_uses_its_own_operations(self):
+        a = parse_trace("P0: W(x,1) R(x,1)")
+        b = parse_trace("P0: W(y,1) R(y,1)")
+        outcomes = verify_many([a, b])
+        assert outcomes[1].provenance == {"dedup": 1}
+        dup = outcomes[1].result.per_address["y"]
+        assert all(op.addr == "y" for op in dup.schedule)
+        assert is_coherent_schedule(b, dup.schedule, addr="y")
+
+    def test_cross_execution_duplicate_keeps_a_valid_certificate(self):
+        # The same instance up to renaming: another address, other
+        # values, and the two processes swapped.
+        a = parse_trace("P0: W(x,1) R(x,1)\nP1: R(x,1) W(x,2) R(x,2)")
+        b = parse_trace("P0: R(y,5) W(y,6) R(y,6)\nP1: W(y,5) R(y,5)")
+        outcomes = verify_many([a, b], certify="on")
+        assert outcomes[1].provenance == {"dedup": 1}
+        dup = outcomes[1].result.per_address["y"]
+        assert dup.certificate is not None and dup.stats["certified"]
+        assert {op.uid for op in dup.schedule} == {
+            op.uid for op in b.all_ops()
+        }
+        assert validate_result(b.restrict_to_address("y"), dup)
 
     def test_trivial_source(self):
         empty = Execution.from_ops([[]])
@@ -394,6 +419,22 @@ class TestBatchCLI:
         assert main(["verify", trace, "--store", store, "--stats"]) == 0
         out = capsys.readouterr().out
         assert "store: hits=1" in out
+
+    def test_campaign_second_run_served_from_store(self, tmp_path, capsys):
+        store = str(tmp_path / "store")
+        reports = []
+        for i in range(2):
+            path = tmp_path / f"campaign{i}.json"
+            rc = main([
+                "campaign", "--store", store, "--runs-per-cell", "2",
+                "--ops", "10", "--quiet", "--json", str(path),
+            ])
+            assert rc == 0
+            reports.append(json.loads(path.read_text()))
+        capsys.readouterr()
+        solved = reports[0]["provenance"]["solved"]
+        assert solved > 0
+        assert reports[1]["provenance"] == {"store": solved}
 
     def test_verify_store_rejected_for_sc(self, trace_dir, tmp_path, capsys):
         rc = main([

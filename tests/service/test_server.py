@@ -20,6 +20,7 @@ import pytest
 from repro.core.serialize_bin import dump_stream, dumps_bin
 from repro.engine.chaos import ChaosSpec
 from repro.engine.executor import ResiliencePolicy
+from repro.engine.store import ResultStore
 from repro.service import (
     ServiceClient,
     ServiceConfig,
@@ -135,6 +136,16 @@ class TestRequestResponse:
         assert b["provenance"].get("memory", 0) == 0
         assert b["provenance"].get("store", 0) == 0
         assert b["provenance"].get("solved", 0) >= 1
+
+    def test_idle_daemon_persists_its_answers(self, boot, tmp_path):
+        # No drain: an idle worker flushes the tenant store, so another
+        # process sees the answered instances while the daemon runs.
+        root = tmp_path / "stores"
+        srv = boot(store_root=os.fspath(root))
+        with _client(srv) as c:
+            assert c.verify(_execution(seed=12), tenant="alpha")["verdict"]
+        tenant_dir = root / "tenants" / "alpha"
+        assert _wait_for(lambda: len(ResultStore(tenant_dir)) > 0)
 
     def test_raw_stream_connection(self, boot):
         srv = boot()
