@@ -1,27 +1,29 @@
-"""Engine benchmark: pre-pass × jobs × portfolio racing.
+"""Engine benchmark: the default engine (pre-pass, then exact-vs-SAT
+race where the planner races) against forced backends.
 
 Two comparison matrices:
 
-* **Pre-pass / jobs matrix** (portfolio off, isolating those effects):
-  a corpus of multi-address coherent executions shaped like the worst
-  case the pre-pass targets — per address, a message-passing write
-  chain spread over many processes, closed by a re-write of the
-  initial value with a final-value constraint.  Without the pre-pass
-  the planner's estimate exceeds the exact-search budget and the task
-  pays the O(n^3)-clause CNF encoding; with it, every task downgrades
-  to the O(n log n) Section 5.2 backend.
+* **Pre-pass / jobs matrix**: a corpus of multi-address coherent
+  executions shaped like the worst case the pre-pass targets — per
+  address, a message-passing write chain spread over many processes,
+  closed by a re-write of the initial value with a final-value
+  constraint.  The ``baseline-*`` arms force ``method="sat-cdcl"``
+  (what the router picks for these tasks, run without a pre-pass) and
+  pay the O(n^3)-clause CNF encoding; under the default engine every
+  task downgrades to the O(n log n) Section 5.2 backend.
 
-* **Portfolio matrix** (pre-pass off, so the exponential tier is
-  exercised): a *mixed* corpus — chains (the frontier search wins in
-  milliseconds; SAT pays the cubic encoding), wide all-writer
+* **Portfolio matrix**: a *mixed* corpus — chains (the frontier search
+  wins in milliseconds; SAT pays the cubic encoding), wide all-writer
   instances with an unreachable final value (SAT refutes fast; the
-  uncapped search must exhaust ~10^5.8 states), and the
+  uncapped search must exhaust ~10^5.8 states), the
   ``consistency.generate`` sweep (tiny instances, race cutoff
-  territory).  ``race-portfolio`` runs the engine's exact-vs-SAT race,
-  ``race-exact-solo`` / ``race-sat-solo`` force each leg; the race
-  must be no slower than 1.25x the better solo leg (the CI regression
-  guard) and in practice beats both, since neither leg wins on every
-  family.
+  territory) and Figure 4.1 SAT -> VMC reductions (the paper's hard
+  shape: the pre-pass shrinks them but cannot decide them, so the
+  default engine races on them).  ``race-portfolio`` runs the default
+  engine, ``race-exact-solo`` / ``race-sat-solo`` force each leg with
+  ``method=``; the default must be no slower than 1.25x the better
+  solo leg (the CI regression guard) and in practice beats both, since
+  neither leg wins on every family.
 
 * **Kernel-scaling ladder**: one execution per size from 1k to 200k
   ops (chain blocks of ~1.6k ops per address), verified once under
@@ -30,8 +32,9 @@ Two comparison matrices:
   kernel; the numpy kernel must be >= 3x faster than the fallback at
   the largest size.
 
-* **Persistent-store arms**: a solve-heavy corpus (pre-pass and
-  portfolio off, so every unique instance pays the SAT route) verified
+* **Persistent-store arms**: a solve-heavy corpus (chains forced onto
+  ``method="sat-cdcl"``, so every unique instance pays the SAT route)
+  verified
   through the batch engine (``repro.engine.verify_many``) under four
   arms — store disabled, cold (empty store), warm (same store
   directory, fresh process) and a cold run at ``--jobs N`` (the
@@ -55,7 +58,8 @@ Two comparison matrices:
   pass replays everything and solves nothing, and the warm sweep beats
   the cold one by >= 3x past a measurement floor.
 
-* **Service arms**: the same solve-heavy chain shape sent as
+* **Service arms**: satisfiable Figure 4.1 reductions (solve-heavy
+  under the default engine, which races on them) sent as
   one-request-per-execution campaigns through a live ``repro serve``
   daemon (Unix socket, store-backed tenant tier) — a cold pass where
   every request pays a solve, then a warm re-run that must be answered
@@ -209,40 +213,62 @@ def wide_execution(nproc: int, length: int) -> Execution:
     return Execution.from_ops(ops, initial={"w": 0}, final={"w": 999})
 
 
+def build_fig_4_1_corpus(
+    n: int, num_vars: int = 4, num_clauses: int = 12,
+    satisfiable: bool | None = None,
+) -> list[Execution]:
+    """``n`` Figure 4.1 SAT -> VMC reductions of random 3-SAT formulas:
+    the pre-pass shrinks each one but cannot decide or downgrade it, so
+    the default engine races exact search against SAT on every one.
+    ``satisfiable`` keeps only the formulas a brute-force enumeration
+    labels so (coherent reductions)."""
+    from repro.reductions.sat_to_vmc import SatToVmc
+    from repro.sat.enumerate_models import brute_force_satisfiable
+    from repro.sat.random_sat import random_ksat
+
+    out: list[Execution] = []
+    seed = 0
+    while len(out) < n:
+        cnf = random_ksat(num_vars, num_clauses, k=3, seed=seed)
+        seed += 1
+        if satisfiable is None or (
+            (brute_force_satisfiable(cnf) is not None) == satisfiable
+        ):
+            out.append(SatToVmc(cnf).execution)
+    return out
+
+
 def build_race_corpus(quick: bool) -> list[Execution]:
     """Mixed corpus for the portfolio matrix: chain executions (exact
-    wins), wide executions (SAT wins) and the generate sweep (tiny,
-    below the race cutoff)."""
+    wins), wide executions (SAT wins), the generate sweep (tiny, below
+    the race cutoff) and Figure 4.1 reductions (raced)."""
     return (
         build_corpus(quick=True)
         + [wide_execution(6, 6)]
         + build_sweep(quick)
+        + (
+            build_fig_4_1_corpus(2, 3, 6) if quick
+            else build_fig_4_1_corpus(4, 4, 8)
+        )
     )
 
 
-# The pre-pass/jobs matrix runs with the portfolio off so the medians
-# isolate the pre-pass and parallelism effects.  ``jobs: 0`` means
+# The pre-pass/jobs matrix: the default engine against the SAT backend
+# its router picks when nothing pre-passes.  ``jobs: 0`` means
 # ``--jobs``; the engine then runs the process pool exactly when heavy
 # tasks survive the pre-pass, and each arm records which loop ran.
 CONFIGS: dict[str, dict] = {
-    "baseline-serial": {"prepass": False, "jobs": 1},
-    "baseline-jobs": {"prepass": False, "jobs": 0},
-    "prepass-serial": {"prepass": True, "jobs": 1},
-    "prepass-jobs": {"prepass": True, "jobs": 0},
+    "baseline-serial": {"method": "sat-cdcl", "jobs": 1},
+    "baseline-jobs": {"method": "sat-cdcl", "jobs": 0},
+    "prepass-serial": {"jobs": 1},
+    "prepass-jobs": {"jobs": 0},
 }
 
-# The portfolio matrix: race vs each leg solo, pre-pass off so the
-# exponential tier actually runs.
+# The portfolio matrix: the default engine vs each leg forced solo.
 RACE_CONFIGS: dict[str, dict] = {
-    "race-portfolio": {
-        "prepass": False, "jobs": 1, "portfolio": True,
-    },
-    "race-exact-solo": {
-        "prepass": False, "jobs": 1, "portfolio": "exact",
-    },
-    "race-sat-solo": {
-        "prepass": False, "jobs": 1, "portfolio": "sat",
-    },
+    "race-portfolio": {"jobs": 1},
+    "race-exact-solo": {"method": "exact", "jobs": 1},
+    "race-sat-solo": {"method": "sat-cdcl", "jobs": 1},
 }
 
 #: The regression guard: the race may cost at most this factor over the
@@ -254,21 +280,33 @@ PORTFOLIO_GUARD_RATIO = 1.25
 PORTFOLIO_GUARD_SLACK_S = 0.25
 
 # The resilience scenario: the mixed corpus under deterministic fault
-# injection (worker crashes recovered by retry, plus stalled portfolio
-# legs) versus the same corpus fault-free.  Rolls are seeded and keyed
+# injection (worker crashes recovered by retry, plus stalled legs of
+# the races on its Figure 4.1 reductions) versus the same corpus
+# fault-free.  Rolls are seeded and keyed
 # on (address, plan order), so the injected fault set is identical on
 # every run and machine; seed 2 is chosen so the sweep tasks keyed
 # 'x'#0 crash on their first attempt and recover on retry.
-RESILIENCE_CHAOS = ChaosSpec(
+class _CountedChaos(ChaosSpec):
+    """A chaos spec that counts the race legs it stalls, so the bench
+    can tell a spec that still injects from one that drifted."""
+
+    def leg_stall_s(self, key: str, leg: str) -> float:
+        stall = super().leg_stall_s(key, leg)
+        LEG_STALLS[0] += stall > 0
+        return stall
+
+
+LEG_STALLS = [0]
+RESILIENCE_CHAOS = _CountedChaos(
     crash=0.1, leg_stall=0.5, stall_s=0.02, seed=2
 )
 RESILIENCE_CONFIGS: dict[str, dict] = {
     "resilience-faultfree": {
-        "prepass": False, "jobs": 1, "portfolio": True,
+        "jobs": 1,
         "resilience": ResiliencePolicy(retries=3, backoff_s=0.001),
     },
     "resilience-chaos": {
-        "prepass": False, "jobs": 1, "portfolio": True,
+        "jobs": 1,
         "resilience": ResiliencePolicy(
             retries=3, backoff_s=0.001, chaos=RESILIENCE_CHAOS
         ),
@@ -287,18 +325,9 @@ RESILIENCE_GUARD_SLACK_S = 0.25
 # hints, preprocessing) for an auditable proof, so it is not free — the
 # guard keeps the premium honest.
 CERTIFY_CONFIGS: dict[str, dict] = {
-    "certify-off": {
-        "prepass": True, "jobs": 1, "portfolio": True,
-        "certify": "off",
-    },
-    "certify-on": {
-        "prepass": True, "jobs": 1, "portfolio": True,
-        "certify": "on",
-    },
-    "certify-strict": {
-        "prepass": True, "jobs": 1, "portfolio": True,
-        "certify": "strict",
-    },
+    "certify-off": {"jobs": 1, "certify": "off"},
+    "certify-on": {"jobs": 1, "certify": "on"},
+    "certify-strict": {"jobs": 1, "certify": "strict"},
 }
 
 #: Producing + validating certificates may cost at most this factor
@@ -359,7 +388,7 @@ def run_scaling(quick: bool) -> tuple[dict, bool]:
         for b in backends:
             with kernels.use(b):
                 t0 = time.perf_counter()
-                r = verify_vmc(ex, prepass=True, jobs=1, cache=False)
+                r = verify_vmc(ex, jobs=1, cache=False)
             dt = time.perf_counter() - t0
             times[b].append(round(dt, 4))
             if not r:
@@ -588,12 +617,13 @@ def run_streaming(quick: bool) -> tuple[dict, bool]:
     return payload, guard_ok
 
 
-# The persistent-store scenario: chain executions with pre-pass and
-# portfolio off, so every unique (execution, address) instance routes
-# to the SAT tier and the solve dominates the canonicalization both
-# cold and warm arms share.  Lengths vary per seed so no two instances
-# canonicalize to the same fingerprint — the arms measure store
-# round-trips, not batch-internal dedup (that has its own tests).
+# The persistent-store scenario: chain executions forced onto the SAT
+# backend (``method="sat-cdcl"``: no pre-pass, no race), so every
+# unique (execution, address) instance pays a deterministic SAT solve
+# that dominates the canonicalization both cold and warm arms share.
+# Lengths vary per seed so no two instances canonicalize to the same
+# fingerprint — the arms measure store round-trips, not batch-internal
+# dedup (that has its own tests).
 #: Warm (store-served) must beat cold (store-populating) by this
 #: factor.  The headline result is far larger — a disk read versus a
 #: SAT solve — but CI machines are noisy, so the guard is conservative.
@@ -637,8 +667,7 @@ def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
     def arm(cache: ResultCache, store, njobs: int = 1):
         t0 = time.perf_counter()
         outcomes = verify_many(
-            corpus, jobs=njobs, cache=cache, store=store,
-            prepass=False, portfolio=False,
+            corpus, jobs=njobs, cache=cache, store=store, method="sat-cdcl",
         )
         dt = time.perf_counter() - t0
         holds = 0
@@ -655,9 +684,7 @@ def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
     t0 = time.perf_counter()
     base_holds = 0
     for ex in corpus:
-        r = verify_vmc(
-            ex, prepass=False, jobs=1, cache=False, portfolio=False
-        )
+        r = verify_vmc(ex, method="sat-cdcl", jobs=1, cache=False)
         base_holds += bool(r)
     baseline_s = round(time.perf_counter() - t0, 4)
     print(f"store baseline-loop   {baseline_s * 1e3:>9.1f}ms")
@@ -781,10 +808,10 @@ SERVICE_GUARD_DRAIN_S = 10.0
 
 
 def build_service_corpus(quick: bool) -> list[Execution]:
-    """Solve-heavy chains, one request each — cold requests pay a SAT
-    solve, warm re-runs must be answered off the tenant tier."""
-    n = 6 if quick else 10
-    return [corpus_execution(1, 8, 23 + 2 * s, seed=s) for s in range(n)]
+    """Solve-heavy coherent executions, one request each — cold
+    requests pay a race, warm re-runs must be answered off the tenant
+    tier."""
+    return build_fig_4_1_corpus(6 if quick else 10, satisfiable=True)
 
 
 def run_service(quick: bool) -> tuple[dict, bool]:
@@ -804,12 +831,7 @@ def run_service(quick: bool) -> tuple[dict, bool]:
     print(f"service corpus: {len(corpus)} executions (one request each)")
 
     direct_holds = sum(
-        bool(
-            verify_vmc(
-                ex, prepass=False, jobs=1, cache=False, portfolio=False
-            )
-        )
-        for ex in corpus
+        bool(verify_vmc(ex, jobs=1, cache=False)) for ex in corpus
     )
 
     def campaign(sock: str, tag: str):
@@ -832,8 +854,6 @@ def run_service(quick: bool) -> tuple[dict, bool]:
                 socket_path=sock,
                 workers=2,
                 store_root=os.path.join(tmp, "stores"),
-                prepass=False,
-                portfolio=False,
             )
         )
         srv.start()
@@ -1072,7 +1092,7 @@ def run_config(
     corpus: list[Execution], cfg: dict, jobs: int, repeats: int
 ) -> dict:
     njobs = cfg["jobs"] or jobs
-    portfolio = cfg.get("portfolio", False)
+    method = cfg.get("method", "auto")
     resilience = cfg.get("resilience")
     certify = cfg.get("certify", "off")
     times: list[float] = []
@@ -1089,10 +1109,9 @@ def run_config(
         for ex in corpus:
             r = verify_vmc(
                 ex,
-                prepass=cfg["prepass"],
+                method=method,
                 jobs=njobs,
                 cache=False,
-                portfolio=portfolio,
                 resilience=resilience,
                 certify=certify,
             )
@@ -1114,10 +1133,9 @@ def run_config(
                         race_wins[leg] = race_wins.get(leg, 0) + n
         times.append(time.perf_counter() - t0)
     out = {
-        "prepass": cfg["prepass"],
+        "method": method,
         "jobs": njobs,
         "pool": "+".join(sorted(pools)),
-        "portfolio": portfolio,
         "times_s": [round(t, 4) for t in times],
         "median_s": round(statistics.median(times), 4),
         "holds": holds,
@@ -1186,7 +1204,7 @@ def main(argv: list[str] | None = None) -> int:
         r = results[name]
         print(
             f"{name:<18} median {r['median_s'] * 1e3:>9.1f}ms  "
-            f"(prepass={'on' if r['prepass'] else 'off'}, "
+            f"(method={r['method']}, "
             f"jobs={r['jobs']}, pool={r['pool']})"
         )
         if r["holds"] != r["instances"]:
@@ -1245,6 +1263,10 @@ def main(argv: list[str] | None = None) -> int:
     if any(a["holds"] != arms[0]["holds"] for a in arms[1:]):
         print("error: portfolio arms disagree on verdicts", file=sys.stderr)
         return 1
+    if not race_results["race-portfolio"].get("races"):
+        print("error: the default engine raced nothing on the race corpus",
+              file=sys.stderr)
+        return 1
 
     portfolio_median = race_results["race-portfolio"]["median_s"]
     best_solo = min(
@@ -1266,20 +1288,27 @@ def main(argv: list[str] | None = None) -> int:
     # injected crashes and stalled legs — recovery overhead is guarded.
     resilience_results: dict[str, dict] = {}
     for name, cfg in RESILIENCE_CONFIGS.items():
+        LEG_STALLS[0] = 0
         resilience_results[name] = run_config(
             race_corpus, cfg, args.jobs, repeats
         )
         r = resilience_results[name]
+        r["leg_stalls"] = LEG_STALLS[0]
         print(
             f"{name:<22} median {r['median_s'] * 1e3:>9.1f}ms  "
             f"coherent {r['holds']}/{r['instances']}  "
             f"crashes={r['crashes']} retries={r['retries']} "
-            f"quarantined={r['quarantined']} unknown={r['unknown']}"
+            f"quarantined={r['quarantined']} unknown={r['unknown']} "
+            f"leg_stalls={r['leg_stalls']}"
         )
     faultfree = resilience_results["resilience-faultfree"]
     chaotic = resilience_results["resilience-chaos"]
     if chaotic["crashes"] == 0:
         print("error: chaos arm injected no crashes (spec drifted?)",
+              file=sys.stderr)
+        return 1
+    if chaotic["leg_stalls"] == 0:
+        print("error: chaos arm stalled no race leg (spec drifted?)",
               file=sys.stderr)
         return 1
     if chaotic["unknown"] or chaotic["holds"] != faultfree["holds"]:

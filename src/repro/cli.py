@@ -7,11 +7,11 @@ Commands:
   under any suffix — or the compact text format); ``--sc`` checks
   sequential consistency instead; ``--model NAME`` checks a
   consistency model (TSO/PSO/RMO/SC/coherence); ``--method NAME``
-  forces an engine backend, ``--jobs N`` verifies addresses in
-  parallel on worker processes when heavy tasks survive the pre-pass,
-  ``--no-prepass`` disables the polynomial pre-pass,
-  ``--no-portfolio`` disables exact-vs-SAT racing on the exponential
-  tier, ``--stats`` prints the engine report.  Resilience knobs:
+  forces an engine backend (run alone: no pre-pass, no exact-vs-SAT
+  race — the automatic planner decides both from the instance
+  otherwise), ``--jobs N`` verifies addresses in parallel on worker
+  processes when heavy tasks survive the pre-pass, ``--stats`` prints
+  the engine report.  Resilience knobs:
   ``--timeout S`` caps the whole run, ``--task-timeout S`` caps each
   per-address task, ``--retries N`` sets the crash-retry budget, and
   ``--chaos SPEC`` (gated behind the ``REPRO_CHAOS`` environment
@@ -256,8 +256,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             result = verify_sequential_consistency(
                 execution,
                 method=args.method,
-                prepass=not args.no_prepass,
-                portfolio=args.portfolio,
                 resilience=resilience,
                 certify=args.certify,
             )
@@ -268,8 +266,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 method=args.method,
                 jobs=args.jobs,
                 cache=cache,
-                prepass=not args.no_prepass,
-                portfolio=args.portfolio,
                 resilience=resilience,
                 certify=args.certify,
             )
@@ -344,8 +340,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
             store=store,
             resilience=resilience,
             certify=args.certify,
-            prepass=not args.no_prepass,
-            portfolio=args.portfolio,
             dry_run=args.dry_run,
         )
         if args.store_quota_report and store is not None:
@@ -636,8 +630,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         store_quota_mb=args.store_max_mb,
         max_tenants=args.max_tenants,
         certify=args.certify,
-        prepass=not args.no_prepass,
-        portfolio=args.portfolio,
         resilience=resilience,
         drain_grace_s=args.drain_grace,
         heartbeat_s=args.heartbeat,
@@ -920,8 +912,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--method",
         default="auto",
-        help="force a verification backend (e.g. exact, readmap, sat-cdcl); "
-        "errors with the applicable backends when it cannot decide the trace",
+        help="force a verification backend (e.g. exact, readmap, sat-cdcl), "
+        "run alone with no pre-pass and no exact-vs-SAT race; errors with "
+        "the applicable backends when it cannot decide the trace",
     )
     p.add_argument(
         "--jobs",
@@ -929,20 +922,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="verify addresses in parallel on N worker processes when "
         "heavy exponential-tier tasks survive the pre-pass (must be >= 1)",
-    )
-    p.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="skip the polynomial pre-pass (inference/elimination) before "
-        "the exponential backends",
-    )
-    p.add_argument(
-        "--portfolio",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="race exact search vs SAT on exponential-tier tasks, first "
-        "sound verdict wins (--no-portfolio keeps the router's single "
-        "choice)",
     )
     p.add_argument(
         "--certify",
@@ -1030,18 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the machine-readable batch report to FILE "
         "('-' prints it to stdout)",
-    )
-    p.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="skip the polynomial pre-pass before the exponential "
-        "backends",
-    )
-    p.add_argument(
-        "--portfolio",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="race exact search vs SAT on exponential-tier tasks",
     )
     p.add_argument(
         "--certify",
@@ -1211,18 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="off",
         help="default certification mode for requests that do not "
         "choose their own",
-    )
-    p.add_argument(
-        "--no-prepass",
-        action="store_true",
-        help="skip the polynomial pre-pass before the exponential "
-        "backends",
-    )
-    p.add_argument(
-        "--portfolio",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="race exact search vs SAT on exponential-tier tasks",
     )
     p.add_argument(
         "--timeout",

@@ -20,9 +20,8 @@ extensible pipeline:
   :class:`EngineReport` (the CLI's ``--stats``).
 
 The public verifiers in :mod:`repro.core.vmc` / :mod:`repro.core.vsc`
-are thin shims over :func:`verify_vmc` / :func:`verify_vsc`; call the
-engine directly for the extra knobs (jobs, shared caches, custom
-registries).  See ``docs/engine.md``.
+are re-exports of :func:`verify_vmc` / :func:`verify_vsc`.  See
+``docs/engine.md``.
 """
 
 from __future__ import annotations
@@ -186,23 +185,20 @@ def verify_vmc(
     cache: "ResultCache | bool | None" = None,
     registry: BackendRegistry | None = None,
     early_exit: bool = True,
-    prepass: bool = True,
-    portfolio=True,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> VerificationResult:
     """Decide whether the execution is coherent (Section 3): a coherent
     schedule exists for *every* address.
 
-    Plans one task per constrained address (each shrunk or decided by
-    the polynomial pre-pass unless ``prepass=False``), runs them (in
-    parallel on worker processes when ``jobs > 1`` and the plan still
-    contains heavy exponential-tier work), and aggregates.  ``portfolio``
-    controls the exponential tier: True races exact search vs SAT per
-    task, ``"exact"``/``"sat"`` force that leg, False keeps the
-    router's single choice.  Per-address results (with witnesses) are
-    in ``result.per_address``; execution statistics are in
-    ``result.report``.
+    Plans one task per constrained address, runs them (in parallel on
+    worker processes when ``jobs > 1`` and the plan still contains
+    heavy exponential-tier work), and aggregates.  Under
+    ``method="auto"`` the planner decides from each instance whether
+    the polynomial pre-pass runs and whether exact search races SAT;
+    a forced ``method`` runs that backend alone, with neither.
+    Per-address results (with witnesses) are in ``result.per_address``;
+    execution statistics are in ``result.report``.
 
     ``resilience`` (a :class:`ResiliencePolicy`) adds deadlines, crash
     retries and fault injection; tasks abandoned under it yield sound
@@ -226,8 +222,7 @@ def verify_vmc(
     results, report = _plan_and_execute(
         lambda c: plan_vmc(
             execution, method=method, write_orders=write_orders,
-            registry=registry, prepass=prepass, portfolio=portfolio,
-            cache=c, certify=certify,
+            registry=registry, cache=c, certify=certify,
         ),
         _resolve_cache(cache),
         jobs=jobs, early_exit=early_exit, problem="vmc",
@@ -279,8 +274,6 @@ def verify_vmc_at(
     write_order: Sequence[Operation] | None = None,
     cache: "ResultCache | bool | None" = False,
     registry: BackendRegistry | None = None,
-    prepass: bool = True,
-    portfolio=True,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> VerificationResult:
@@ -291,10 +284,7 @@ def verify_vmc_at(
         write_order=write_order, problem="vmc",
     )
     results, report = _plan_and_execute(
-        lambda c: [plan_task(
-            0, addr, instance, method, registry, prepass, portfolio,
-            c, certify,
-        )],
+        lambda c: [plan_task(0, addr, instance, method, registry, c, certify)],
         _resolve_cache(cache),
         problem="vmc", resilience=resilience, certify=certify,
     )
@@ -308,8 +298,6 @@ def verify_vsc(
     method: str = "auto",
     cache: "ResultCache | bool | None" = False,
     registry: BackendRegistry | None = None,
-    prepass: bool = True,
-    portfolio=True,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> VerificationResult:
@@ -318,8 +306,8 @@ def verify_vsc(
     once, so there is a single task — no per-address parallelism."""
     results, report = _plan_and_execute(
         lambda c: plan_vsc(
-            execution, method=method, registry=registry, prepass=prepass,
-            portfolio=portfolio, cache=c, certify=certify,
+            execution, method=method, registry=registry, cache=c,
+            certify=certify,
         ),
         _resolve_cache(cache),
         problem="vsc", resilience=resilience, certify=certify,

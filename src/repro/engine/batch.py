@@ -39,10 +39,22 @@ from typing import Any, Mapping, Sequence
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import Instance
-from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
-from repro.engine.certify import CertificationError
+from repro.engine.cache import (
+    CanonicalInstance,
+    ResultCache,
+    canonicalize,
+    from_canonical,
+    to_canonical,
+)
+from repro.engine.certify import (
+    CertificationError,
+    recertify,
+    refuse,
+    validate_result,
+)
 from repro.engine.executor import ResiliencePolicy, execute_tasks
-from repro.engine.planner import plan_task
+from repro.engine.planner import key_method, plan_task
+from repro.engine.registry import vmc_registry
 from repro.engine.store import ResultStore
 
 
@@ -56,10 +68,11 @@ class BatchTask:
     source: int
     address: Any
     unique: int
-    #: A duplicate's own canonical op listing (``None`` for the task
-    #: that represents its unique): the unique's witness is mapped
-    #: onto these operations, position by position.
-    ops: list[Operation] | None = None
+    #: A duplicate's own canonical form and sub-execution (``None``
+    #: for the task that represents its unique): the unique's witness
+    #: and certificate are mapped onto its operations through it.
+    canon: CanonicalInstance | None = None
+    sub: Execution | None = None
 
 
 @dataclass
@@ -107,6 +120,9 @@ class BatchPlan:
     #: Uniques already present in the store (``--dry-run`` predictor;
     #: -1 = no store attached).
     predicted_store_hits: int = -1
+    #: The requested method: part of every task's key, and the backend
+    #: each unique is planned with.
+    method: str = "auto"
 
     @property
     def dedup_ratio(self) -> float:
@@ -143,6 +159,7 @@ def plan_batch(
     write_orders: Sequence[Mapping[Address, Sequence[Operation]] | None]
     | None = None,
     store: ResultStore | None = None,
+    method: str = "auto",
 ) -> BatchPlan:
     """Canonicalize and deduplicate every (source, address) task.
 
@@ -150,6 +167,7 @@ def plan_batch(
     a failed load arrives as ``(label, None, message)`` and is carried
     through to the report without sinking the batch.
     """
+    key = key_method(method, vmc_registry())
     labels = [label for label, _, _ in sources]
     errors = {
         i: err for i, (_, ex, err) in enumerate(sources) if err is not None
@@ -164,9 +182,8 @@ def plan_batch(
         for addr in execution.constrained_addresses():
             sub = execution.restrict_to_address(addr)
             wo = wos.get(addr) if wos else None
-            canon = canonicalize(sub, wo, "vmc", "auto")
+            canon = canonicalize(sub, wo, "vmc", key)
             uidx = by_key.get(canon.key)
-            ops = None
             if uidx is None:
                 uidx = by_key[canon.key] = len(uniques)
                 uniques.append(
@@ -177,12 +194,10 @@ def plan_batch(
                         write_order=wo,
                     )
                 )
+                tasks.append(BatchTask(i, addr, uidx))
             else:
                 uniques[uidx].count += 1
-                ops = canon.ops
-            tasks.append(
-                BatchTask(source=i, address=addr, unique=uidx, ops=ops)
-            )
+                tasks.append(BatchTask(i, addr, uidx, canon=canon, sub=sub))
     predicted = -1
     if store is not None:
         predicted = sum(1 for u in uniques if store.contains(u.canon))
@@ -192,6 +207,7 @@ def plan_batch(
         uniques=uniques,
         errors=errors,
         predicted_store_hits=predicted,
+        method=method,
     )
 
 
@@ -229,8 +245,6 @@ def _decide(
     cache: ResultCache,
     policy: ResiliencePolicy | None,
     certify: str,
-    prepass: bool,
-    portfolio: Any,
     stats: BatchStats,
 ) -> dict[int, VerificationResult]:
     """Plan the given uniques against the cache and run what it misses
@@ -242,9 +256,8 @@ def _decide(
             u.sub, address=u.address, write_order=u.write_order
         )
         tasks.append(plan_task(
-            uidx, u.address, instance, prepass=prepass,
-            portfolio=portfolio, cache=cache, certify=certify,
-            canon=u.canon,
+            uidx, u.address, instance, plan.method, cache=cache,
+            certify=certify, canon=u.canon,
         ))
     results, report = execute_tasks(
         tasks, jobs=jobs, cache=cache, early_exit=False,
@@ -297,22 +310,21 @@ def _fan_out(
     result: VerificationResult,
     task: BatchTask,
     canon: CanonicalInstance,
+    certify: str,
 ) -> VerificationResult:
     """The unique's result as the duplicate ``task`` sees it: addressed
-    to its own address, and with the witness re-materialized onto its
-    own operations through the shared canonical positions — the same
-    mapping a cache hit uses."""
-    if task.ops is None and task.address == result.address:
+    to its own address, with the witness and certificate mapped onto
+    its own operations through the shared canonical form — the helper
+    pair a cache hit uses.  A ``rup`` proof cannot be mapped; when it
+    does not check on the duplicate it is re-derived there, and a
+    duplicate whose verdict still fails certification is never served
+    as certified."""
+    if task.canon is None:
         return result
-    schedule = result.schedule
-    if task.ops is not None and schedule is not None:
-        try:
-            schedule = [task.ops[canon.index_of[op.uid]] for op in schedule]
-        except KeyError:
-            # A witness op outside the canonical listing (as in
-            # ResultCache.store): no witness beats a foreign one.
-            schedule = None
-    return VerificationResult(
+    schedule, certificate = from_canonical(
+        task.canon, *to_canonical(canon, result.schedule, result.certificate)
+    )
+    out = VerificationResult(
         holds=result.holds,
         method=result.method,
         schedule=schedule,
@@ -320,8 +332,16 @@ def _fan_out(
         address=task.address,
         stats=dict(result.stats),
         unknown=result.unknown,
-        certificate=result.certificate,
+        certificate=certificate,
     )
+    if not (result.violated and result.stats.get("certified")) or (
+        certificate is not None and certificate.kind != "rup"
+    ):
+        return out
+    check = validate_result(task.sub, out)
+    if check or recertify(task.sub, out):
+        return out
+    return refuse(out, check, certify, f"duplicate at {task.address!r}")
 
 
 def _classify(result: VerificationResult) -> str:
@@ -339,8 +359,6 @@ def run_plan(
     store: ResultStore | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-    prepass: bool = True,
-    portfolio: Any = True,
 ) -> tuple[list[SourceOutcome], BatchStats]:
     """Decide a planned batch and fan results back to the sources.
 
@@ -356,7 +374,7 @@ def run_plan(
     )
     if cache is None:
         cache = ResultCache(store=store)
-    args = (jobs, cache, resilience, certify, prepass, portfolio, stats)
+    args = (jobs, cache, resilience, certify, stats)
     decided: dict[int, tuple[VerificationResult | None, str | None]]
     try:
         results = _decide(plan, range(len(plan.uniques)), *args)
@@ -388,6 +406,13 @@ def run_plan(
             outcome.error = err
             continue
         assert result is not None
+        try:
+            item = _fan_out(
+                result, task, plan.uniques[task.unique].canon, certify
+            )
+        except CertificationError as e:
+            outcome.error = f"certification failed: {e}"
+            continue
         if task.unique not in served:
             served.add(task.unique)
             outcome.unique += 1
@@ -399,13 +424,12 @@ def run_plan(
             kind = "dedup"
             stats.dedup_served += 1
         outcome.provenance[kind] = outcome.provenance.get(kind, 0) + 1
-        if result.stats.get("certified"):
+        if item.stats.get("certified"):
             outcome.certified += 1
             stats.certified += 1
-        items_by_source.setdefault(task.source, []).append((
-            task.address,
-            _fan_out(result, task, plan.uniques[task.unique].canon),
-        ))
+        items_by_source.setdefault(task.source, []).append(
+            (task.address, item)
+        )
     for i, outcome in enumerate(outcomes):
         if outcome.error is not None:
             stats.errors += 1
@@ -435,8 +459,7 @@ def verify_many(
     store: ResultStore | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-    prepass: bool = True,
-    portfolio: Any = True,
+    method: str = "auto",
 ) -> list[SourceOutcome]:
     """Verify many in-memory executions as one deduplicated batch.
 
@@ -447,7 +470,7 @@ def verify_many(
     :class:`SourceOutcome` per execution, in order; a per-execution
     engine exception lands in ``outcome.error`` instead of raising.
     The store is flushed once, at the end: the batch is one durability
-    point.
+    point.  ``method`` forces a backend, as ``verify_vmc``'s does.
     """
     if labels is None:
         labels = [f"<execution {i}>" for i in range(len(executions))]
@@ -455,7 +478,7 @@ def verify_many(
         (label, execution, None)
         for label, execution in zip(labels, executions)
     ]
-    plan = plan_batch(sources, write_orders=write_orders)
+    plan = plan_batch(sources, write_orders=write_orders, method=method)
     if cache is not None:
         store = cache.store_tier  # run_plan decides through the cache
     outcomes, _stats = run_plan(
@@ -465,8 +488,6 @@ def verify_many(
         store=store,
         resilience=resilience,
         certify=certify,
-        prepass=prepass,
-        portfolio=portfolio,
     )
     if store is not None:
         store.flush()
@@ -501,8 +522,6 @@ def run_batch(
     cache: ResultCache | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-    prepass: bool = True,
-    portfolio: Any = True,
     dry_run: bool = False,
 ) -> dict[str, Any]:
     """Verify a list of trace files as one campaign.
@@ -560,8 +579,6 @@ def run_batch(
         store=store,
         resilience=resilience,
         certify=certify,
-        prepass=prepass,
-        portfolio=portfolio,
     )
     if store is not None:
         store.flush()

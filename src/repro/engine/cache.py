@@ -22,12 +22,15 @@ Canonicalization (:func:`canonicalize`):
   invariant under most process permutations.
 
 Equal fingerprints imply the two instances are isomorphic (the
-fingerprint is a faithful relabeling), so a cached verdict — and a
-cached witness, stored as canonical op positions and mapped back onto
-the new execution's operations — is always correct.  The converse does
-not hold: some isomorphic pairs hash differently (value ids are
-assigned before histories are sorted), which only costs a cache miss,
-never a wrong answer.
+fingerprint is a faithful relabeling), so a cached verdict — and its
+witness and certificate, stored by canonical op position and canonical
+address id (:func:`to_canonical`) and mapped back onto the new
+execution's operations (:func:`from_canonical`) — is always correct.
+The one exception is a ``rup`` proof: it numbers CNF variables, not
+operations, so it is stored verbatim and re-checked on every certified
+hit.  Isomorphism does not imply equal fingerprints: some isomorphic
+pairs hash differently (value ids are assigned before histories are
+sorted), which only costs a cache miss, never a wrong answer.
 """
 
 from __future__ import annotations
@@ -35,10 +38,10 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Hashable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro.core.result import Certificate, VerificationResult
-from repro.core.types import Execution, Operation
+from repro.core.types import Address, Execution, Operation
 from repro.engine.store import fingerprint_key
 
 if TYPE_CHECKING:
@@ -55,6 +58,10 @@ class CanonicalInstance:
     ops: list[Operation]
     #: uid -> position in ``ops``.
     index_of: dict[tuple[int, int], int]
+    #: Canonical address id -> the original address.
+    addrs: list[Address]
+    #: The uids of the supplied write-order (None without one).
+    write_order_uids: tuple | None = None
 
     @cached_property
     def fingerprint(self) -> bytes:
@@ -181,7 +188,104 @@ def canonicalize(
         constraints,
         wo_key,
     )
-    return CanonicalInstance(key=key, ops=flat, index_of=index_of)
+    return CanonicalInstance(
+        key=key,
+        ops=flat,
+        index_of=index_of,
+        addrs=[view.addrs[ai] for ai in addr_order],
+        write_order_uids=(
+            tuple(op.uid for op in write_order)
+            if write_order is not None else None
+        ),
+    )
+
+
+def _map_certificate(
+    cert: Certificate | None, op: Callable, addr: Callable, order: Callable
+) -> Certificate | None:
+    """``cert`` with its operations mapped by ``op``, its addresses by
+    ``addr`` and an ``order`` payload by ``order``; None when one cannot
+    be mapped.  ``witness`` and ``rup`` payloads pass verbatim (a rup
+    proof numbers CNF variables, which no relabeling maps)."""
+    if cert is None:
+        return None
+    kind, payload = cert.kind, cert.payload
+    try:
+        if kind == "cycle":
+            steps, cycle = payload
+            payload = (
+                tuple(
+                    (op(u), op(v), rule, aux and (op(aux[0]), op(aux[1])))
+                    for u, v, rule, aux in steps
+                ),
+                tuple(map(op, cycle)),
+            )
+        elif kind == "infeasible":
+            tag, arg = payload
+            payload = (tag, op(arg) if tag == "read-impossible" else addr(arg))
+        elif kind == "order":
+            payload = order(payload)
+    except (KeyError, ValueError, TypeError, IndexError):
+        return None
+    return Certificate(kind, payload)
+
+
+def _at(items: Sequence, i: Any) -> Any:
+    """``items[i]`` for an in-range position (no negative wrap-around)."""
+    if type(i) is not int or not 0 <= i < len(items):
+        raise IndexError(i)
+    return items[i]
+
+
+def to_canonical(
+    canon: CanonicalInstance,
+    schedule: Sequence[Operation] | None,
+    certificate: Certificate | None,
+) -> tuple[list[int] | None, Certificate | None]:
+    """A result's witness and certificate in the form the cache and the
+    store keep: op uids become canonical positions, addresses canonical
+    ids, and an ``order`` payload (which must name the supplied
+    write-order) its length.  What cannot be mapped is dropped: a
+    missing piece costs a recompute, a foreign one would be wrong."""
+
+    def order(payload) -> int:
+        if tuple(map(tuple, payload)) != canon.write_order_uids:
+            raise ValueError(payload)
+        return len(payload)
+
+    try:
+        schedule = schedule and [canon.index_of[o.uid] for o in schedule]
+    except KeyError:
+        schedule = None
+    return schedule, _map_certificate(
+        certificate, lambda u: canon.index_of[tuple(u)],
+        canon.addrs.index, order,
+    )
+
+
+def from_canonical(
+    canon: CanonicalInstance,
+    schedule_idx: Sequence[int] | None,
+    certificate: Certificate | None,
+) -> tuple[list[Operation] | None, Certificate | None]:
+    """:func:`to_canonical` inverted onto ``canon``'s own operations and
+    addresses; on the instance it came from, the round trip returns an
+    equal witness and a certificate with an identical ``repr``.  A bad
+    position drops its piece, which then fails validation."""
+
+    def order(n) -> tuple:
+        if n != len(canon.write_order_uids or ()):
+            raise ValueError(n)
+        return canon.write_order_uids
+
+    try:
+        schedule = schedule_idx and [_at(canon.ops, i) for i in schedule_idx]
+    except IndexError:
+        schedule = None
+    return schedule, _map_certificate(
+        certificate, lambda i: _at(canon.ops, i).uid,
+        lambda i: _at(canon.addrs, i), order,
+    )
 
 
 @dataclass
@@ -191,12 +295,9 @@ class _Entry:
     reason: str
     schedule_idx: list[int] | None
     stats: dict[str, Any]
-    #: The verdict's certificate, stored verbatim.  Witness markers
-    #: transfer to any isomorphic hit (the schedule is re-materialized
-    #: onto the new ops); refutation certificates reference original
-    #: uids / variable numberings, so a permuted hit may fail the
-    #: on-hit re-validation — which costs a recompute, never a wrong
-    #: answer.
+    #: The verdict's certificate in canonical form (:func:`to_canonical`),
+    #: re-materialized onto any isomorphic hit as the witness is; a
+    #: ``rup`` proof a permuted hit fails is re-derived by the planner.
     certificate: Certificate | None = None
     #: Whether the entry was loaded from the persistent store tier (so
     #: a later validation failure is charged to the store, not to the
@@ -246,10 +347,12 @@ class CacheStats:
 class ResultCache:
     """Thread-safe verdict/witness cache keyed by canonical fingerprint.
 
-    The witness is stored as canonical op positions; on a hit it is
-    re-materialized with the *current* execution's operations, so the
-    returned schedule passes :mod:`repro.core.checker` for the new
-    instance even though it was computed for an isomorphic one.
+    The witness and the certificate are stored in canonical form; on a
+    hit they are re-materialized with the *current* execution's
+    operations and addresses, so the returned schedule passes
+    :mod:`repro.core.checker` — and the certificate the trusted
+    checker — for the new instance even though they were computed for
+    an isomorphic one.
 
     With a :class:`~repro.engine.store.ResultStore` attached the cache
     becomes two-tiered: lookups fall through to the store on a memory
@@ -314,9 +417,9 @@ class ResultCache:
             with self._lock:
                 self.stats.misses += 1
             return None
-        schedule = None
-        if entry.schedule_idx is not None:
-            schedule = [canon.ops[i] for i in entry.schedule_idx]
+        schedule, certificate = from_canonical(
+            canon, entry.schedule_idx, entry.certificate
+        )
         stats = dict(entry.stats)
         stats["cache_hit"] = True
         if from_store:
@@ -327,7 +430,7 @@ class ResultCache:
             schedule=schedule,
             reason=entry.reason,
             stats=stats,
-            certificate=entry.certificate,
+            certificate=certificate,
         )
 
     def invalidate(self, canon: CanonicalInstance) -> None:
@@ -344,14 +447,9 @@ class ResultCache:
             self.store_tier.invalidate(canon)
 
     def store(self, canon: CanonicalInstance, result: VerificationResult) -> None:
-        schedule_idx = None
-        if result.schedule is not None:
-            try:
-                schedule_idx = [canon.index_of[op.uid] for op in result.schedule]
-            except KeyError:
-                # A witness op outside the canonical listing (should not
-                # happen for engine tasks); skip witness caching.
-                schedule_idx = None
+        schedule_idx, certificate = to_canonical(
+            canon, result.schedule, result.certificate
+        )
         entry = _Entry(
             holds=result.holds,
             method=result.method,
@@ -362,7 +460,7 @@ class ResultCache:
                 for k, v in result.stats.items()
                 if k not in ("cache_hit", "store_hit", "t_certify")
             },
-            certificate=result.certificate,
+            certificate=certificate,
         )
         with self._lock:
             if canon.key not in self._data:

@@ -207,6 +207,38 @@ def ensure_certificate(
     return result
 
 
+def recertify(
+    execution: Execution,
+    result: VerificationResult,
+    problem: str = "vmc",
+    write_order=None,
+) -> CertCheck:
+    """Re-derive the ``rup`` proof of a VIOLATED ``result`` for
+    ``execution`` itself and check it: a DRAT proof numbers the CNF
+    variables of the execution it refutes, so no relabeling maps it.
+    Any other kind fails, since those map through every isomorphism."""
+    cert = result.certificate
+    if not result.violated or cert is None or cert.kind != "rup":
+        return _fail("only a refutation's rup proof is re-derived")
+    result.certificate = None
+    ensure_certificate(execution, result, problem)
+    return validate_result(execution, result, problem, write_order)
+
+
+def refuse(
+    result: VerificationResult, check: CertCheck, certify: str, where: str
+) -> VerificationResult:
+    """A ``certify`` mode's answer to a verdict that failed ``check``:
+    UNKNOWN(uncertified) under ``strict``, :class:`CertificationError`
+    under ``on`` (producer or checker is wrong; no side is picked)."""
+    if certify != "strict":
+        raise CertificationError(f"{where} failed certification: {check.reason}")
+    return VerificationResult.make_unknown(
+        method=result.method, reason="uncertified", detail=check.reason,
+        address=result.address,
+    )
+
+
 def _closure_certificate(execution: Execution) -> Certificate | None:
     """The ``cycle``/``infeasible`` certificate the happens-before
     closure derives for a sync-free single-address execution, or None

@@ -49,8 +49,8 @@ from repro.core.result import VerificationResult
 from repro.engine.cache import ResultCache
 from repro.engine.certify import (
     CERTIFY_MODES,
-    CertificationError,
     ensure_certificate,
+    refuse,
     validate_result,
 )
 from repro.engine.chaos import ChaosCrash, ChaosSpec, tamper_result
@@ -295,18 +295,8 @@ def _finalize(
         )
         result.stats["certified"] = bool(check)
         if not check:
-            if certify == "strict":
-                result = VerificationResult.make_unknown(
-                    method=result.method,
-                    reason="uncertified",
-                    detail=check.reason,
-                    address=task.address,
-                )
-            else:
-                raise CertificationError(
-                    f"task {_task_key(task)} failed certification: "
-                    f"{check.reason}"
-                )
+            result.address = task.address
+            result = refuse(result, check, certify, f"task {_task_key(task)}")
     # UNKNOWN is not a verdict: caching it would replay resource
     # exhaustion as if it were a property of the instance.
     if cache is not None and task.canon is not None and not result.unknown:

@@ -11,17 +11,23 @@ address.  For each task, :func:`plan_task`
 2. otherwise resolves the backend — the registry's tier ladder for
    ``method="auto"``, or the forced backend (validated for
    applicability),
-3. runs the polynomial pre-pass (:mod:`repro.engine.prepass`) on tasks
-   that routed to the exponential tail of the ladder: the pre-pass may
-   decide the task outright, downgrade it to the Section 5.2
-   ``write-order`` backend, or shrink it to a kernel with ordering
-   hints — the task's ``run_instance`` is what the backend executes,
-   while ``instance`` (the original) is what the verdict is about.
+3. runs the polynomial pre-pass (:mod:`repro.engine.prepass`) on
+   auto-routed tasks that landed on the exponential tail of the
+   ladder: the pre-pass may decide the task outright, downgrade it to
+   the Section 5.2 ``write-order`` backend, or shrink it to a kernel
+   with ordering hints — the task's ``run_instance`` is what the
+   backend executes, while ``instance`` (the original) is what the
+   verdict is about,
+4. races exact search against SAT (:mod:`repro.engine.portfolio`) on
+   a residue that stays on the exponential tier, unless it is a small
+   exact search.
+
+A forced ``method`` skips steps 3 and 4: that backend runs alone.
 
 :func:`plan_vmc` then orders the tasks cheapest-estimate-first, so that
 when the execution is incoherent the executor's early exit tends to
 fire before the expensive tasks run.  The key ignores routing, the
-pre-pass and the portfolio, so every front door — ``verify``,
+pre-pass and the race, so every front door — ``verify``,
 ``batch``, ``serve``, campaigns — reads the entries the others wrote.
 
 VSC does not decompose (a single schedule must serve all addresses at
@@ -39,7 +45,7 @@ from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import Backend, Instance
 from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
-from repro.engine.certify import validate_result
+from repro.engine.certify import recertify, validate_result
 from repro.engine.portfolio import (
     PORTFOLIO_MIN_STATES,
     RACE_STATE_BUDGET,
@@ -105,28 +111,13 @@ def _portfolio_legs(
     return capped, sat_leg
 
 
-def _apply_portfolio(
-    task: PlannedTask, registry: BackendRegistry, portfolio
-) -> None:
-    """Rebind an exponential-tier task per the portfolio policy.
+def _apply_portfolio(task: PlannedTask, registry: BackendRegistry) -> None:
+    """Rebind a surviving exponential-tier task to the exact-vs-SAT race.
 
-    ``portfolio`` is True/"race" (race exact vs SAT), "exact"/"sat"
-    (force that leg solo — the benchmark's comparison arms), or False
-    (keep the router's choice).  Small instances skip the race when the
-    router already picked the exact search: it wins so fast that the
-    second leg is pure overhead.
+    Small instances skip the race when the router already picked the
+    exact search: it wins so fast that the second leg is pure overhead.
     """
-    if portfolio is False or portfolio is None:
-        return
     run = task.run_instance
-    if portfolio in ("exact", "sat"):
-        name = "exact" if portfolio == "exact" else "sat-cdcl"
-        try:
-            task.backend = registry.get(name)
-        except ValueError:
-            return
-        task.estimate = task.backend.cost_estimate(run)
-        return
     if (
         task.backend.name == "exact"
         and run.states <= PORTFOLIO_MIN_STATES
@@ -139,7 +130,7 @@ def _apply_portfolio(
     task.estimate = task.backend.cost_estimate(run)
 
 
-def _key_method(method: str, registry: BackendRegistry) -> str:
+def key_method(method: str, registry: BackendRegistry) -> str:
     """The method part of the cache key: ``"auto"``, or the forced
     backend's name (aliases share entries; unknown names raise)."""
     return method if method == "auto" else registry.get(method).name
@@ -157,9 +148,11 @@ def _serve(
     — the cached schedule was computed for an isomorphic instance, and
     serving it unchecked would launder a stale or corrupted entry into
     a verdict.  Refutation certificates are re-checked whenever
-    certification is enabled (their uids / variable numberings may not
-    survive the isomorphism).  Any failure drops the entry from both
-    tiers: a miss, never a wrong answer.
+    certification is enabled.  A ``rup`` proof numbers the CNF
+    variables of the execution that wrote it, so on a permuted hit it
+    is re-derived for this instance (:func:`recertify`) rather than
+    dropped.  Any other failure drops the entry from both tiers: a
+    miss, never a wrong answer.
     """
     hit = cache.lookup(canon)
     if hit is None:
@@ -170,7 +163,9 @@ def _serve(
             instance.execution, hit, instance.problem,
             write_order=instance.write_order,
         )
-        if not check:
+        if not check and not recertify(
+            instance.execution, hit, instance.problem, instance.write_order
+        ):
             cache.invalidate(canon)
             return None
         if certify != "off":
@@ -184,8 +179,6 @@ def plan_task(
     instance: Instance,
     method: str = "auto",
     registry: BackendRegistry | None = None,
-    prepass: bool = True,
-    portfolio=True,
     cache: ResultCache | None = None,
     certify: str = "off",
     canon: CanonicalInstance | None = None,
@@ -198,9 +191,9 @@ def plan_task(
     pre-pass may shrink, decide or downgrade the task.  The pre-pass
     only runs for auto-routed tasks that landed on the exponential
     tiers — it cannot beat an already-polynomial backend, and a forced
-    ``method=`` is a contract with the caller.  Surviving
-    exponential-tier tasks are then subject to the portfolio policy
-    (see :func:`_apply_portfolio`).
+    ``method=`` is a contract with the caller: it runs alone, with no
+    pre-pass and no race.  Surviving exponential-tier tasks race exact
+    search against SAT (see :func:`_apply_portfolio`).
     """
     if registry is None:
         vmc = instance.problem == "vmc"
@@ -209,7 +202,7 @@ def plan_task(
         if canon is None:
             canon = canonicalize(
                 instance.execution, instance.write_order, instance.problem,
-                _key_method(method, registry),
+                key_method(method, registry),
             )
         hit = _serve(canon, instance, cache, certify)
         if hit is not None:
@@ -233,20 +226,19 @@ def plan_task(
     threshold = EXPONENTIAL_TIER if instance.problem == "vmc" else 0
     if not (method == "auto" and backend.tier >= threshold):
         return task
-    if prepass:
-        run = prepass_vmc if instance.problem == "vmc" else prepass_vsc
-        info = run(instance)
-        if info is not None:
-            task.prepass = info
-            if info.decided is not None:
-                task.estimate = 0.0
-                return task
-            task.run_instance = info.residual
-            task.backend = registry.select(info.residual)
-            task.estimate = task.backend.cost_estimate(info.residual)
-            if task.backend.tier < threshold:
-                return task  # downgraded to a polynomial tier
-    _apply_portfolio(task, registry, portfolio)
+    run = prepass_vmc if instance.problem == "vmc" else prepass_vsc
+    info = run(instance)
+    if info is not None:
+        task.prepass = info
+        if info.decided is not None:
+            task.estimate = 0.0
+            return task
+        task.run_instance = info.residual
+        task.backend = registry.select(info.residual)
+        task.estimate = task.backend.cost_estimate(info.residual)
+        if task.backend.tier < threshold:
+            return task  # downgraded to a polynomial tier
+    _apply_portfolio(task, registry)
     return task
 
 
@@ -255,18 +247,16 @@ def plan_vmc(
     method: str = "auto",
     write_orders: Mapping[Address, Sequence[Operation]] | None = None,
     registry: BackendRegistry | None = None,
-    prepass: bool = True,
-    portfolio=True,
     cache: ResultCache | None = None,
     certify: str = "off",
 ) -> list[PlannedTask]:
     """Decompose a (possibly multi-address) execution into per-address
     tasks, served or bound by :func:`plan_task`, cheapest first."""
     registry = registry or vmc_registry()
-    key_method = _key_method(method, registry)  # unknown -> ValueError
+    key = key_method(method, registry)  # unknown -> ValueError
     plan = partial(
-        plan_task, method=method, registry=registry, prepass=prepass,
-        portfolio=portfolio, cache=cache, certify=certify,
+        plan_task, method=method, registry=registry, cache=cache,
+        certify=certify,
     )
     tasks: list[PlannedTask] = []
     missed: dict = {}  # canonical key -> the first task that missed
@@ -275,7 +265,7 @@ def plan_vmc(
         wo = write_orders.get(addr) if write_orders else None
         instance = Instance(sub, address=addr, write_order=wo, problem="vmc")
         canon = (
-            canonicalize(sub, wo, "vmc", key_method)
+            canonicalize(sub, wo, "vmc", key)
             if cache is not None else None
         )
         first = missed.get(canon.key) if canon is not None else None
@@ -304,16 +294,9 @@ def plan_vsc(
     execution: Execution,
     method: str = "auto",
     registry: BackendRegistry | None = None,
-    prepass: bool = True,
-    portfolio=True,
     cache: ResultCache | None = None,
     certify: str = "off",
 ) -> list[PlannedTask]:
     """The single whole-execution VSC task."""
     instance = Instance(execution, address=None, problem="vsc")
-    return [
-        plan_task(
-            0, None, instance, method, registry, prepass, portfolio,
-            cache, certify,
-        )
-    ]
+    return [plan_task(0, None, instance, method, registry, cache, certify)]

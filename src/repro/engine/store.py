@@ -26,8 +26,9 @@ Record log format (``serialize_bin`` conventions):
   rebuild their index);
 * records: u8 type + u32 payload length + u32 CRC-32, then the payload.
   ``RECORD`` payloads are the 32-byte fingerprint followed by a pickled
-  entry dict (including the full canonical key — a hash collision or a
-  stale record is rejected by key equality, never served); ``TOUCH``
+  entry dict (including the full canonical key and the entry format's
+  :data:`RECORD_VERSION` — a hash collision or a stale record is
+  rejected by key and version equality, never served); ``TOUCH``
   and ``TOMBSTONE`` payloads are the bare fingerprint.
 
 Durability and concurrency:
@@ -91,6 +92,10 @@ if TYPE_CHECKING:
 
 MAGIC = b"REPROSTO"
 VERSION = 1
+#: The entry format inside a ``RECORD``: version 2 keeps certificates in
+#: canonical form (:func:`repro.engine.cache.to_canonical`); an older
+#: entry names uids, so it is a miss, never decoded as positions.
+RECORD_VERSION = 2
 #: Shard-file header: magic, version, reserved, generation.
 _HEADER = struct.Struct("<8sHHI")
 #: Record header: type, payload length, payload CRC-32.
@@ -571,7 +576,7 @@ class ResultStore:
             if entry is None:
                 self._refresh(shard)
                 entry = shard.index.get(fp)
-            if entry is None or entry.get("key") != key:
+            if not _matches(entry, key):
                 self.stats.misses += 1
                 self._maybe_commit()
                 return None
@@ -596,7 +601,7 @@ class ResultStore:
             if entry is None:
                 self._refresh(shard)
                 entry = shard.index.get(fp)
-            return entry is not None and entry.get("key") == key
+            return _matches(entry, key)
 
     def __len__(self) -> int:
         with self._lock:
@@ -639,6 +644,7 @@ class ResultStore:
         key, fp = self._address(canon)
         entry = {
             "key": key,
+            "v": RECORD_VERSION,
             "holds": bool(holds),
             "method": method,
             "reason": reason,
@@ -882,6 +888,14 @@ class ResultStore:
 
     def __exit__(self, *exc: Any) -> None:
         self.close()
+
+
+def _matches(entry: dict[str, Any] | None, key: Hashable) -> bool:
+    """Whether an indexed entry may be served for ``key``: a fingerprint
+    collision, a stale key or an older entry version is a miss."""
+    return entry is not None and (entry.get("key"), entry.get("v")) == (
+        key, RECORD_VERSION,
+    )
 
 
 class _TornRecord(Exception):

@@ -383,8 +383,6 @@ def run_campaign(
     run_cache: CampaignRunCache | str | Path | None = None,
     resilience=None,
     certify: str = "off",
-    prepass: bool = True,
-    portfolio=True,
     progress: Callable[[str], None] | None = None,
 ) -> CampaignReport:
     """Sweep seeds over every (fault site × substrate × delay model)
@@ -526,8 +524,6 @@ def run_campaign(
             store=store,
             resilience=resilience,
             certify=certify,
-            prepass=prepass,
-            portfolio=portfolio,
         )
         for entry, outcome in zip(live, outcomes):
             entry["outcome"] = outcome

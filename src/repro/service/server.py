@@ -98,8 +98,6 @@ class ServiceConfig:
     store_quota_mb: float | None = None
     max_tenants: int = 64
     certify: str = "off"
-    prepass: bool = True
-    portfolio: Any = True
     resilience: ResiliencePolicy | None = None
     drain_grace_s: float = 5.0
     heartbeat_s: float = 0.0
@@ -850,8 +848,6 @@ class VerificationServer:
                 cache=cache,
                 resilience=self._policy_for(req0),
                 certify=certify,
-                prepass=self.config.prepass,
-                portfolio=self.config.portfolio,
             )
             for pending, outcome in zip(pendings, outcomes):
                 self._count_outcome(outcome)

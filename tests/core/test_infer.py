@@ -78,7 +78,7 @@ class TestEliminateReads:
         )
         residual, plan = eliminate_reads(ex)
         assert plan.eliminated == 3
-        r = verify_coherence(residual, prepass=False)
+        r = verify_coherence(residual, method="exact")
         assert r and r.schedule is not None
         full = plan.rematerialize(r.schedule)
         assert len(full) == ex.num_ops
@@ -90,7 +90,7 @@ class TestEliminateReads:
         execution, _ = pair
         residual, plan = eliminate_reads(execution)
         assert residual.num_ops + plan.eliminated == execution.num_ops
-        r = verify_coherence(residual, prepass=False)
+        r = verify_coherence(residual, method="exact")
         assert r  # known coherent by construction
         if r.schedule is not None:
             full = plan.rematerialize(r.schedule)
@@ -128,7 +128,7 @@ class TestInferOrder:
         assert "->" in reason and "[" in reason
         assert inf.decided.stats.get("cycle_length", 0) >= 2
         # The polynomial verdict agrees with the search.
-        assert not verify_coherence(ex, prepass=False)
+        assert not verify_coherence(ex, method="exact")
 
     def test_program_order_forces_total_order(self):
         ex = parse_trace("P0: W(x,1) W(x,2) W(x,3)", initial={"x": 0})

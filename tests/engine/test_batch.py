@@ -28,8 +28,10 @@ from repro.engine import (
     run_batch,
     verify_many,
 )
-from repro.engine.batch import load_sources
-from repro.engine.certify import validate_result
+from repro.core.result import Certificate, VerificationResult
+from repro.engine import certify
+from repro.engine.batch import _fan_out, load_sources
+from repro.engine.certify import CertificationError, validate_result
 from repro.engine.store import ResultStore
 from tests.conftest import make_coherent_execution
 
@@ -153,6 +155,31 @@ class TestVerifyMany:
         }
         assert validate_result(b.restrict_to_address("y"), dup)
 
+    def test_duplicate_refutation_names_its_own_operations(self):
+        """A violated duplicate's certificate is mapped onto its own
+        operations (as its witness would be), so it validates against
+        its own execution."""
+        a = parse_trace("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)\nP2: R(x,1)")
+        b = parse_trace("P0: R(y,1)\nP1: W(y,1) W(y,2)\nP2: R(y,2) R(y,1)")
+        outcomes = verify_many([a, b], certify="on")
+        assert outcomes[1].provenance == {"dedup": 1}
+        dup = outcomes[1].result.per_address["y"]
+        assert dup.certificate.kind == "cycle" and dup.stats["certified"]
+        assert validate_result(b.restrict_to_address("y"), dup)
+
+    def test_forced_method_plans_and_keys_every_unique(self):
+        """``method=`` forces the backend (no pre-pass, no race) and
+        keys the batch's entries apart from the automatic ones."""
+        ex = parse_trace("P0: W(x,1) W(x,1)\nP1: R(x,1)", initial={"x": 0})
+        cache = ResultCache()
+        (auto,) = verify_many([ex], cache=cache)
+        (forced,) = verify_many([ex], cache=cache, method="exact")
+        assert auto.result.per_address["x"].method == "write-order"
+        assert forced.result.per_address["x"].method == "exact"
+        assert forced.provenance == {"solved": 1}
+        with pytest.raises(ValueError):
+            verify_many([ex], method="no-such-backend")
+
     def test_trivial_source(self):
         empty = Execution.from_ops([[]])
         (outcome,) = verify_many([empty])
@@ -184,6 +211,41 @@ class TestVerifyMany:
         (bad,) = verify_many([ex], write_orders=[{"x": [w2, w1]}])
         assert good.verdict == "holds"
         assert bad.verdict == "VIOLATED"
+
+
+class TestFanOutRup:
+    """A ``rup`` proof numbers CNF variables, so it cannot be mapped
+    onto a duplicate; one that does not check there is re-derived for
+    the duplicate, and is never served as certified otherwise."""
+
+    EX = "P0: W(x,1) R(x,2)\nP1: W(x,2) R(x,1)\nP2: R(x,1) R(x,2)"
+    TWIN = "P0: R(y,1) R(y,2)\nP1: W(y,2) R(y,1)\nP2: W(y,1) R(y,2)"
+
+    def _fan_out(self, certify):
+        a, b = parse_trace(self.EX), parse_trace(self.TWIN)
+        plan = plan_batch([("a", a, None), ("b", b, None)])
+        assert len(plan.uniques) == 1
+        rep = VerificationResult(
+            holds=False, method="sat-cdcl", address="x",
+            certificate=Certificate("rup", (("a", (1,)),)),
+            stats={"certified": True},
+        )
+        out = _fan_out(rep, plan.tasks[1], plan.uniques[0].canon, certify)
+        return b.restrict_to_address("y"), out
+
+    def test_failing_proof_is_rederived_for_the_duplicate(self):
+        sub, out = self._fan_out("on")
+        assert out.violated and out.stats["certified"]
+        assert validate_result(sub, out)
+
+    def test_underivable_proof_is_never_served_certified(self, monkeypatch):
+        monkeypatch.setattr(
+            certify, "ensure_certificate", lambda _ex, result, *_a: result
+        )
+        with pytest.raises(CertificationError):
+            self._fan_out("on")
+        _sub, out = self._fan_out("strict")
+        assert out.unknown and out.unknown_reason == "uncertified"
 
 
 class TestDifferentialColdWarmDisabled:

@@ -2,7 +2,17 @@
 
 from repro.core.builder import ExecutionBuilder, parse_trace
 from repro.core.checker import is_coherent_schedule
-from repro.engine import ResultCache, fingerprint, verify_vmc, verify_vmc_at
+from repro.core.result import Certificate, VerificationResult
+from repro.engine import (
+    ResultCache,
+    ResultStore,
+    fingerprint,
+    validate_result,
+    verify_vmc,
+    verify_vmc_at,
+)
+from repro.engine import certify, store
+from repro.engine.cache import canonicalize, from_canonical, to_canonical
 
 
 def _ex(text, initial=None):
@@ -143,3 +153,119 @@ class TestResultCache:
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0 and cache.stats.stores == 0
+
+
+# A read-read inversion (certified by a happens-before cycle) and the
+# same instance up to renaming: another address, another process order.
+INVERSION = "P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)\nP2: R(x,1)"
+INVERSION_RENAMED = "P0: R(y,1)\nP1: W(y,1) W(y,2)\nP2: R(y,2) R(y,1)"
+
+
+def _violated_certificates():
+    """(execution, write_order, certified result) for every certificate
+    kind a violated verdict can carry, plus a witness."""
+    out = []
+    for text, initial, final in [
+        (INVERSION, None, None),
+        ("P0: W(x,1)\nP1: R(x,7)", {"x": 0}, None),
+        ("P0: R(x,0)", {"x": 0}, {"x": 9}),
+        ("P0: W(x,1)", {"x": 0}, {"x": 9}),
+        ("P0: W(x,1) R(x,1)\nP1: R(x,1)", {"x": 0}, None),
+    ]:
+        ex = parse_trace(text, initial=initial, final=final)
+        out.append((ex, None, verify_vmc_at(ex, "x", certify="on")))
+    ex = parse_trace("P0: W(x,1) W(x,2) R(x,1)")
+    order = [op for op in ex.all_ops() if op.kind.writes]
+    out.append(
+        (ex, order, verify_vmc_at(ex, "x", write_order=order, certify="on"))
+    )
+    ex = parse_trace(
+        "P0: W(x,1) R(x,2)\nP1: W(x,2) R(x,1)\nP2: R(x,1) R(x,2)"
+    )
+    out.append((
+        ex, None,
+        verify_vmc_at(ex, "x", method="sat-cdcl", certify="on"),
+    ))
+    return out
+
+
+class TestCanonicalCertificates:
+    def test_round_trip_keeps_witness_and_certificate(self):
+        kinds = set()
+        for ex, order, result in _violated_certificates():
+            kinds.add(result.certificate.kind)
+            canon = canonicalize(ex, order)
+            schedule, cert = from_canonical(
+                canon, *to_canonical(canon, result.schedule, result.certificate)
+            )
+            assert schedule == result.schedule
+            assert repr(cert) == repr(result.certificate)
+        assert kinds == {"witness", "cycle", "infeasible", "order", "rup"}
+
+    def test_canonical_form_names_positions_not_uids(self):
+        ex = parse_trace(INVERSION)
+        result = verify_vmc_at(ex, "x", certify="on")
+        canon = canonicalize(ex)
+        _, cert = to_canonical(canon, None, result.certificate)
+        steps, cycle = cert.payload
+        assert all(isinstance(i, int) for i in cycle)
+        assert all(isinstance(u, int) for u, _v, _r, _a in steps)
+
+    def test_unmappable_pieces_are_dropped(self):
+        a = canonicalize(parse_trace(INVERSION))
+        foreign = Certificate("infeasible", ("read-impossible", (7, 7)))
+        assert to_canonical(a, None, foreign) == (None, None)
+        assert from_canonical(a, [-1], Certificate("cycle", ((), (99,)))) == (
+            None, None,
+        )
+
+    def test_uid_form_store_records_are_misses(self, tmp_path, monkeypatch):
+        """A record written in the uid-form entry format is never
+        decoded as positions."""
+        ex = parse_trace(INVERSION)
+        monkeypatch.setattr(store, "RECORD_VERSION", 1)
+        with ResultStore(tmp_path / "s") as old:
+            verify_vmc(ex, certify="on", cache=ResultCache(store=old))
+        monkeypatch.undo()
+        cache = ResultCache(store=ResultStore(tmp_path / "s"))
+        assert not cache.store_tier.contains(canonicalize(
+            ex.restrict_to_address("x"), None, "vmc", "auto"
+        ))
+        result = verify_vmc(ex, certify="on", cache=cache)
+        assert cache.stats.store_hits == 0 and result.violated
+
+
+def _bogus_rup_hit(ex):
+    """A cache holding a violated verdict for ``ex`` whose rup proof
+    does not refute ``ex``'s formula (as a permuted twin's may not)."""
+    cache = ResultCache()
+    canon = canonicalize(ex.restrict_to_address("x"), None, "vmc", "auto")
+    cache.store(canon, VerificationResult(
+        holds=False, method="sat-cdcl",
+        certificate=Certificate("rup", (("a", (1,)),)),
+    ))
+    return cache
+
+
+class TestRupHits:
+    EX = "P0: W(x,1) R(x,2)\nP1: W(x,2) R(x,1)\nP2: R(x,1) R(x,2)"
+
+    def test_failing_rup_hit_is_rederived_for_the_instance(self):
+        ex = parse_trace(self.EX)
+        cache = _bogus_rup_hit(ex)
+        got = verify_vmc(ex, certify="on", cache=cache).per_address["x"]
+        assert got.stats["cache_hit"] and got.stats["certified"]
+        assert got.certificate.payload != (("a", (1,)),)
+        assert validate_result(ex.restrict_to_address("x"), got)
+        assert cache.stats.validation_failures == 0
+
+    def test_underivable_rup_hit_is_solved_again(self, monkeypatch):
+        ex = parse_trace(self.EX)
+        cache = _bogus_rup_hit(ex)
+        monkeypatch.setattr(
+            certify, "ensure_certificate", lambda _ex, result, *_a: result
+        )
+        got = verify_vmc(ex, certify="on", cache=cache).per_address["x"]
+        assert not got.stats["cache_hit"]
+        assert cache.stats.validation_failures == 1
+        assert validate_result(ex.restrict_to_address("x"), got)

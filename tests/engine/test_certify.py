@@ -339,7 +339,7 @@ class TestRupCertificates:
     def test_engine_rup_certificate_accepted_and_fragile(self):
         ex = parse_trace(INCOHERENT_SAT)
         result = verify_vmc(
-            ex, method="sat-cdcl", prepass=False, cache=False, certify="on"
+            ex, method="sat-cdcl", cache=False, certify="on"
         )
         assert result.violated
         cert = result.per_address["x"].certificate
@@ -530,11 +530,11 @@ class TestCertifiedEngine:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(portfolio=False),
-            dict(portfolio=False, prepass=False),
+            dict(method="exact"),
+            dict(method="sat-cdcl"),
             dict(jobs=2),
         ],
-        ids=["no-portfolio", "no-prepass", "process-pool"],
+        ids=["forced-exact", "forced-sat", "process-pool"],
     )
     def test_certified_across_engine_configs(self, kwargs, force_pool):
         n = 6 if kwargs.get("jobs") else 16

@@ -281,7 +281,7 @@ class TestCrashRecovery:
         )
         result = verify_vmc(
             ex, jobs=2, cache=False, early_exit=False,
-            prepass=False, resilience=policy,
+            method="exact", resilience=policy,
         )
         assert not result.unknown
         assert result.holds == baseline.holds
@@ -298,7 +298,7 @@ class TestCrashRecovery:
         )
         result = verify_vmc(
             ex, jobs=2, cache=False, early_exit=False,
-            prepass=False, resilience=policy,
+            method="exact", resilience=policy,
         )
         assert not result.unknown
         assert result.holds == baseline.holds
@@ -411,7 +411,7 @@ class TestDeadlines:
             12, 3, 10, addresses=("x", "y", "z"), num_values=3
         )
         result = verify_vmc(
-            ex, jobs=2, cache=False, prepass=False,
+            ex, jobs=2, cache=False, method="exact",
             resilience=ResiliencePolicy(timeout=0.0),
         )
         assert result.unknown
@@ -684,7 +684,7 @@ class TestKeyboardInterrupt:
         ex, _ = make_coherent_execution(
             12, 3, 17, addresses=("x", "y", "z"), num_values=3
         )
-        tasks = plan_vmc(ex, prepass=False, portfolio=False)
+        tasks = plan_vmc(ex, method="exact")
         assert len(tasks) > 1
         assert execute_plan(tasks, jobs=2)[1].pool == pool
         real_wait = concurrent.futures.wait
@@ -707,7 +707,7 @@ class TestKeyboardInterrupt:
         ex, _ = make_coherent_execution(
             12, 3, 18, addresses=("x", "y", "z"), num_values=3
         )
-        result = verify_vmc(ex, jobs=2, cache=False, prepass=False)
+        result = verify_vmc(ex, jobs=2, cache=False, method="exact")
         assert not result.unknown
         assert result.report.pool == "process"
         _assert_no_orphans()

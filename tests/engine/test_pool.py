@@ -100,7 +100,7 @@ class TestExecutorWorkerDeath:
         registry.register(_DieOnceExact(str(marker)))
         return verify_vmc(
             ex, method="die-once", registry=registry, cache=False,
-            early_exit=False, prepass=False, portfolio=False, **kwargs,
+            early_exit=False, **kwargs,
         )
 
     def test_dead_worker_is_rebuilt_and_retried(self, tmp_path):

@@ -24,8 +24,10 @@ from repro.engine import (
     vmc_registry,
 )
 from repro.engine.backend import Backend, ExactBackend, Instance, SatBackend
+from repro.reductions.sat_to_vmc import SatToVmc
 from repro.sat.cdcl import solve_cdcl
 from repro.sat.cnf import CNF
+from repro.sat.random_sat import random_ksat
 from repro.util.control import CHECK_INTERVAL, Cancelled
 from tests.conftest import make_coherent_execution
 
@@ -76,13 +78,13 @@ def test_corpus_is_substantial():
 def test_portfolio_race_matches_serial_verdicts():
     """Race every corpus instance through a real PortfolioBackend (no
     size cutoff, so the race genuinely runs) and compare with the
-    portfolio-free engine."""
+    forced SAT backend, which never races."""
     registry = vmc_registry()
     backend = PortfolioBackend(
         [ExactBackend(max_states=100_000), registry.get("sat-cdcl")]
     )
     for ex in CORPUS:
-        expected = verify_vmc(ex, portfolio=False, cache=False)
+        expected = verify_vmc(ex, method="sat-cdcl", cache=False)
         for addr in ex.constrained_addresses():
             sub = ex.restrict_to_address(addr)
             got = backend.run(Instance(sub, address=addr, problem="vmc"))
@@ -95,9 +97,11 @@ def test_portfolio_race_matches_serial_verdicts():
 
 
 def test_engine_portfolio_on_matches_off():
+    """The default engine (racing where the planner races) against the
+    forced SAT backend (never racing)."""
     for ex in CORPUS[:40]:
-        on = verify_vmc(ex, portfolio=True, cache=False)
-        off = verify_vmc(ex, portfolio=False, cache=False)
+        on = verify_vmc(ex, cache=False)
+        off = verify_vmc(ex, method="sat-cdcl", cache=False)
         assert on.holds == off.holds
 
 
@@ -254,38 +258,45 @@ def test_exact_backend_budget_fallback_preserves_negative_verdict():
 # Planner integration
 # ---------------------------------------------------------------------
 def _big_execution(seed: int = 7) -> Execution:
-    """States comfortably above PORTFOLIO_MIN_STATES, prepass off."""
+    """States comfortably above PORTFOLIO_MIN_STATES before the
+    pre-pass (a forced backend sees all of them)."""
     ex, _ = make_coherent_execution(100, 3, seed, num_values=4)
     return ex
 
 
+def _fig_4_1_execution(seed: int = 0) -> Execution:
+    """A Figure 4.1 SAT -> VMC reduction: the paper's hard shape, which
+    the pre-pass shrinks but cannot decide or downgrade."""
+    return SatToVmc(random_ksat(3, 6, k=3, seed=seed)).execution
+
+
 def test_planner_wraps_big_tasks_in_portfolio():
-    ex = _big_execution()
-    (task,) = plan_vmc(ex, prepass=False, portfolio=True)
-    assert task.run_instance.states > PORTFOLIO_MIN_STATES
-    assert isinstance(task.backend, PortfolioBackend)
-    assert [leg.name for leg in task.backend.legs] == ["exact", "sat-cdcl"]
+    """Under the default configuration a Figure 4.1 instance is first
+    pre-passed (shrunk, not decided) and the residue then raced."""
+    for seed in range(4):
+        (task,) = plan_vmc(_fig_4_1_execution(seed))
+        assert task.prepass is not None and task.prepass.decided is None
+        assert task.run_instance is task.prepass.residual
+        assert task.run_instance.states > PORTFOLIO_MIN_STATES
+        assert isinstance(task.backend, PortfolioBackend)
+        assert [leg.name for leg in task.backend.legs] == [
+            "exact", "sat-cdcl",
+        ]
 
 
 def test_planner_skips_race_for_small_exact_tasks():
     ex, _ = make_coherent_execution(18, 3, seed=8)
-    (task,) = plan_vmc(ex, prepass=False, portfolio=True)
+    (task,) = plan_vmc(ex)
     assert task.run_instance.states <= PORTFOLIO_MIN_STATES
     assert task.backend.name == "exact"
 
 
-def test_planner_solo_modes_force_one_leg():
-    ex = _big_execution()
-    (exact_task,) = plan_vmc(ex, prepass=False, portfolio="exact")
-    (sat_task,) = plan_vmc(ex, prepass=False, portfolio="sat")
-    assert exact_task.backend.name == "exact"
-    assert sat_task.backend.name == "sat-cdcl"
-
-
 def test_forced_method_is_never_wrapped():
-    ex = _big_execution()
-    (task,) = plan_vmc(ex, method="sat-cdcl", prepass=False, portfolio=True)
-    assert task.backend.name == "sat-cdcl"
+    for ex in (_big_execution(), _fig_4_1_execution()):
+        for method in ("exact", "sat-cdcl"):
+            (task,) = plan_vmc(ex, method=method)
+            assert task.backend.name == method
+            assert task.prepass is None
 
 
 # ---------------------------------------------------------------------
@@ -293,13 +304,13 @@ def test_forced_method_is_never_wrapped():
 # ---------------------------------------------------------------------
 def test_pool_only_for_jobs_and_a_heavy_task():
     """``jobs > 1`` with a heavy task pools; anything else is serial."""
-    heavy = plan_vmc(_big_execution(), prepass=False) + plan_vmc(
-        _big_execution(8), prepass=False
+    heavy = plan_vmc(_big_execution(), method="exact") + plan_vmc(
+        _big_execution(8), method="exact"
     )
     light, _ = make_coherent_execution(
         18, 3, seed=9, addresses=("x", "y")
     )
-    light = plan_vmc(light, prepass=False)
+    light = plan_vmc(light)
     for tasks, jobs, pool in [
         (heavy, 2, "process"),
         (heavy, 1, "serial"),
@@ -324,28 +335,28 @@ def test_engine_auto_pool_reported():
 
 
 def test_engine_report_aggregates_races():
-    ex = _big_execution()
-    result = verify_vmc(ex, prepass=False, cache=False)
+    ex = _fig_4_1_execution()
+    result = verify_vmc(ex, cache=False)
     assert result.holds
+    assert result.report.prepass["tasks"] == 1
     pf = result.report.portfolio
     assert pf["races"] == 1
     assert sum(pf["wins"].values()) == 1
 
 
 # ---------------------------------------------------------------------
-# CLI flags
+# CLI surface
 # ---------------------------------------------------------------------
-def test_cli_portfolio_flag(tmp_path, capsys):
-    from repro.cli import build_parser, main
-    from repro.core.serialize import save
+def test_cli_portfolio_flag(tmp_path):
+    """The planner decides the race from the instance; no front door
+    offers ``--portfolio`` or ``--no-portfolio``."""
+    from repro.cli import build_parser
 
     parser = build_parser()
-    assert parser.parse_args(["verify", "t"]).portfolio is True
-    assert parser.parse_args(["verify", "t", "--no-portfolio"]).portfolio is False
-
-    ex, _ = make_coherent_execution(10, 2, seed=11)
-    trace = tmp_path / "trace.json"
-    save(ex, trace)
-    assert main(["verify", str(trace), "--no-portfolio", "--stats"]) == 0
-    out = capsys.readouterr().out
-    assert "holds" in out
+    trace = str(tmp_path / "trace.json")
+    for argv in (["verify", trace], ["batch", trace], ["serve", "--stdio"]):
+        parser.parse_args(argv)  # parses without the flag
+        for flag in ("--portfolio", "--no-portfolio"):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + [flag])
+            assert exc.value.code == 2, (argv, flag)

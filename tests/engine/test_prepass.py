@@ -1,9 +1,11 @@
 """The polynomial pre-pass: soundness (differential), pool equivalence,
-cancellation and eviction counters, and the new CLI flags.
+cancellation and eviction counters, and the CLI surface.
 
-The central obligation: for every instance, verdicts with the pre-pass
-on and off are identical, and every positive witness (after the pre-pass
-re-materializes eliminated reads) passes the certificate checker.
+The central obligation: for every instance, the default engine (which
+pre-passes auto-routed exponential-tier tasks) and a forced backend
+(which never pre-passes) give identical verdicts, and every positive
+witness (after the pre-pass re-materializes eliminated reads) passes
+the certificate checker.
 """
 
 import dataclasses
@@ -63,7 +65,7 @@ class TestDifferential:
     def test_vmc_corpus(self):
         for ex in _corpus(200):
             on = verify_coherence(ex)
-            off = verify_coherence(ex, prepass=False)
+            off = verify_coherence(ex, method="exact")
             assert on.holds == off.holds, ex
             if on.holds:
                 for addr, sub in on.per_address.items():
@@ -75,7 +77,7 @@ class TestDifferential:
     def test_vsc_corpus(self):
         for ex in _corpus(120):
             on = verify_sequential_consistency(ex)
-            off = verify_sequential_consistency(ex, prepass=False)
+            off = verify_sequential_consistency(ex, method="exact")
             assert on.holds == off.holds, ex
             if on.holds and on.schedule is not None:
                 assert is_sc_schedule(ex, on.schedule), ex
@@ -99,7 +101,7 @@ class TestDifferential:
             cnf.add_clause(c)
         ex = SatToVmc(cnf).execution
         on = verify_coherence(ex)
-        off = verify_coherence(ex, prepass=False)
+        off = verify_coherence(ex, method="exact")
         assert on.holds == off.holds == satisfiable
         if on.holds:
             for addr, sub in on.per_address.items():
@@ -120,7 +122,7 @@ class TestDifferential:
             cnf.add_clause(c)
         ex = SatToVscc(cnf).execution
         on = verify_sequential_consistency(ex)
-        off = verify_sequential_consistency(ex, prepass=False)
+        off = verify_sequential_consistency(ex, method="exact")
         assert on.holds == off.holds == satisfiable
         if on.holds and on.schedule is not None:
             assert is_sc_schedule(ex, on.schedule)
@@ -148,7 +150,7 @@ class TestPrepassMechanics:
         assert r.report.prepass["decided"] == 1
         assert r.report.backends_used.get("prepass") == 1
         # The same verdict without the pre-pass, the slow way.
-        assert not verify_coherence(ex, prepass=False)
+        assert not verify_coherence(ex, method="exact")
 
     def test_elimination_counters(self):
         ex = parse_trace(
@@ -301,10 +303,26 @@ class TestCli:
         assert "pool=serial" in out
         assert "evicted" in out
 
-    def test_no_prepass_flag(self, trace_file, capsys):
+    def test_no_prepass_flag(self, trace_file):
+        """The planner decides the pre-pass from the instance; no front
+        door offers a switch for it."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        for argv in (
+            ["verify", trace_file], ["batch", trace_file], ["serve", "--stdio"],
+        ):
+            parser.parse_args(argv)  # parses without the flag
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv + ["--no-prepass"])
+            assert exc.value.code == 2, argv
+
+    def test_forced_method_skips_prepass(self, trace_file, capsys):
+        """``--method`` is the one override: the forced backend runs
+        alone, with no pre-pass."""
         from repro.cli import main
 
-        assert main(["verify", trace_file, "--no-prepass", "--stats"]) == 0
+        assert main(["verify", trace_file, "--method", "exact", "--stats"]) == 0
         out = capsys.readouterr().out
         assert "method: exact" in out
         assert "prepass:" not in out

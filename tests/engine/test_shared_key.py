@@ -3,7 +3,7 @@
 A per-address verdict is a property of the instance up to renaming
 (paper Section 3), so the result cache keys it by ``(problem, requested
 method, canonical form)`` and nothing else: not the backend the router
-picked, not the pre-pass, not the portfolio.  These tests fill a store
+picked, not the pre-pass, not the race.  These tests fill a store
 through one front door and read it through another, over the
 differential corpus: nothing may be solved twice.
 """
@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.builder import parse_trace
 from repro.core.serialize import save
 from repro.engine import (
     ResultCache,
     ResultStore,
     planner,
     run_batch,
+    validate_result,
     verify_many,
     verify_vmc,
 )
@@ -69,22 +71,6 @@ def test_verify_store_serves_run_batch(filled, tmp_path):
     assert [f["verdict"] == "holds" for f in report["files"]] == holds
 
 
-def test_prepass_setting_does_not_split_the_key(filled):
-    path, holds = filled
-    results = _verify_all(ResultCache(store=ResultStore(path)), prepass=False)
-    assert [r.holds for r in results] == holds
-    assert _misses(results) == 0
-
-
-def test_portfolio_setting_does_not_split_the_key(filled):
-    path, holds = filled
-    results = _verify_all(
-        ResultCache(store=ResultStore(path)), portfolio=False
-    )
-    assert [r.holds for r in results] == holds
-    assert _misses(results) == 0
-
-
 def test_warm_pass_never_runs_the_prepass(monkeypatch):
     cache = ResultCache()
     cold = _verify_all(cache)
@@ -122,3 +108,23 @@ def test_forced_method_keeps_its_own_entries(filled):
     )
     assert forced.report.cache_misses == len(ex.constrained_addresses())
     assert forced.method == "sat-cdcl"
+
+
+def test_isomorphic_refutation_is_served_not_evicted(tmp_path):
+    """A violated hit on a renamed, process-permuted twin carries a
+    certificate that names the twin's own operations: it is served,
+    never evicted from memory or tombstoned in the store."""
+    a = parse_trace("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)\nP2: R(x,1)")
+    b = parse_trace("P0: R(y,1)\nP1: W(y,1) W(y,2)\nP2: R(y,2) R(y,1)")
+    cache = ResultCache(store=ResultStore(tmp_path / "s"))
+    verify_vmc(a, certify="on", cache=cache)
+    hit = verify_vmc(b, certify="on", cache=cache).per_address["y"]
+    assert hit.stats["cache_hit"] and hit.stats["certified"]
+    assert validate_result(b.restrict_to_address("y"), hit)
+    assert cache.stats.validation_failures == 0
+    cache.flush_store()
+    warm = ResultCache(store=ResultStore(tmp_path / "s"))
+    again = verify_vmc(b, certify="on", cache=warm).per_address["y"]
+    assert again.stats["store_hit"]
+    assert validate_result(b.restrict_to_address("y"), again)
+    assert warm.stats.store_revalidation_failures == 0
