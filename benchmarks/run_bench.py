@@ -107,6 +107,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if not any((Path(p) / "repro").is_dir() for p in sys.path if p):
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro import obs  # noqa: E402
 from repro.core.types import Execution, OpKind, Operation  # noqa: E402
 from repro.engine import (  # noqa: E402
     ChaosSpec,
@@ -665,19 +666,19 @@ def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
     )
 
     def arm(cache: ResultCache, store, njobs: int = 1):
+        """One timed batch; returns its wall, holds count and record."""
         t0 = time.perf_counter()
-        outcomes = verify_many(
-            corpus, jobs=njobs, cache=cache, store=store, method="sat-cdcl",
-        )
+        with obs.opened() as rec:
+            outcomes = verify_many(
+                corpus, jobs=njobs, cache=cache, store=store,
+                method="sat-cdcl",
+            )
         dt = time.perf_counter() - t0
-        holds = 0
-        prov: dict[str, int] = {}
-        for o in outcomes:
-            if o.error is None and o.result is not None and o.result.holds:
-                holds += 1
-            for k, v in o.provenance.items():
-                prov[k] = prov.get(k, 0) + v
-        return round(dt, 4), holds, prov
+        holds = sum(
+            o.error is None and o.result is not None and o.result.holds
+            for o in outcomes
+        )
+        return round(dt, 4), holds, rec
 
     # Direct-loop baseline: the corpus without the batch engine at all
     # — what the disabled arm's overhead is guarded against.
@@ -695,8 +696,10 @@ def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
     with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp:
         serial_dir = os.path.join(tmp, "serial")
         with ResultStore(serial_dir) as store:
-            cold_s, cold_holds, _ = arm(ResultCache(store=store), store)
-            cold_stores = store.stats.stores
+            cold_s, cold_holds, cold_rec = arm(
+                ResultCache(store=store), store
+            )
+            cold_stores = cold_rec["store.stores"]
         print(
             f"store cold            {cold_s * 1e3:>9.1f}ms  "
             f"(stored {cold_stores} records)"
@@ -704,10 +707,12 @@ def run_store(quick: bool, jobs: int) -> tuple[dict, bool]:
         # Warm: same store directory, fresh store handle and fresh
         # cache — every verdict must come off disk, none re-solved.
         with ResultStore(serial_dir) as store:
-            warm_cache = ResultCache(store=store)
-            warm_s, warm_holds, warm_prov = arm(warm_cache, store)
-            warm_hits = warm_cache.stats.store_hits
-            warm_failures = warm_cache.stats.store_revalidation_failures
+            warm_s, warm_holds, warm_rec = arm(ResultCache(store=store), store)
+            warm_prov = {
+                k: v for k, v in warm_rec.group("provenance").items() if v
+            }
+            warm_hits = warm_rec["cache.store_hits"]
+            warm_failures = warm_rec["cache.store_revalidation_failures"]
         print(
             f"store warm            {warm_s * 1e3:>9.1f}ms  "
             f"(store hits {warm_hits}, solved "
@@ -1116,21 +1121,23 @@ def run_config(
                 certify=certify,
             )
             if rep == 0:
-                pools.add(r.report.pool)
+                rec = r.report
+                pools.add(rec.info["pool"])
                 holds += bool(r)
                 unknowns += r.unknown
-                crashes += r.report.crashes
-                retries += r.report.retries
-                quarantined += r.report.quarantined
-                certified += r.report.certified
-                uncertified += r.report.uncertified
-                for k, v in r.report.prepass.items():
+                crashes += rec["resilience.crashes"]
+                retries += rec["resilience.retries"]
+                quarantined += rec["resilience.quarantined"]
+                certified += rec["certify.certified"]
+                uncertified += rec["certify.uncertified"]
+                for k, v in rec.group("prepass").items():
                     prepass_stats[k] = prepass_stats.get(k, 0) + v
-                pf = r.report.portfolio
-                if pf:
-                    races += pf.get("races", 0)
-                    for leg, n in pf.get("wins", {}).items():
-                        race_wins[leg] = race_wins.get(leg, 0) + n
+                for k, v in rec.group("portfolio").items():
+                    if k == "races":
+                        races += v
+                    elif k.startswith("wins."):
+                        leg = k[len("wins."):]
+                        race_wins[leg] = race_wins.get(leg, 0) + v
         times.append(time.perf_counter() - t0)
     out = {
         "method": method,

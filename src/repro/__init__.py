@@ -54,12 +54,12 @@ from repro.core import (
     vsc_via_conflict,
     write,
 )
-from repro.engine import EngineReport, ResultCache
+from repro.engine import ResultCache
+from repro.obs import Record
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "EngineReport",
     "INITIAL",
     "Execution",
     "ExecutionBuilder",
@@ -67,6 +67,7 @@ __all__ = [
     "OpKind",
     "Operation",
     "ProcessHistory",
+    "Record",
     "VerificationResult",
     "execution_from_schedule",
     "is_coherent_schedule",

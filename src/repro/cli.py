@@ -11,7 +11,7 @@ Commands:
   race — the automatic planner decides both from the instance
   otherwise), ``--jobs N`` verifies addresses in parallel on worker
   processes when heavy tasks survive the pre-pass, ``--stats`` prints
-  the engine report.  Resilience knobs:
+  the run record (:mod:`repro.obs`).  Resilience knobs:
   ``--timeout S`` caps the whole run, ``--task-timeout S`` caps each
   per-address task, ``--retries N`` sets the crash-retry budget, and
   ``--chaos SPEC`` (gated behind the ``REPRO_CHAOS`` environment
@@ -75,6 +75,7 @@ import os
 import sys
 from pathlib import Path
 
+from repro import obs
 from repro.core.serialize import save as save_json
 from repro.core.types import Execution, schedule_str
 from repro.core.vmc import verify_coherence
@@ -186,7 +187,9 @@ def _resilience_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
     return policy
 
 
-def _print_result(result, label: str, want_witness: bool, want_stats: bool) -> int:
+def _print_result(
+    result, label: str, want_witness: bool, stats: obs.Record | None
+) -> int:
     unknown = getattr(result, "unknown", False)
     verdict = "UNKNOWN" if unknown else "holds" if result else "VIOLATED"
     print(f"{label}: {verdict}  (method: {result.method})")
@@ -194,8 +197,8 @@ def _print_result(result, label: str, want_witness: bool, want_stats: bool) -> i
         print(f"witness: {schedule_str(result.schedule)}")
     if not result:
         print(f"reason: {result.reason}")
-    if want_stats and result.report is not None:
-        print(result.report.format())
+    if stats is not None:
+        print(obs.render(stats))
     if unknown:
         return EXIT_UNKNOWN
     return 0 if result else 1
@@ -215,79 +218,74 @@ def _store_from_args(args: argparse.Namespace, resilience):
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from time import perf_counter
-
-    t_load = perf_counter()
-    try:
-        execution = _load_trace(args.trace)
-    except (OSError, ValueError, FileNotFoundError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    t_load = perf_counter() - t_load
-    store = None
-    try:
-        resilience = _resilience_from_args(args)
-        store = _store_from_args(args, resilience)
-        if store is not None and (args.sc or args.model):
-            print(
-                "error: --store applies to coherence verification "
-                "(not --sc / --model)",
-                file=sys.stderr,
-            )
+    rec = obs.Record(rows=True)
+    with obs.opened(rec):
+        try:
+            execution = _load_trace(args.trace)
+        except (OSError, ValueError, FileNotFoundError) as e:
+            print(f"error: {e}", file=sys.stderr)
             return 2
-        cache = None
-        if store is not None:
-            from repro.engine import ResultCache
+        store = None
+        try:
+            resilience = _resilience_from_args(args)
+            store = _store_from_args(args, resilience)
+            if store is not None and (args.sc or args.model):
+                print(
+                    "error: --store applies to coherence verification "
+                    "(not --sc / --model)",
+                    file=sys.stderr,
+                )
+                return 2
+            cache = None
+            if store is not None:
+                from repro.engine import ResultCache
 
-            cache = ResultCache(store=store)
-        if args.model:
-            from repro.consistency.restrict import verifier_for
+                cache = ResultCache(store=store)
+            if args.model:
+                from repro.consistency.restrict import verifier_for
 
-            name = (
-                args.model
-                if args.model.lower() == "coherence"
-                else args.model.upper()
-            )
-            result = verifier_for(name)(execution)
-            if result.report is not None:
-                result.report.stage_times["load"] = t_load
-            return _print_result(result, args.model, args.witness, args.stats)
-        if args.sc:
-            result = verify_sequential_consistency(
-                execution,
-                method=args.method,
-                resilience=resilience,
-                certify=args.certify,
-            )
-            label = "sequential consistency"
-        else:
-            result = verify_coherence(
-                execution,
-                method=args.method,
-                jobs=args.jobs,
-                cache=cache,
-                resilience=resilience,
-                certify=args.certify,
-            )
-            label = "coherence"
-    except CertificationError as e:
-        # --certify on: a verdict failed the trusted checker.  Producer
-        # or checker is wrong — either way the verdict is untrustworthy,
-        # and that is an UNKNOWN outcome, not a usage error.
-        print(f"certification failed: {e}", file=sys.stderr)
-        return EXIT_UNKNOWN
-    except ValueError as e:
-        # Unknown method names and inapplicable forced backends
-        # (BackendInapplicableError, which lists the applicable ones)
-        # are usage errors.
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    finally:
-        if store is not None:
-            store.close()  # the command's one durability point
-    if result.report is not None:
-        result.report.stage_times["load"] = t_load
-    return _print_result(result, label, args.witness, args.stats)
+                name = (
+                    args.model
+                    if args.model.lower() == "coherence"
+                    else args.model.upper()
+                )
+                result, label = verifier_for(name)(execution), args.model
+            elif args.sc:
+                result = verify_sequential_consistency(
+                    execution,
+                    method=args.method,
+                    resilience=resilience,
+                    certify=args.certify,
+                )
+                label = "sequential consistency"
+            else:
+                result = verify_coherence(
+                    execution,
+                    method=args.method,
+                    jobs=args.jobs,
+                    cache=cache,
+                    resilience=resilience,
+                    certify=args.certify,
+                )
+                label = "coherence"
+        except CertificationError as e:
+            # --certify on: a verdict failed the trusted checker.  Producer
+            # or checker is wrong — either way the verdict is untrustworthy,
+            # and that is an UNKNOWN outcome, not a usage error.
+            print(f"certification failed: {e}", file=sys.stderr)
+            return EXIT_UNKNOWN
+        except ValueError as e:
+            # Unknown method names and inapplicable forced backends
+            # (BackendInapplicableError, which lists the applicable ones)
+            # are usage errors.
+            print(f"error: {e}", file=sys.stderr)
+            return 2
+        finally:
+            if store is not None:
+                store.close()  # the command's one durability point
+        return _print_result(
+            result, label, args.witness, rec if args.stats else None
+        )
 
 
 def _expand_batch_paths(paths: list[str], manifest: str | None) -> list[str]:
@@ -373,25 +371,8 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(line)
         if entry["verdict"] in ("VIOLATED", "UNKNOWN", "error"):
             print(f"  reason: {entry['reason']}")
-    totals = report["totals"]
-    print(
-        f"batch: {totals['files']} files  holds={totals['holds']} "
-        f"violated={totals['violated']} unknown={totals['unknown']} "
-        f"errors={totals['errors']}  wall={totals['wall_s']:.3f}s"
-    )
-    print(
-        f"dedup: {totals['tasks']} tasks -> {totals['unique']} unique; "
-        f"solved={totals['solved']} memory={totals['memory_hits']} "
-        f"store={totals['store_hits']} dedup={totals['dedup_served']} "
-        f"certified={totals['certified']}"
-    )
-    if args.stats and report.get("store") is not None and "store" in totals:
-        s = totals["store"]
-        print(
-            f"store: hits={s['hits']} misses={s['misses']} "
-            f"stores={s['stores']} evictions={s['evictions']} "
-            f"tombstones={s['tombstones']} torn={s['torn_records']}"
-        )
+    (rec := obs.Record()).merge(report["record"])
+    print(obs.render(rec))  # the summary is the batch's run record
     if args.store_quota_report and "store_quota" in report:
         _print_quota_report(report["store_quota"])
     return batch_exit_code(report)
@@ -440,7 +421,7 @@ def _print_heartbeat(verdict) -> None:
     )
 
 
-def _finish_monitor(verdict, want_stats: bool) -> int:
+def _finish_monitor(verdict, stats: obs.Record | None) -> int:
     """Print a closing stream verdict and map it to an exit status."""
     result = verdict.result
     if verdict.kind == "violation":
@@ -458,23 +439,17 @@ def _finish_monitor(verdict, want_stats: bool) -> int:
     else:
         print(f"coherence: holds  (method: {result.method})")
         code = 0
-    s = verdict.stats
-    if want_stats and s:
-        escalated = s.get("escalated")
+    if stats is not None:
+        escalated = verdict.stats.get("escalated")
         if escalated:
             print(f"escalated to the offline engine: {escalated}")
-        print(
-            f"stats: {s['ops']} ops ({s['syncs']} sync), "
-            f"{s['addresses']} addresses, "
-            f"peak window {s['peak_window']} ops, "
-            f"evicted {s['evicted']}, {s['heartbeats']} heartbeats, "
-            f"{s['elapsed_s']:.3f}s, {s['ops_per_s']:,.0f} ops/s"
-        )
+        print(obs.render(stats))
     return code
 
 
-def _monitor_stream(fh, head: bytes, source: str, args, deadline) -> int:
-    """Tail a framed REPROSTM stream through a StreamingVerifier."""
+def _monitor_stream(fh, head: bytes, source: str, args, deadline):
+    """Tail a framed REPROSTM stream through a StreamingVerifier;
+    returns the closing verdict, or an exit status."""
     from time import monotonic, sleep
 
     from repro.core import serialize_bin
@@ -497,9 +472,9 @@ def _monitor_stream(fh, head: bytes, source: str, args, deadline) -> int:
                 if verdict.kind == "heartbeat":
                     _print_heartbeat(verdict)
                 else:
-                    return _finish_monitor(verdict, args.stats)
+                    return verdict
         if deadline is not None and monotonic() >= deadline:
-            ops = verifier.stats.ops if verifier is not None else 0
+            ops = verifier.snapshot()["ops"] if verifier is not None else 0
             print(
                 f"coherence: UNKNOWN  (deadline expired after {ops} ops; "
                 f"the consumed prefix held)"
@@ -540,10 +515,21 @@ def _monitor_stream(fh, head: bytes, source: str, args, deadline) -> int:
             f"({reader.pending_bytes} bytes buffered); deciding the "
             f"consumed prefix"
         )
-    return _finish_monitor(verifier.finalize(), args.stats)
+    return verifier.finalize()
 
 
 def cmd_monitor(args: argparse.Namespace) -> int:
+    rec = obs.Record()
+    with obs.opened(rec), obs.span("monitor"):
+        out = _monitor(args)
+    if isinstance(out, int):
+        return out
+    return _finish_monitor(out, rec if args.stats else None)
+
+
+def _monitor(args: argparse.Namespace):
+    """Monitor ``args.stream`` to its closing verdict (or an exit
+    status)."""
     from time import monotonic
 
     from repro.core import serialize_bin
@@ -568,14 +554,13 @@ def cmd_monitor(args: argparse.Namespace) -> int:
         raw = head + fh.read()
         suffix = "" if source == "<stdin>" else Path(source).suffix
         execution = _parse_trace_bytes(raw, source, suffix)
-        verdict = monitor_execution(
+        return monitor_execution(
             execution,
             window=args.window,
             certify=args.certify,
             heartbeat=args.heartbeat,
             on_heartbeat=_print_heartbeat,
         )
-        return _finish_monitor(verdict, args.stats)
     except CertificationError as e:
         print(f"certification failed: {e}", file=sys.stderr)
         return EXIT_UNKNOWN
@@ -709,10 +694,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         num_homes=args.homes,
         delay_model=args.delay_model,
     )
+    rec = obs.Record(rows=True)
     try:
-        run = SUBSTRATES[args.substrate](
-            cfg, scripts, initial_memory=initial, faults=faults
-        ).run()
+        with obs.opened(rec), obs.span("simulate"):
+            run = SUBSTRATES[args.substrate](
+                cfg, scripts, initial_memory=initial, faults=faults
+            ).run()
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -725,16 +712,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{len(o.visible_events)} visible, "
             f"{len(o.latent_events)} latent injections"
         )
-    result = verify_coherence(
-        run.execution,
-        write_orders=run.write_orders,
-        jobs=args.jobs,
-    )
+    with obs.opened(rec):
+        result = verify_coherence(
+            run.execution,
+            write_orders=run.write_orders,
+            jobs=args.jobs,
+        )
     print(f"coherence: {'holds' if result else 'VIOLATED'}")
     if not result:
         print(f"reason: {result.reason}")
-    if args.stats and result.report is not None:
-        print(result.report.format())
+    if args.stats:
+        print(obs.render(rec))
     if args.out:
         save_json(run.execution, args.out)
         print(f"trace written to {args.out}")
@@ -833,7 +821,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             print(text)
             return 0 if report.contract_ok else 1
         Path(args.json).write_text(text + "\n", encoding="utf-8")
-    print(campaign_table(report, cache=cache))
+    print(campaign_table(report))
     return 0 if report.contract_ok else 1
 
 
@@ -935,8 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print the engine report (backend per address, prepass "
-        "counters, cache hits, timing)",
+        help="print the run record (backend per address, prepass "
+        "counters, cache hits, UNKNOWN causes, time per stage)",
     )
     p.add_argument(
         "--timeout",
@@ -1020,8 +1008,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--stats",
         action="store_true",
-        help="print the dedup plan and persistent-store counters with "
-        "the per-file verdicts",
+        help="print the dedup plan with the per-file verdicts and the "
+        "run record",
     )
     p.add_argument(
         "--timeout",
@@ -1275,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="verify addresses in parallel on N worker "
                    "processes when heavy tasks survive the pre-pass")
     p.add_argument("--stats", action="store_true",
-                   help="print the engine report after verification")
+                   help="print the run record after verification")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(

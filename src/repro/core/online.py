@@ -38,16 +38,11 @@ the write that sourced it, true of real hardware and of the simulator).
 from __future__ import annotations
 
 from repro.core.types import Address, Value
-from repro.engine.streaming import (
-    AddressMonitor,
-    CoherenceViolation,
-    MonitorStats,
-)
+from repro.engine.streaming import AddressMonitor, CoherenceViolation
 
 __all__ = [
     "CoherenceMonitor",
     "CoherenceViolation",
-    "MonitorStats",
     "SystemMonitor",
     "monitor_run",
 ]

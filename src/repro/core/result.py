@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro import obs
 from repro.core.types import Address, Operation, schedule_str
 
 
@@ -115,8 +116,8 @@ class VerificationResult:
     address: Address | None = None
     stats: dict[str, Any] = field(default_factory=dict)
     per_address: dict[Address, "VerificationResult"] = field(default_factory=dict)
-    #: Engine execution statistics (an :class:`repro.engine.EngineReport`)
-    #: when the query went through the unified engine; None otherwise.
+    #: The run record (a :class:`repro.obs.Record`) when the query went
+    #: through the unified engine; None otherwise.
     report: Any = None
     #: True when the engine gave up without a verdict (see class docs).
     unknown: bool = False
@@ -127,10 +128,11 @@ class VerificationResult:
     @classmethod
     def make_unknown(
         cls, method: str, reason: str, detail: str = "",
-        address: Address | None = None,
+        address: Address | None = None, stage: str | None = None,
     ) -> "VerificationResult":
         """An UNKNOWN outcome: no verdict, with a recorded ``reason``
-        from :data:`UNKNOWN_REASONS` (and optional free-form detail)."""
+        from :data:`UNKNOWN_REASONS` (and optional free-form detail);
+        ``stats["stage"]`` is where it gave up (default: the open span)."""
         if reason not in UNKNOWN_REASONS:
             raise ValueError(
                 f"unknown reason {reason!r}; expected one of {UNKNOWN_REASONS}"
@@ -138,7 +140,7 @@ class VerificationResult:
         text = f"{reason}: {detail}" if detail else reason
         return cls(
             holds=False, method=method, reason=text, address=address,
-            unknown=True,
+            unknown=True, stats={"stage": stage or obs.stage()},
         )
 
     @property

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
+from repro import obs
 from repro.core.types import (
     INITIAL,
     Execution,
@@ -157,6 +158,7 @@ def load(path) -> Execution:
     return loads(raw.decode("utf-8"))
 
 
+@obs.timed("parse")
 def parse_trace_bytes(raw: bytes, source: str = "<bytes>", suffix: str = "") -> Execution:
     """Decode trace bytes from *any* supported on-disk format.
 

@@ -19,7 +19,7 @@ than an if-chain:
 
 The returned :class:`~repro.core.result.VerificationResult` records
 which algorithm decided the instance in ``method`` and carries the
-engine's :class:`~repro.engine.report.EngineReport` in ``report``.
+run record (a :class:`~repro.obs.Record`) in ``report``.
 Multi-address executions decompose into independent per-address tasks;
 pass ``jobs=N`` to decide heavy ones on worker processes, or a shared
 :class:`~repro.engine.cache.ResultCache` to dedupe isomorphic

@@ -16,8 +16,10 @@ extensible pipeline:
   tasks, early-exiting on the first violation;
 * :mod:`repro.engine.cache` — canonical-fingerprint result cache so
   isomorphic sub-executions are decided once;
-* :mod:`repro.engine.report` — per-task stats aggregated into an
-  :class:`EngineReport` (the CLI's ``--stats``).
+
+Every run keeps its accounting in one :class:`repro.obs.Record`
+(``result.report``): spans, counters and the per-task rows the CLI's
+``--stats`` prints.
 
 The public verifiers in :mod:`repro.core.vmc` / :mod:`repro.core.vsc`
 are re-exports of :func:`verify_vmc` / :func:`verify_vsc`.  See
@@ -26,9 +28,9 @@ are re-exports of :func:`verify_vmc` / :func:`verify_vsc`.  See
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import Mapping, Sequence
 
+from repro import obs
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import (
@@ -38,7 +40,7 @@ from repro.engine.backend import (
     Instance,
     estimated_states,
 )
-from repro.engine.cache import CacheStats, ResultCache, canonicalize, fingerprint
+from repro.engine.cache import ResultCache, canonicalize, fingerprint
 from repro.engine.certify import (
     CERTIFY_MODES,
     CertCheck,
@@ -75,13 +77,11 @@ from repro.engine.batch import (
     run_batch,
     verify_many,
 )
-from repro.engine.report import EngineReport, TaskStats
-from repro.engine.store import ResultStore, StoreStats, fingerprint_key
+from repro.engine.store import ResultStore, fingerprint_key
 from repro.engine.streaming import (
     DEFAULT_WINDOW,
     AddressMonitor,
     StreamingVerifier,
-    StreamStats,
     StreamVerdict,
     monitor_execution,
 )
@@ -99,13 +99,11 @@ __all__ = [
     "BackendInapplicableError",
     "BackendRegistry",
     "BatchPlan",
-    "CacheStats",
     "CertCheck",
     "Certificate",
     "CertificationError",
     "ChaosCrash",
     "ChaosSpec",
-    "EngineReport",
     "Instance",
     "PlannedTask",
     "PortfolioBackend",
@@ -114,11 +112,8 @@ __all__ = [
     "ResultCache",
     "ResultStore",
     "SourceOutcome",
-    "StoreStats",
-    "StreamStats",
     "StreamVerdict",
     "StreamingVerifier",
-    "TaskStats",
     "batch_exit_code",
     "build_vmc_registry",
     "build_vsc_registry",
@@ -158,23 +153,18 @@ def _resolve_cache(cache: "ResultCache | bool | None") -> ResultCache | None:
     return cache
 
 
-def _plan_and_execute(plan, cache, **kwargs) -> tuple[dict, EngineReport]:
-    """``plan(cache)`` then :func:`execute_plan`, with planning (lookups
-    and pre-pass included) timed as the ``prepass`` stage and the store
-    records it rejected counted in the report."""
-    rejected = (
-        cache.stats.store_revalidation_failures if cache is not None else 0
-    )
-    t_plan = perf_counter()
-    tasks = plan(cache)
-    t_plan = perf_counter() - t_plan
-    results, report = execute_plan(tasks, cache=cache, **kwargs)
-    report.stage_times["prepass"] = t_plan
-    if cache is not None:
-        report.store_revalidation_failures = (
-            cache.stats.store_revalidation_failures - rejected
-        )
-    return results, report
+def _run(plan, cache, answer, **kwargs) -> VerificationResult:
+    """One engine run in its own record: ``plan(cache)`` under the
+    ``plan`` span (lookups and pre-pass included), :func:`execute_plan`,
+    then ``answer(results)``, which carries the record and counts once
+    if UNKNOWN."""
+    with obs.opened(obs.Record(rows=True)) as rec:
+        with obs.span("plan"):
+            tasks = plan(cache)
+        result = answer(execute_plan(tasks, cache=cache, **kwargs)[0])
+        obs.count_unknown(result)
+    result.report = rec
+    return result
 
 
 def verify_vmc(
@@ -217,17 +207,26 @@ def verify_vmc(
         if certify != "off":
             result.certificate = Certificate("witness")
             result.stats["certified"] = True
-        result.report = EngineReport(problem="vmc", jobs=max(1, jobs))
+        result.report = obs.Record(rows=True)
+        result.report.info.update(problem="vmc", jobs=max(1, jobs))
         return result
-    results, report = _plan_and_execute(
+    return _run(
         lambda c: plan_vmc(
             execution, method=method, write_orders=write_orders,
             registry=registry, cache=c, certify=certify,
         ),
         _resolve_cache(cache),
+        lambda results: _aggregate_vmc(addrs, results),
         jobs=jobs, early_exit=early_exit, problem="vmc",
         resilience=resilience, certify=certify,
     )
+
+
+def _aggregate_vmc(
+    addrs: list[Address], results: dict[Address, VerificationResult]
+) -> VerificationResult:
+    """Per-address results -> the execution's answer: VIOLATED >
+    UNKNOWN > holds."""
     per: dict[Address, VerificationResult] = {
         a: results[a] for a in addrs if a in results
     }
@@ -251,6 +250,7 @@ def verify_vmc(
             reason=first.unknown_reason,
             detail=f"{len(undecided)}/{len(addrs)} addresses undecided; "
             f"first: {first.reason}",
+            stage=first.stats.get("stage"),
         )
     else:
         only = per[addrs[0]]
@@ -263,7 +263,6 @@ def verify_vmc(
     agg.per_address = per
     if len(addrs) == 1:
         agg.address = addrs[0]
-    agg.report = report
     return agg
 
 
@@ -283,14 +282,11 @@ def verify_vmc_at(
         execution.restrict_to_address(addr), address=addr,
         write_order=write_order, problem="vmc",
     )
-    results, report = _plan_and_execute(
+    return _run(
         lambda c: [plan_task(0, addr, instance, method, registry, c, certify)],
-        _resolve_cache(cache),
+        _resolve_cache(cache), lambda results: results[addr],
         problem="vmc", resilience=resilience, certify=certify,
     )
-    result = results[addr]
-    result.report = report
-    return result
 
 
 def verify_vsc(
@@ -304,14 +300,11 @@ def verify_vsc(
     """Decide whether a sequentially consistent schedule exists
     (Definition 6.1).  VSC needs one schedule over all addresses at
     once, so there is a single task — no per-address parallelism."""
-    results, report = _plan_and_execute(
+    return _run(
         lambda c: plan_vsc(
             execution, method=method, registry=registry, cache=c,
             certify=certify,
         ),
-        _resolve_cache(cache),
+        _resolve_cache(cache), lambda results: results[None],
         problem="vsc", resilience=resilience, certify=certify,
     )
-    result = results[None]
-    result.report = report
-    return result

@@ -24,7 +24,10 @@ single solve.  This module is that data plane:
 4. **Report** — results fan back out to their sources; the aggregate
    per source is ``VIOLATED > UNKNOWN > holds`` and the machine-
    readable report records per-source verdicts, hit provenance
-   (solved / memory / store / dedup) and certified counts.
+   (solved / memory / store / dedup) and certified counts.  The batch
+   totals are counters of the batch's run record (:mod:`repro.obs`):
+   ``batch.*``, ``provenance.*`` and one ``unknown.<reason>`` per
+   UNKNOWN source.
 
 ``repro batch`` (the CLI front-end) adds ``--dry-run``: print the
 dedup plan and predicted store hits without solving anything.
@@ -36,6 +39,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Mapping, Sequence
 
+from repro import obs
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import Instance
@@ -214,30 +218,6 @@ def plan_batch(
 # ---------------------------------------------------------------------
 # Serve or solve
 # ---------------------------------------------------------------------
-@dataclass
-class BatchStats:
-    """Batch-level execution counters (the report's ``totals``)."""
-
-    sources: int = 0
-    errors: int = 0
-    holds: int = 0
-    violated: int = 0
-    unknown: int = 0
-    tasks: int = 0
-    unique: int = 0
-    solved: int = 0
-    memory_hits: int = 0
-    store_hits: int = 0
-    dedup_served: int = 0
-    certified: int = 0
-    budget_expired: int = 0
-    #: Failed pool attempts that were retried, and tasks quarantined to
-    #: in-process execution after their retries ran out.
-    retries: int = 0
-    quarantined: int = 0
-    wall_s: float = 0.0
-
-
 def _decide(
     plan: BatchPlan,
     uidxs: Sequence[int],
@@ -245,7 +225,6 @@ def _decide(
     cache: ResultCache,
     policy: ResiliencePolicy | None,
     certify: str,
-    stats: BatchStats,
 ) -> dict[int, VerificationResult]:
     """Plan the given uniques against the cache and run what it misses
     in one executor run; returns uidx -> result."""
@@ -259,16 +238,10 @@ def _decide(
             uidx, u.address, instance, plan.method, cache=cache,
             certify=certify, canon=u.canon,
         ))
-    results, report = execute_tasks(
+    return execute_tasks(
         tasks, jobs=jobs, cache=cache, early_exit=False,
         resilience=policy, certify=certify,
-    )
-    stats.retries += report.retries
-    stats.quarantined += report.quarantined
-    stats.budget_expired += sum(
-        r.unknown and r.unknown_reason == "budget" for r in results.values()
-    )
-    return results
+    )[0]
 
 
 # ---------------------------------------------------------------------
@@ -291,6 +264,7 @@ def _aggregate_source(
             reason=first.unknown_reason or "budget",
             detail=first.reason,
             address=first.address,
+            stage=first.stats.get("stage"),
         )
     elif item_results:
         agg = VerificationResult(
@@ -352,6 +326,13 @@ def _classify(result: VerificationResult) -> str:
     return "solved"
 
 
+#: Shown (as 0) even when nothing counted them.
+_ALWAYS_COUNTED = (
+    "batch.errors batch.holds batch.violated batch.unknown batch.certified "
+    "provenance.solved provenance.memory provenance.store provenance.dedup"
+).split()
+
+
 def run_plan(
     plan: BatchPlan,
     jobs: int = 1,
@@ -359,91 +340,90 @@ def run_plan(
     store: ResultStore | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-) -> tuple[list[SourceOutcome], BatchStats]:
-    """Decide a planned batch and fan results back to the sources.
+) -> tuple[list[SourceOutcome], obs.Record]:
+    """Decide a planned batch and fan results back to the sources;
+    returns the outcomes and the batch's run record (folded into the
+    record open on the calling thread as well).
 
     Store records are left to the store's group commit: the front
     door that owns the durability boundary (:func:`verify_many`,
     :func:`run_batch`, the daemon once its queue goes idle) flushes.
     """
-    t0 = perf_counter()
-    stats = BatchStats(
-        sources=len(plan.labels),
-        tasks=len(plan.tasks),
-        unique=len(plan.uniques),
-    )
-    if cache is None:
-        cache = ResultCache(store=store)
-    args = (jobs, cache, resilience, certify, stats)
-    decided: dict[int, tuple[VerificationResult | None, str | None]]
-    try:
-        results = _decide(plan, range(len(plan.uniques)), *args)
-        decided = {uidx: (r, None) for uidx, r in results.items()}
-    except Exception:  # noqa: BLE001 - one bad instance never sinks a batch
-        decided = {}
-        # Re-decide each unique on its own, so the error lands on the
-        # sources of the instance that raised and nowhere else (what
-        # the failed run already cached is served).
-        for uidx in range(len(plan.uniques)):
-            try:
-                (result,) = _decide(plan, [uidx], *args).values()
-                decided[uidx] = (result, None)
-            except CertificationError as e:
-                decided[uidx] = (None, f"certification failed: {e}")
-            except Exception as e:  # noqa: BLE001
-                decided[uidx] = (None, f"{type(e).__name__}: {e}")
-
-    outcomes = [SourceOutcome(label=label) for label in plan.labels]
-    for idx, message in plan.errors.items():
-        outcomes[idx].error = message
-    served: set[int] = set()
-    items_by_source: dict[int, list[tuple[Any, VerificationResult]]] = {}
-    for task in plan.tasks:
-        outcome = outcomes[task.source]
-        outcome.tasks += 1
-        result, err = decided.get(task.unique, (None, "never scheduled"))
-        if err is not None:
-            outcome.error = err
-            continue
-        assert result is not None
+    with obs.opened() as rec, obs.span("batch"):
+        n = dict.fromkeys(_ALWAYS_COUNTED, 0)
+        n["batch.sources"] = len(plan.labels)
+        n["batch.tasks"] = len(plan.tasks)
+        n["batch.unique"] = len(plan.uniques)
+        if cache is None:
+            cache = ResultCache(store=store)
+        args = (jobs, cache, resilience, certify)
+        decided: dict[int, tuple[VerificationResult | None, str | None]]
         try:
-            item = _fan_out(
-                result, task, plan.uniques[task.unique].canon, certify
+            results = _decide(plan, range(len(plan.uniques)), *args)
+            decided = {uidx: (r, None) for uidx, r in results.items()}
+        except Exception:  # noqa: BLE001 - one bad instance never sinks a batch
+            decided = {}
+            # Re-decide each unique on its own, so the error lands on the
+            # sources of the instance that raised and nowhere else (what
+            # the failed run already cached is served).
+            for uidx in range(len(plan.uniques)):
+                try:
+                    (result,) = _decide(plan, [uidx], *args).values()
+                    decided[uidx] = (result, None)
+                except CertificationError as e:
+                    decided[uidx] = (None, f"certification failed: {e}")
+                except Exception as e:  # noqa: BLE001
+                    decided[uidx] = (None, f"{type(e).__name__}: {e}")
+
+        outcomes = [SourceOutcome(label=label) for label in plan.labels]
+        for idx, message in plan.errors.items():
+            outcomes[idx].error = message
+        served: set[int] = set()
+        items_by_source: dict[int, list[tuple[Any, VerificationResult]]] = {}
+        for task in plan.tasks:
+            outcome = outcomes[task.source]
+            outcome.tasks += 1
+            result, err = decided.get(task.unique, (None, "never scheduled"))
+            if err is not None:
+                outcome.error = err
+                continue
+            assert result is not None
+            try:
+                item = _fan_out(
+                    result, task, plan.uniques[task.unique].canon, certify
+                )
+            except CertificationError as e:
+                outcome.error = f"certification failed: {e}"
+                continue
+            if task.unique not in served:
+                served.add(task.unique)
+                outcome.unique += 1
+                kind = _classify(result)
+            else:
+                kind = "dedup"
+            n[f"provenance.{kind}"] += 1
+            outcome.provenance[kind] = outcome.provenance.get(kind, 0) + 1
+            if item.stats.get("certified"):
+                outcome.certified += 1
+                n["batch.certified"] += 1
+            items_by_source.setdefault(task.source, []).append(
+                (task.address, item)
             )
-        except CertificationError as e:
-            outcome.error = f"certification failed: {e}"
-            continue
-        if task.unique not in served:
-            served.add(task.unique)
-            outcome.unique += 1
-            kind = _classify(result)
-            stats.solved += kind == "solved"
-            stats.memory_hits += kind == "memory"
-            stats.store_hits += kind == "store"
-        else:
-            kind = "dedup"
-            stats.dedup_served += 1
-        outcome.provenance[kind] = outcome.provenance.get(kind, 0) + 1
-        if item.stats.get("certified"):
-            outcome.certified += 1
-            stats.certified += 1
-        items_by_source.setdefault(task.source, []).append(
-            (task.address, item)
-        )
-    for i, outcome in enumerate(outcomes):
-        if outcome.error is not None:
-            stats.errors += 1
-            continue
-        _aggregate_source(outcome, items_by_source.get(i, []))
-        assert outcome.result is not None
-        if outcome.result.violated:
-            stats.violated += 1
-        elif outcome.result.unknown:
-            stats.unknown += 1
-        else:
-            stats.holds += 1
-    stats.wall_s = perf_counter() - t0
-    return outcomes, stats
+        for i, outcome in enumerate(outcomes):
+            if outcome.error is not None:
+                n["batch.errors"] += 1
+                continue
+            _aggregate_source(outcome, items_by_source.get(i, []))
+            assert outcome.result is not None
+            if outcome.result.violated:
+                n["batch.violated"] += 1
+            elif outcome.result.unknown:
+                n["batch.unknown"] += 1
+                obs.count_unknown(outcome.result)
+            else:
+                n["batch.holds"] += 1
+        rec.merge({"counters": n})
+    return outcomes, rec
 
 
 # ---------------------------------------------------------------------
@@ -533,93 +513,97 @@ def run_batch(
     t0 = perf_counter()
     if store is None and cache is not None:
         store = cache.store_tier
-    sources = load_sources(paths)
-    plan = plan_batch(sources, store=store)
-    report: dict[str, Any] = {
-        "version": 1,
-        "problem": "vmc",
-        "jobs": jobs,
-        "certify": certify,
-        "dry_run": dry_run,
-        "store": {
-            "path": store.path,
-            "n_shards": store.n_shards,
-            "max_mb": (
-                store.max_bytes / (1024 * 1024)
-                if store.max_bytes is not None
-                else None
-            ),
+    with obs.opened() as rec:
+        sources = load_sources(paths)
+        plan = plan_batch(sources, store=store)
+        report: dict[str, Any] = {
+            "version": 1,
+            "problem": "vmc",
+            "jobs": jobs,
+            "certify": certify,
+            "dry_run": dry_run,
+            "store": {
+                "path": store.path,
+                "n_shards": store.n_shards,
+                "max_mb": (
+                    store.max_bytes / (1024 * 1024)
+                    if store.max_bytes is not None
+                    else None
+                ),
+            }
+            if store is not None
+            else None,
+            "plan": {
+                "sources": len(plan.labels),
+                "tasks": len(plan.tasks),
+                "unique": len(plan.uniques),
+                "dedup_ratio": round(plan.dedup_ratio, 4),
+                "predicted_store_hits": plan.predicted_store_hits,
+                "text": plan.describe(jobs),
+            },
         }
-        if store is not None
-        else None,
-        "plan": {
-            "sources": len(plan.labels),
-            "tasks": len(plan.tasks),
-            "unique": len(plan.uniques),
-            "dedup_ratio": round(plan.dedup_ratio, 4),
-            "predicted_store_hits": plan.predicted_store_hits,
-            "text": plan.describe(jobs),
-        },
-    }
-    if dry_run:
+        if dry_run:
+            report["files"] = [
+                {"path": label, "error": plan.errors.get(i)}
+                for i, label in enumerate(plan.labels)
+            ]
+            report["totals"] = {
+                "files": len(plan.labels),
+                "errors": len(plan.errors),
+                "wall_s": round(perf_counter() - t0, 6),
+            }
+            return report
+        outcomes, _ = run_plan(
+            plan,
+            jobs=jobs,
+            cache=cache,
+            store=store,
+            resilience=resilience,
+            certify=certify,
+        )
+        if store is not None:
+            store.flush()
         report["files"] = [
-            {"path": label, "error": plan.errors.get(i)}
-            for i, label in enumerate(plan.labels)
+            {
+                "path": o.label,
+                "verdict": o.verdict,
+                "reason": (
+                    o.error if o.error is not None
+                    else o.result.reason if o.result is not None
+                    else ""
+                ),
+                "tasks": o.tasks,
+                "unique": o.unique,
+                "provenance": o.provenance,
+                "certified": o.certified,
+            }
+            for o in outcomes
         ]
-        report["totals"] = {
-            "files": len(plan.labels),
-            "errors": len(plan.errors),
+        c = rec.counters.get
+        totals: dict[str, Any] = {
+            "files": c("batch.sources"),
+            "errors": c("batch.errors"),
+            "holds": c("batch.holds"),
+            "violated": c("batch.violated"),
+            "unknown": c("batch.unknown"),
+            "tasks": c("batch.tasks"),
+            "unique": c("batch.unique"),
+            "solved": c("provenance.solved"),
+            "memory_hits": c("provenance.memory"),
+            "store_hits": c("provenance.store"),
+            "dedup_served": c("provenance.dedup"),
+            "certified": c("batch.certified"),
+            "budget_expired": c("engine.unknown.budget", 0),
+            "retries": c("resilience.retries", 0),
+            "quarantined": c("resilience.quarantined", 0),
+            "unknown_causes": rec.unknowns(),
             "wall_s": round(perf_counter() - t0, 6),
         }
+        if store is not None:
+            totals["store"] = store.stats.as_dict()
+        report["totals"] = totals
+        report["record"] = rec.as_dict()
         return report
-    outcomes, stats = run_plan(
-        plan,
-        jobs=jobs,
-        cache=cache,
-        store=store,
-        resilience=resilience,
-        certify=certify,
-    )
-    if store is not None:
-        store.flush()
-    report["files"] = [
-        {
-            "path": o.label,
-            "verdict": o.verdict,
-            "reason": (
-                o.error if o.error is not None
-                else o.result.reason if o.result is not None
-                else ""
-            ),
-            "tasks": o.tasks,
-            "unique": o.unique,
-            "provenance": o.provenance,
-            "certified": o.certified,
-        }
-        for o in outcomes
-    ]
-    totals: dict[str, Any] = {
-        "files": stats.sources,
-        "errors": stats.errors,
-        "holds": stats.holds,
-        "violated": stats.violated,
-        "unknown": stats.unknown,
-        "tasks": stats.tasks,
-        "unique": stats.unique,
-        "solved": stats.solved,
-        "memory_hits": stats.memory_hits,
-        "store_hits": stats.store_hits,
-        "dedup_served": stats.dedup_served,
-        "certified": stats.certified,
-        "budget_expired": stats.budget_expired,
-        "retries": stats.retries,
-        "quarantined": stats.quarantined,
-        "wall_s": round(perf_counter() - t0, 6),
-    }
-    if store is not None:
-        totals["store"] = store.stats.as_dict()
-    report["totals"] = totals
-    return report
 
 
 def batch_exit_code(report: dict[str, Any]) -> int:

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
+from repro import obs
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.store import fingerprint_key
@@ -69,6 +70,7 @@ class CanonicalInstance:
         return fingerprint_key(self.key)
 
 
+@obs.timed("canon")
 def canonicalize(
     execution: Execution,
     write_order: Sequence[Operation] | None = None,
@@ -305,43 +307,14 @@ class _Entry:
     from_store: bool = False
 
 
-@dataclass
-class CacheStats:
-    #: Served from the in-memory tier.
-    hits: int = 0
-    #: Missed both the in-memory tier and the store (if attached).
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    #: Hits whose re-materialized result failed the on-hit check (a
-    #: witness that no longer replays, or a certificate the trusted
-    #: checker rejects): the entry is dropped and the task recomputed.
-    validation_failures: int = 0
-    #: Served from the persistent store tier (memory miss, disk hit).
-    store_hits: int = 0
-    #: Store-loaded entries that failed the on-hit check — corrupt,
-    #: stale, or tampered records evicted (tombstoned) and recomputed.
-    store_revalidation_failures: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.store_hits + self.misses
-        return (self.hits + self.store_hits) / total if total else 0.0
-
-    def summary(self) -> str:
-        text = (
-            f"{self.hits} memory hit / {self.store_hits} store hit / "
-            f"{self.misses} miss "
-            f"({self.hit_rate:.0%}), {self.stores} stored, "
-            f"{self.evictions} evicted, "
-            f"{self.validation_failures} failed validation"
-        )
-        if self.store_revalidation_failures:
-            text += (
-                f", {self.store_revalidation_failures} store records "
-                f"failed revalidation"
-            )
-        return text
+#: The cache's lifetime counters (``cache.stats.<name>``).  A
+#: ``validation_failures`` hit failed the on-hit check (a witness that
+#: no longer replays, a rejected certificate) and was recomputed;
+#: ``store_revalidation_failures`` counts the store-loaded ones.
+CACHE_COUNTERS = (
+    "hits misses stores evictions validation_failures store_hits "
+    "store_revalidation_failures"
+)
 
 
 class ResultCache:
@@ -375,7 +348,7 @@ class ResultCache:
         self._lock = threading.Lock()
         self.max_entries = max_entries
         self.store_tier = store
-        self.stats = CacheStats()
+        self.stats = obs.Counters("cache", CACHE_COUNTERS)
 
     def __len__(self) -> int:
         return len(self._data)
@@ -388,14 +361,14 @@ class ResultCache:
             and len(self._data) >= self.max_entries
         ):
             self._data.pop(next(iter(self._data)))
-            self.stats.evictions += 1
+            self.stats.add("evictions")
         self._data[key] = entry
 
     def lookup(self, canon: CanonicalInstance) -> VerificationResult | None:
         with self._lock:
             entry = self._data.get(canon.key)
             if entry is not None:
-                self.stats.hits += 1
+                self.stats.add("hits")
         from_store = False
         if entry is None and self.store_tier is not None:
             rec = self.store_tier.lookup(canon)
@@ -412,10 +385,9 @@ class ResultCache:
                 from_store = True
                 with self._lock:
                     self._install(canon.key, entry)
-                    self.stats.store_hits += 1
+                    self.stats.add("store_hits")
         if entry is None:
-            with self._lock:
-                self.stats.misses += 1
+            self.stats.add("misses")
             return None
         schedule, certificate = from_canonical(
             canon, entry.schedule_idx, entry.certificate
@@ -440,9 +412,9 @@ class ResultCache:
         stale record must never be trusted by a later run either."""
         with self._lock:
             entry = self._data.pop(canon.key, None)
-            self.stats.validation_failures += 1
+            self.stats.add("validation_failures")
             if entry is not None and entry.from_store:
-                self.stats.store_revalidation_failures += 1
+                self.stats.add("store_revalidation_failures")
         if self.store_tier is not None:
             self.store_tier.invalidate(canon)
 
@@ -458,13 +430,13 @@ class ResultCache:
             stats={
                 k: v
                 for k, v in result.stats.items()
-                if k not in ("cache_hit", "store_hit", "t_certify")
+                if k not in ("cache_hit", "store_hit")
             },
             certificate=certificate,
         )
         with self._lock:
             if canon.key not in self._data:
-                self.stats.stores += 1
+                self.stats.add("stores")
             self._install(canon.key, entry)
         if self.store_tier is not None and not result.unknown:
             self.store_tier.put(
@@ -487,7 +459,7 @@ class ResultCache:
         """Reset the in-memory tier and counters (the store survives)."""
         with self._lock:
             self._data.clear()
-            self.stats = CacheStats()
+            self.stats = obs.Counters("cache", CACHE_COUNTERS)
 
 
 def fingerprint(

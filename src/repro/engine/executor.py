@@ -11,8 +11,8 @@ serial loop, which a pool cannot beat.  Cache lookups happen in the
 planner (:func:`repro.engine.planner.plan_task`); the executor serves
 the hits it was handed and writes every other decided verdict back in
 :func:`_finalize`, in the parent.  After the first *violated* task the
-run stops, and the avoided work is counted in
-``EngineReport.cancelled``.
+run stops, and the avoided work is counted as ``engine.cancelled`` in
+the run record (:mod:`repro.obs`).
 
 Resilience (:class:`ResiliencePolicy`) hardens the run against the
 failure modes of long campaigns:
@@ -42,9 +42,11 @@ execution (whichever tasks finished before the exit fired).
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
 
+from repro import obs
 from repro.core.result import VerificationResult
 from repro.engine.cache import ResultCache
 from repro.engine.certify import (
@@ -58,7 +60,6 @@ from repro.engine.planner import PlannedTask
 from repro.engine.pool import LostResult, backoff, run_pool
 from repro.engine.portfolio import PORTFOLIO_MIN_STATES, PortfolioBackend
 from repro.engine.prepass import EXPONENTIAL_TIER
-from repro.engine.report import EngineReport, TaskStats
 from repro.util.control import Cancelled
 from repro.util.deadline import Deadline
 
@@ -98,8 +99,13 @@ class _Outcome:
     cache_hit: bool
     seconds: float
     attempts: int = 1
-    crashes: int = 0
     quarantined: bool = False
+
+    @property
+    def crashes(self) -> int:
+        """Every attempt but the last crashed — and so did the last one
+        of a task given up as crashed."""
+        return self.attempts - 1 + (self.result.unknown_reason == "crashed")
 
 
 def _runs_backend(task: PlannedTask) -> bool:
@@ -170,16 +176,17 @@ def _decide_task(
     if pp is not None and pp.decided is not None:
         result = pp.decided
     else:
-        try:
-            result = task.backend.run_resilient(task.run_instance, stop)
-        except Cancelled as e:
-            result = VerificationResult.make_unknown(
-                method=task.backend.name,
-                reason=timeout_reason,
-                detail=f"{e.where} abandoned after {task_timeout:g}s",
-                address=task.address,
-            )
-            return result, perf_counter() - t0
+        with obs.span("search"):
+            try:
+                result = task.backend.run_resilient(task.run_instance, stop)
+            except Cancelled as e:
+                result = VerificationResult.make_unknown(
+                    method=task.backend.name,
+                    reason=timeout_reason,
+                    detail=f"{e.where} abandoned after {task_timeout:g}s",
+                    address=task.address,
+                )
+                return result, perf_counter() - t0
         if pp is not None and not result.unknown:
             result = pp.finish(result)
     if certify != "off" and not result.unknown:
@@ -208,25 +215,32 @@ def _decide_task(
             # only re-check orders the instance itself supplies.  Drop
             # the certificate and re-refute the raw trace below.
             result.certificate = None
-        t_cert = perf_counter()
-        try:
-            result = ensure_certificate(
-                task.instance.execution, result, task.instance.problem, stop
-            )
-        except Cancelled as e:
-            result = VerificationResult.make_unknown(
-                method=result.method,
-                reason=timeout_reason,
-                detail=f"{e.where} abandoned while deriving a certificate",
-                address=task.address,
-            )
-            return result, perf_counter() - t0
-        result.stats["t_certify"] = (
-            result.stats.get("t_certify", 0.0) + perf_counter() - t_cert
-        )
+        with obs.span("certify"):
+            try:
+                result = ensure_certificate(
+                    task.instance.execution, result, task.instance.problem,
+                    stop,
+                )
+            except Cancelled as e:
+                result = VerificationResult.make_unknown(
+                    method=result.method,
+                    reason=timeout_reason,
+                    detail=f"{e.where} abandoned while deriving a "
+                    f"certificate",
+                    address=task.address,
+                )
+                return result, perf_counter() - t0
     if chaos is not None and not result.unknown:
         result = tamper_result(chaos, _task_key(task), attempt, result)
     return result, perf_counter() - t0
+
+
+def _decide_pooled(*args) -> tuple[VerificationResult, float, dict]:
+    """:func:`_decide_task` in a pool worker; its record travels back
+    with the result."""
+    with obs.opened() as rec:
+        result, seconds = _decide_task(*args)
+    return result, seconds, rec.as_dict()
 
 
 def _effective_timeout(
@@ -253,19 +267,20 @@ def _backend_name(task: PlannedTask) -> str:
 
 
 def _unknown_outcome(
-    task: PlannedTask, reason: str, detail: str = "",
-    attempts: int = 1, crashes: int = 0, quarantined: bool = False,
+    task: PlannedTask, reason: str, detail: str, stage: str,
+    attempts: int = 1, quarantined: bool = False,
 ) -> _Outcome:
+    """A task given up in ``stage``: ``queue`` when it never started,
+    ``search`` when the workers deciding it kept crashing."""
     return _Outcome(
         task=task,
         result=VerificationResult.make_unknown(
             method=_backend_name(task), reason=reason, detail=detail,
-            address=task.address,
+            address=task.address, stage=stage,
         ),
         cache_hit=False,
         seconds=0.0,
         attempts=attempts,
-        crashes=crashes,
         quarantined=quarantined,
     )
 
@@ -285,18 +300,17 @@ def _finalize(
     # run must not quietly pick a side); ``strict`` degrades to a sound
     # UNKNOWN(uncertified) so sweeps survive an uncertifiable verdict.
     if certify != "off" and not result.unknown:
-        t_cert = perf_counter()
-        check = validate_result(
-            task.instance.execution, result, task.instance.problem,
-            write_order=task.instance.write_order,
-        )
-        result.stats["t_certify"] = (
-            result.stats.get("t_certify", 0.0) + perf_counter() - t_cert
-        )
-        result.stats["certified"] = bool(check)
-        if not check:
-            result.address = task.address
-            result = refuse(result, check, certify, f"task {_task_key(task)}")
+        with obs.span("certify"):
+            check = validate_result(
+                task.instance.execution, result, task.instance.problem,
+                write_order=task.instance.write_order,
+            )
+            result.stats["certified"] = bool(check)
+            if not check:
+                result.address = task.address
+                result = refuse(
+                    result, check, certify, f"task {_task_key(task)}"
+                )
     # UNKNOWN is not a verdict: caching it would replay resource
     # exhaustion as if it were a property of the instance.
     if cache is not None and task.canon is not None and not result.unknown:
@@ -341,16 +355,14 @@ def _run_task(
             if attempt >= policy.retries:
                 return _unknown_outcome(
                     task, "crashed",
-                    f"gave up after {attempt + 1} crashes: {e}",
-                    attempts=attempt + 1, crashes=attempt + 1,
-                    quarantined=True,
+                    f"gave up after {attempt + 1} crashes: {e}", "search",
+                    attempts=attempt + 1, quarantined=True,
                 )
             backoff(policy, attempt, run_deadline)
             attempt += 1
     result = _finalize(task, result, cache, policy.chaos, certify)
     return _Outcome(
-        task, result, False, perf_counter() - t0,
-        attempts=attempt + 1, crashes=attempt,
+        task, result, False, perf_counter() - t0, attempts=attempt + 1
     )
 
 
@@ -362,8 +374,8 @@ def execute_plan(
     problem: str = "vmc",
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-) -> tuple[dict, EngineReport]:
-    """Run a plan; returns ``(results_by_address, report)``.
+) -> tuple[dict, obs.Record]:
+    """Run a plan; returns ``(results_by_address, record)``.
 
     ``results_by_address`` only contains the tasks that actually ran
     (early exit may skip the tail of the plan; a run-budget expiry
@@ -372,12 +384,12 @@ def execute_plan(
     run keyed by plan position, for plans whose tasks share an
     address.
     """
-    results, report = execute_tasks(
+    results, record = execute_tasks(
         tasks, jobs, cache, early_exit, problem, resilience, certify
     )
     return {
         t.address: results[t.order] for t in tasks if t.order in results
-    }, report
+    }, record
 
 
 def execute_tasks(
@@ -388,15 +400,19 @@ def execute_tasks(
     problem: str = "vmc",
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
-) -> tuple[dict[int, VerificationResult], EngineReport]:
-    """Run a plan; returns ``(results_by_order, report)``.
+) -> tuple[dict[int, VerificationResult], obs.Record]:
+    """Run a plan; returns ``(results_by_order, record)``.
 
     ``cache`` receives every decided verdict of a task planned with a
     cache key (:func:`_finalize`); it should be the cache the plan was
     made with.  With ``jobs > 1`` the tasks run on the process pool
-    exactly when some task is heavy (:func:`_is_heavy`);
-    ``EngineReport.pool`` records ``"process"`` or ``"serial"``,
-    whichever ran.
+    exactly when some task is heavy (:func:`_is_heavy`); the record's
+    ``info["pool"]`` is ``"process"`` or ``"serial"``, whichever ran.
+
+    The run counts into the record open on the calling thread (a fresh
+    one when none is): one row per task, the ``engine.*``,
+    ``resilience.*``, ``certify.*``, ``prepass.*`` and ``portfolio.*``
+    counters, and the ``search``/``certify`` spans (:mod:`repro.obs`).
 
     ``certify`` is one of :data:`~repro.engine.certify.CERTIFY_MODES`:
     with ``"on"`` or ``"strict"`` every decided verdict must carry a
@@ -409,15 +425,20 @@ def execute_tasks(
         raise ValueError(
             f"unknown certify mode {certify!r}; choose from {CERTIFY_MODES}"
         )
+    from repro.core import kernels
+
     policy = resilience or NO_RESILIENCE
     pooled = jobs > 1 and len(tasks) > 1 and any(map(_is_heavy, tasks))
     start = perf_counter()
     run_deadline = Deadline.after(policy.timeout)
-    report = EngineReport(
-        problem=problem, jobs=jobs,
-        pool="process" if pooled else "serial", planned=len(tasks),
-    )
-    evictions_before = cache.stats.evictions if cache is not None else 0
+    rec = obs.current()
+    own = rec is None  # else the run writes into the record open here
+    if own:
+        rec = obs.Record(rows=True)
+    pool = "process" if pooled else "serial"
+    kernel = kernels.backend().name
+    for k, v in dict(problem=problem, jobs=jobs, pool=pool, kernel=kernel).items():
+        rec.info.setdefault(k, v)
     outcomes: dict[int, _Outcome] = {}
 
     def serial(batch: list[PlannedTask]) -> bool:
@@ -428,7 +449,7 @@ def execute_tasks(
                 outcomes[task.order] = _unknown_outcome(
                     task, "budget",
                     f"run budget {policy.timeout:g}s exhausted before "
-                    f"the task started",
+                    f"the task started", "queue",
                 )
                 continue
             out = outcomes[task.order] = _run_task(
@@ -438,122 +459,128 @@ def execute_tasks(
                 return True
         return False
 
-    if not pooled:
-        serial(tasks)
-    elif not serial(
-        # Decided tasks first: they are free and may fire the early exit.
-        [t for t in tasks if not _runs_backend(t) and not t.deferred]
-    ) and not _run_pooled(
-        [t for t in tasks if _runs_backend(t)], jobs, cache, early_exit,
-        outcomes, policy, run_deadline, certify,
-    ):
-        # Deferred twins last: their lookups need the pool's verdicts.
-        serial([t for t in tasks if t.deferred])
-    report.cancelled = len(tasks) - len(outcomes)
+    with obs.opened(rec) if own else nullcontext():
+        if not pooled:
+            serial(tasks)
+        elif not serial(
+            # Decided tasks first: they are free and may fire the early
+            # exit.
+            [t for t in tasks if not _runs_backend(t) and not t.deferred]
+        ) and not _run_pooled(
+            [t for t in tasks if _runs_backend(t)], jobs, cache, early_exit,
+            outcomes, policy, run_deadline, certify, rec,
+        ):
+            # Deferred twins last: their lookups need the pool's verdicts.
+            serial([t for t in tasks if t.deferred])
+        results = _tally(tasks, outcomes, rec, early_exit, start)
+    return results, rec
 
+
+#: Shown (as 0) even when nothing counted them.
+_ALWAYS_COUNTED = (
+    "engine.executed engine.memory_hits engine.store_hits engine.misses "
+    "resilience.retries resilience.crashes resilience.quarantined "
+    "certify.certified certify.uncertified certify.via_closure "
+    "certify.via_sat"
+).split()
+
+
+def _tally(
+    tasks: list[PlannedTask], outcomes: dict[int, _Outcome], rec: obs.Record,
+    early_exit: bool, start: float,
+) -> dict[int, VerificationResult]:
+    """Count the run's outcomes into ``rec`` (one row per task); returns
+    the results by plan position."""
+    n: Counter = Counter(dict.fromkeys(_ALWAYS_COUNTED, 0))
+    n["engine.runs"] = 1
+    n["engine.planned"] = len(tasks)
+    n["engine.cancelled"] = len(tasks) - len(outcomes)
     results: dict[int, VerificationResult] = {}
-    violated = False
-    certify_s = 0.0
-    decide_s = 0.0
-    prepassed = []
     for task in tasks:
         got = outcomes.get(task.order)
         if got is not None:
             task = got.task
-        if task.prepass is not None:
-            prepassed.append(task.prepass)
+        pp = task.prepass
+        if pp is not None:
+            n["prepass.tasks"] += 1
+            n["prepass.decided"] += pp.decided is not None
+            n["prepass.downgraded"] += bool(pp.downgraded)
+            n["prepass.edges_inferred"] += pp.edges_inferred
+            n["prepass.ops_eliminated"] += pp.ops_eliminated
+            n["prepass.ops_before"] += pp.ops_before
+            n["prepass.ops_after"] += pp.ops_after
         if got is None:
-            report.record(
-                TaskStats(
-                    address=task.address,
-                    backend=_backend_name(task),
-                    method=_backend_name(task),
-                    estimate=task.estimate,
-                    skipped=True,
-                )
-            )
+            if rec.rows is not None:
+                rec.rows.append(dict(
+                    address=task.address, backend=_backend_name(task),
+                    verdict="skipped", source="-", seconds=0.0, detail={},
+                ))
             continue
         result = got.result
-        violated = violated or result.violated
         results[task.order] = result
-        certify_s += result.stats.pop("t_certify", 0.0)
-        decide_s += got.seconds
-        report.crashes += got.crashes
-        if result.unknown and result.unknown_reason in ("timeout", "budget"):
-            report.deadline_expired += 1
-        if result.stats.get("certified"):
-            report.certified += 1
+        stats = result.stats
+        store_hit = bool(stats.get("store_hit"))
+        n["engine.executed"] += 1
+        n[
+            "engine.store_hits" if store_hit
+            else "engine.memory_hits" if got.cache_hit
+            else "engine.misses"
+        ] += 1
+        n["resilience.retries"] += got.attempts - 1
+        n["resilience.crashes"] += got.crashes
+        n["resilience.quarantined"] += got.quarantined
+        if result.unknown:
+            n[f"engine.unknown.{result.unknown_reason}"] += 1
+        if stats.get("certified"):
+            n["certify.certified"] += 1
         elif result.unknown and result.unknown_reason == "uncertified":
-            report.uncertified += 1
-        via = result.stats.get("certificate_via")
-        if via is not None and not got.cache_hit:
-            if via == "closure":
-                report.certified_via_closure += 1
-            else:
-                report.certified_via_sat += 1
-        decided_by_prepass = (
-            task.prepass is not None
-            and task.prepass.decided is not None
-            and not result.unknown
-        )
-        report.record(
-            TaskStats(
+            n["certify.uncertified"] += 1
+        via = stats.get("certificate_via")
+        race = stats.get("portfolio")
+        if not got.cache_hit:
+            # A hit replays a verdict, not a certification or a race.
+            if via is not None:
+                n["certify.via_closure" if via == "closure"
+                  else "certify.via_sat"] += 1
+            if isinstance(race, dict):
+                n["portfolio.races"] += 1
+                n[f"portfolio.wins.{race.get('winner', '?')}"] += 1
+                n["portfolio.cancelled_legs"] += race.get("cancelled", 0)
+                n["portfolio.budget_exceeded"] += race.get(
+                    "budget_exceeded", 0
+                )
+        if rec.rows is not None:
+            decided_by_prepass = (
+                pp is not None and pp.decided is not None
+                and not result.unknown
+            )
+            rec.rows.append(dict(
                 address=task.address,
-                backend="prepass" if decided_by_prepass else _backend_name(task),
-                method=result.method,
-                estimate=task.estimate,
-                wall_time=got.seconds,
-                cache_hit=got.cache_hit,
-                store_hit=bool(result.stats.get("store_hit")),
-                holds=None if result.unknown else result.holds,
-                unknown=result.unknown,
-                attempts=got.attempts,
-                quarantined=got.quarantined,
+                backend="prepass" if decided_by_prepass
+                else _backend_name(task),
+                verdict=(
+                    "UNKNOWN" if result.unknown
+                    else "holds" if result.holds else "VIOLATED"
+                ),
+                source=(
+                    "quar" if got.quarantined
+                    else "store" if store_hit
+                    else "cache" if got.cache_hit
+                    else "run"
+                ),
+                seconds=got.seconds,
                 detail={
-                    k: v
-                    for k, v in result.stats.items()
+                    k: v for k, v in stats.items()
                     if k not in ("cache_hit", "store_hit")
                 },
-            )
-        )
-    report.early_exit = early_exit and violated and len(outcomes) < len(tasks)
-    # Race records of fresh runs (a hit replays a verdict, not a race).
-    races = [
-        got.result.stats["portfolio"] for got in outcomes.values()
-        if not got.cache_hit
-        and isinstance(got.result.stats.get("portfolio"), dict)
-    ]
-    if races:
-        report.portfolio = {
-            "races": len(races),
-            "wins": dict(Counter(r.get("winner", "?") for r in races)),
-            "cancelled_legs": sum(r.get("cancelled", 0) for r in races),
-            "budget_exceeded": sum(
-                r.get("budget_exceeded", 0) for r in races
-            ),
-        }
-    if prepassed:
-        report.prepass = {
-            "tasks": len(prepassed),
-            "decided": sum(1 for p in prepassed if p.decided is not None),
-            "downgraded": sum(1 for p in prepassed if p.downgraded),
-            "edges_inferred": sum(p.edges_inferred for p in prepassed),
-            "ops_eliminated": sum(p.ops_eliminated for p in prepassed),
-            "ops_before": sum(p.ops_before for p in prepassed),
-            "ops_after": sum(p.ops_after for p in prepassed),
-        }
-    if cache is not None:
-        # The store tier group-commits on its own budget; the front
-        # door that opened it flushes at its boundary.
-        report.cache_evictions = cache.stats.evictions - evictions_before
-    report.stage_times["search"] = max(0.0, decide_s - certify_s)
-    if certify != "off":
-        report.stage_times["certify"] = certify_s
-    from repro.core import kernels
-
-    report.kernel = kernels.backend().name
-    report.wall_time = perf_counter() - start
-    return results, report
+            ))
+    n["engine.early_exit"] = int(
+        early_exit and len(outcomes) < len(tasks)
+        and any(r.violated for r in results.values())
+    )
+    n["engine.wall_s"] = perf_counter() - start
+    rec.merge({"counters": n})
+    return results
 
 
 def _run_pooled(
@@ -564,32 +591,34 @@ def _run_pooled(
     outcomes: dict[int, _Outcome],
     policy: ResiliencePolicy,
     run_deadline: Deadline | None,
-    certify: str = "off",
+    certify: str,
+    rec: obs.Record,
 ) -> bool:
     """Run backend-bound tasks on the process pool; True once the early
     exit fires.
 
     Only the task crosses the pool boundary (the cache's lock does not
-    pickle); its verdict is finalized in the parent.  A task whose
-    worker retries run out is quarantined to :func:`_run_task`.
+    pickle); its verdict is finalized in the parent, and the worker's
+    record is merged into ``rec`` with it.  A task whose worker retries
+    run out is quarantined to :func:`_run_task`.
     """
     chaos = policy.chaos
 
     def submit(task, attempt):
         timeout, reason = _effective_timeout(policy, run_deadline)
         return (
-            _decide_task, replace(task, canon=None), timeout, chaos,
+            _decide_pooled, replace(task, canon=None), timeout, chaos,
             attempt, reason, certify,
         )
 
     def accept(task, attempt, value) -> bool:
-        result, seconds = value
+        result, seconds, worker_rec = value
         if chaos is not None and chaos.loses_result(_task_key(task), attempt):
             raise LostResult(_task_key(task))
+        rec.merge(worker_rec)
         result = _finalize(task, result, cache, chaos, certify)
         outcomes[task.order] = _Outcome(
-            task, result, False, seconds, attempts=attempt + 1,
-            crashes=attempt,
+            task, result, False, seconds, attempts=attempt + 1
         )
         return early_exit and result.violated
 
@@ -610,6 +639,6 @@ def _run_pooled(
             outcomes[task.order] = _unknown_outcome(
                 task, "budget",
                 f"run budget {policy.timeout:g}s exhausted before "
-                f"the task could run",
+                f"the task could run", "queue",
             )
     return run.stopped

@@ -78,8 +78,9 @@ import threading
 import time
 import weakref
 import zlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable
+
+from repro import obs
 
 try:  # pragma: no cover - Linux/macOS always have fcntl
     import fcntl
@@ -135,42 +136,12 @@ def fingerprint_key(key: Hashable) -> bytes:
     return hashlib.sha256(repr(key).encode("utf-8")).digest()
 
 
-@dataclass
-class StoreStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    #: Entries dropped by LRU compaction.
-    evictions: int = 0
-    #: Entries dropped by explicit invalidation (failed revalidation).
-    tombstones: int = 0
-    #: Torn/corrupt tails skipped on read (one per distinct offset).
-    torn_records: int = 0
-    compactions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-    def summary(self) -> str:
-        return (
-            f"{self.hits} hit / {self.misses} miss "
-            f"({self.hit_rate:.0%}), {self.stores} stored, "
-            f"{self.evictions} evicted, {self.tombstones} tombstoned, "
-            f"{self.torn_records} torn skipped"
-        )
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "tombstones": self.tombstones,
-            "torn_records": self.torn_records,
-            "compactions": self.compactions,
-        }
+#: The store's lifetime counters (``store.stats.<name>``): LRU
+#: compaction ``evictions``, invalidation ``tombstones``, and torn
+#: tails skipped on read (``torn_records``, one per distinct offset).
+STORE_COUNTERS = (
+    "hits misses stores evictions tombstones torn_records compactions"
+)
 
 
 class StoreFormatError(ValueError):
@@ -453,7 +424,7 @@ class ResultStore:
         self.chaos = chaos if chaos is not None and (
             chaos.slow_store > 0 or chaos.corrupt_store > 0
         ) else None
-        self.stats = StoreStats()
+        self.stats = obs.Counters("store", STORE_COUNTERS)
         #: Human-readable torn-record diagnostics (also for tests).
         self.diagnostics: list[str] = []
         self._lock = threading.Lock()
@@ -531,7 +502,7 @@ class ResultStore:
         if shard.torn_at == offset:
             return  # same in-flight tail as last refresh
         shard.torn_at = offset
-        self.stats.torn_records += 1
+        self.stats.add("torn_records")
         self.diagnostics.append(
             f"{shard.path}: torn record at byte {offset}: {why}; "
             f"skipping tail"
@@ -557,6 +528,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
+    @obs.timed("store")
     def lookup(self, canon: "CanonicalInstance") -> dict[str, Any] | None:
         """Return the stored entry for ``canon`` or ``None``.
 
@@ -577,10 +549,10 @@ class ResultStore:
                 self._refresh(shard)
                 entry = shard.index.get(fp)
             if not _matches(entry, key):
-                self.stats.misses += 1
+                self.stats.add("misses")
                 self._maybe_commit()
                 return None
-            self.stats.hits += 1
+            self.stats.add("hits")
             # Cross-process LRU: recency travels as a TOUCH record
             # (timestamped, so quota reports can age entries).
             now = time.time()
@@ -621,6 +593,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Write path
     # ------------------------------------------------------------------
+    @obs.timed("store")
     def put(
         self,
         canon: "CanonicalInstance",
@@ -651,7 +624,7 @@ class ResultStore:
             "schedule_idx": list(schedule_idx) if schedule_idx else None,
             "stats": {
                 k: v for k, v in (stats or {}).items()
-                if k not in ("cache_hit", "store_hit", "t_certify")
+                if k not in ("cache_hit", "store_hit")
             },
             "certificate": certificate,
             "ts": time.time(),
@@ -660,7 +633,7 @@ class ResultStore:
         with self._lock:
             shard = self._shards[self.shard_of(fp)]
             self._buffer(shard, REC_RECORD, fp, entry, payload)
-            self.stats.stores += 1
+            self.stats.add("stores")
             self._maybe_commit()
 
     def invalidate(self, canon: "CanonicalInstance") -> None:
@@ -673,7 +646,7 @@ class ResultStore:
                 self._refresh(shard)  # it may be on disk all the same
             if fp in shard.index:
                 self._buffer(shard, REC_TOMBSTONE, fp, None, fp)
-                self.stats.tombstones += 1
+                self.stats.add("tombstones")
             self._maybe_commit()
 
     def _buffer(
@@ -700,6 +673,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Durability
     # ------------------------------------------------------------------
+    @obs.timed("store")
     def flush(self) -> None:
         """Append all buffered records — one exclusive lock and one
         ``fsync`` per dirty shard — then compact if over budget (a
@@ -874,8 +848,8 @@ class ResultStore:
             shard.scanned = new_size
             shard.generation = generation
             shard.torn_at = -1
-            self.stats.evictions += len(evicted)
-            self.stats.compactions += 1
+            self.stats.add("evictions", len(evicted))
+            self.stats.add("compactions")
 
     # ------------------------------------------------------------------
     def close(self) -> None:

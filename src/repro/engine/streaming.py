@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
+from repro import obs
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import INITIAL, Address, Execution, Operation, Value
 from repro.engine.certify import CertificationError, validate_result
@@ -63,8 +64,6 @@ __all__ = [
     "DEFAULT_WINDOW",
     "AddressMonitor",
     "CoherenceViolation",
-    "MonitorStats",
-    "StreamStats",
     "StreamVerdict",
     "StreamingVerifier",
     "monitor_execution",
@@ -82,14 +81,6 @@ class CoherenceViolation(Exception):
         self.op_index = op_index
 
 
-@dataclass
-class MonitorStats:
-    writes: int = 0
-    reads: int = 0
-    rmws: int = 0
-    violations: int = 0
-
-
 class AddressMonitor:
     """Incremental per-address coherence checker fed by commit events.
 
@@ -105,10 +96,14 @@ class AddressMonitor:
     checkable refutations (:meth:`refute`) and HOLDS witnesses
     (:meth:`window_schedule`).  Without a window (the compatibility
     shim) it is a pure value-level frontier.
+
+    ``writes``, ``reads``, ``rmws`` and ``violations`` count the events
+    committed so far (plain ints: the hot path records nothing else).
     """
 
     __slots__ = (
-        "addr", "strict", "stats", "window_limit", "n_procs", "evicted",
+        "addr", "strict", "writes", "reads", "rmws", "violations",
+        "window_limit", "n_procs", "evicted",
         "_gap_values", "_gap_base", "_gaps_of_value", "_stored_gaps",
         "_cursors", "_events", "_window", "_win_base_gap", "_trimmed",
     )
@@ -128,7 +123,7 @@ class AddressMonitor:
             )
         self.addr = addr
         self.strict = strict
-        self.stats = MonitorStats()
+        self.writes = self.reads = self.rmws = self.violations = 0
         self.window_limit = window
         self.n_procs = n_procs
         self.evicted = 0
@@ -157,7 +152,7 @@ class AddressMonitor:
         return len(self._window)
 
     def _fail(self, message: str) -> str:
-        self.stats.violations += 1
+        self.violations += 1
         if self.strict:
             raise CoherenceViolation(message, self._events)
         return message
@@ -179,7 +174,7 @@ class AddressMonitor:
     ) -> str | None:
         """A write by ``proc`` of ``value`` was serialized now."""
         self._events += 1
-        self.stats.writes += 1
+        self.writes += 1
         g = self._push_gap(value)
         # Program order: the writer's later reads come after this write.
         if g > self._cursors.get(proc, 0):
@@ -195,7 +190,7 @@ class AddressMonitor:
     ) -> str | None:
         """A read by ``proc`` returning ``value`` committed now."""
         self._events += 1
-        self.stats.reads += 1
+        self.reads += 1
         cur = self._cursors.get(proc, 0)
         gaps = self._gaps_of_value.get(value)
         placed = -1
@@ -235,7 +230,7 @@ class AddressMonitor:
         """An atomic RMW serialized now: its read component must see the
         value at the current end of the write-order."""
         self._events += 1
-        self.stats.rmws += 1
+        self.rmws += 1
         current = self._gap_values[-1]
         result: str | None = None
         if value_read != current:
@@ -246,7 +241,7 @@ class AddressMonitor:
                 f"{value_read!r} but the serialized value is {current!r}"
             )
         # Commit the write component either way so monitoring continues.
-        self.stats.writes += 1
+        self.writes += 1
         g = self._push_gap(value_written)
         if g > self._cursors.get(proc, 0):
             self._cursors[proc] = g
@@ -279,7 +274,7 @@ class AddressMonitor:
 
     @property
     def ok(self) -> bool:
-        return self.stats.violations == 0
+        return self.violations == 0
 
     # -- windowed eviction -------------------------------------------------
     def _evict(self) -> None:
@@ -424,13 +419,10 @@ class AddressMonitor:
 # ---------------------------------------------------------------------
 # Multi-address stream verification
 # ---------------------------------------------------------------------
-@dataclass
-class StreamStats:
-    ops: int = 0
-    syncs: int = 0
-    violations: int = 0
-    heartbeats: int = 0
-    peak_window: int = 0
+#: ``sv.stats``; the hot path counts in plain ints, folded in at snapshots.
+MONITOR_COUNTERS = (
+    "ops syncs violations heartbeats evicted peak_window peak_addresses"
+)
 
 
 @dataclass
@@ -485,7 +477,10 @@ class StreamingVerifier:
         self.heartbeat = max(0, heartbeat)
         self.stop_on_violation = stop_on_violation
         self.monitors: dict[Address, AddressMonitor] = {}
-        self.stats = StreamStats()
+        self.stats = obs.Counters("monitor", MONITOR_COUNTERS)
+        self._ops = 0
+        self._syncs = 0
+        self._peak_window = 0
         self.tripped: StreamVerdict | None = None
         self._initial: dict[Address, Value] = dict(initial or {})
         self._final: dict[Address, Value] = {}
@@ -516,20 +511,23 @@ class StreamingVerifier:
             self._initial[addr] = value
 
     def snapshot(self) -> dict:
-        """Current throughput/memory statistics."""
+        """Current throughput and window (the heartbeat line), folding
+        the hot path's counts into :attr:`stats`."""
         elapsed = perf_counter() - self._t0
         evicted = sum(m.evicted for m in self.monitors.values())
+        st = self.stats
+        st.add("ops", self._ops - st.ops)
+        st.add("syncs", self._syncs - st.syncs)
+        st.add("evicted", evicted - st.evicted)
+        st.peak("peak_window", self._peak_window)
+        st.peak("peak_addresses", len(self.monitors))
         return {
-            "ops": self.stats.ops,
-            "syncs": self.stats.syncs,
-            "violations": self.stats.violations,
-            "heartbeats": self.stats.heartbeats,
+            "ops": self._ops,
             "addresses": len(self.monitors),
             "window": self._window_total,
-            "peak_window": self.stats.peak_window,
+            "peak_window": self._peak_window,
             "evicted": evicted,
-            "elapsed_s": elapsed,
-            "ops_per_s": self.stats.ops / elapsed if elapsed > 0 else 0.0,
+            "ops_per_s": self._ops / elapsed if elapsed > 0 else 0.0,
         }
 
     # -- the hot path ------------------------------------------------------
@@ -550,10 +548,10 @@ class StreamingVerifier:
                 f"but index {expected} is next in program order"
             )
         self._next_index[proc] = expected + 1
-        self.stats.ops += 1
+        self._ops += 1
         kind = op.kind
         if kind.is_sync:
-            self.stats.syncs += 1
+            self._syncs += 1
             message = None
         else:
             mon = self._monitor(op.addr)
@@ -568,11 +566,11 @@ class StreamingVerifier:
             else:
                 message = mon.commit_read(proc, op.value_read, op)
             self._window_total += len(mon._window) - before
-            if self._window_total > self.stats.peak_window:
-                self.stats.peak_window = self._window_total
+            if self._window_total > self._peak_window:
+                self._peak_window = self._window_total
         if message is not None:
             return self._violation(op.addr, message, offending_op=op)
-        if self.heartbeat and self.stats.ops % self.heartbeat == 0:
+        if self.heartbeat and self._ops % self.heartbeat == 0:
             return self.checkpoint()
         return None
 
@@ -605,34 +603,25 @@ class StreamingVerifier:
         offending_op: Operation | None = None,
         final: Mapping[Address, Value] | None = None,
     ) -> StreamVerdict:
-        self.stats.violations += 1
-        index = self.stats.ops - (1 if offending_op is not None else 0)
+        self.stats.add("violations")
+        index = self._ops - (1 if offending_op is not None else 0)
         mon = self.monitors[addr]
         result, ex = mon.refute(message, final=final, certify=self.certify)
         result.stats["op_index"] = index
         if self.certify != "off":
-            check = (
-                validate_result(ex, result)
-                if result.certificate is not None
-                else None
-            )
-            problem = (
-                "carries no certificate"
-                if check is None
-                else (None if check.ok else f"certificate rejected: {check.reason}")
-            )
-            if problem is not None:
-                if self.certify == "on":
-                    raise CertificationError(
-                        f"streaming violation at op {index} {problem}: "
-                        f"{result.reason}"
-                    )
-                result = VerificationResult.make_unknown(
-                    method="streaming",
-                    reason="uncertified",
-                    detail=f"violation at op {index} {problem}: "
-                    f"{result.reason}",
-                    address=addr,
+            with obs.span("certify"):
+                check = (
+                    None if result.certificate is None
+                    else validate_result(ex, result)
+                )
+            if not check:
+                problem = (
+                    "carries no certificate" if check is None
+                    else f"certificate rejected: {check.reason}"
+                )
+                result = self._uncertified(
+                    f"streaming violation at op {index} {problem}: "
+                    f"{result.reason}", addr,
                 )
         verdict = StreamVerdict(
             "violation" if result.violated else "unknown",
@@ -645,49 +634,57 @@ class StreamingVerifier:
             self.tripped = verdict
         return verdict
 
+    def _uncertified(
+        self, detail: str, address: Address | None = None
+    ) -> VerificationResult:
+        """A verdict the trusted checker rejects: ``on`` fails loudly,
+        ``strict`` answers a counted UNKNOWN(uncertified)."""
+        if self.certify == "on":
+            raise CertificationError(detail)
+        result = VerificationResult.make_unknown(
+            method="streaming", reason="uncertified", detail=detail,
+            address=address, stage="certify",
+        )
+        obs.count_unknown(result)
+        return result
+
     def checkpoint(self, kind: str = "heartbeat") -> StreamVerdict:
         """A HOLDS-so-far verdict over everything consumed.  Under
         certification every address's window witness is replayed by the
         trusted checker."""
         if kind == "heartbeat":
-            self.stats.heartbeats += 1
+            self.stats.add("heartbeats")
         snap = self.snapshot()
         result = VerificationResult(
             holds=True, method="streaming", reason=""
         )
         result.stats.update(snap)
         if self.certify != "off":
-            for addr, mon in self.monitors.items():
-                fin = (
-                    {addr: self._final[addr]}
-                    if kind == "final" and addr in self._final
-                    else None
-                )
-                ex = mon.window_execution(fin)
-                witness = VerificationResult(
-                    holds=True,
-                    method="streaming",
-                    schedule=mon.window_schedule(),
-                    certificate=Certificate("witness"),
-                )
-                check = validate_result(ex, witness)
-                if not check.ok:
-                    if self.certify == "on":
-                        raise CertificationError(
+            with obs.span("certify"):
+                for addr, mon in self.monitors.items():
+                    fin = (
+                        {addr: self._final[addr]}
+                        if kind == "final" and addr in self._final
+                        else None
+                    )
+                    ex = mon.window_execution(fin)
+                    witness = VerificationResult(
+                        holds=True,
+                        method="streaming",
+                        schedule=mon.window_schedule(),
+                        certificate=Certificate("witness"),
+                    )
+                    check = validate_result(ex, witness)
+                    if not check.ok:
+                        result = self._uncertified(
                             f"{kind} witness rejected for {addr!r}: "
                             f"{check.reason}"
                         )
-                    result = VerificationResult.make_unknown(
-                        method="streaming",
-                        reason="uncertified",
-                        detail=f"{kind} witness rejected for {addr!r}: "
-                        f"{check.reason}",
-                    )
-                    return StreamVerdict(
-                        "unknown", self.stats.ops, result, ex, snap
-                    )
+                        return StreamVerdict(
+                            "unknown", self._ops, result, ex, snap
+                        )
             result.stats["certified"] = True
-        return StreamVerdict(kind, self.stats.ops, result, None, snap)
+        return StreamVerdict(kind, self._ops, result, None, snap)
 
     def finalize(
         self, final: Mapping[Address, Value] | None = None

@@ -35,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
+from repro import obs
 from repro.engine import ResultCache, verify_many
 from repro.engine.store import ResultStore
 from repro.memsys.directory import DirectorySystem
@@ -242,21 +242,34 @@ class CampaignReport:
     cells: list[CellResult] = field(default_factory=list)
     total_runs: int = 0
     total_injections: int = 0
-    #: Batch-engine provenance totals across every run (solved /
-    #: memory / store / dedup hit counts).
-    provenance: dict[str, int] = field(default_factory=dict)
-    certified: int = 0
     #: Human-readable contract breaches (missed visibles, false alarms,
     #: spontaneous violations), capped; empty iff ``contract_ok``.
     contract_failures: list[str] = field(default_factory=list)
-    #: Wall-clock split between the two campaign phases.  Only the
-    #: verify phase is amortizable by a persistent store — simulation
-    #: re-runs every seed regardless — so warm-start speedups must be
-    #: judged against ``verify_s``, not the whole sweep.
-    simulate_s: float = 0.0
-    verify_s: float = 0.0
+    #: The sweep's run record: the ``simulate`` and ``batch`` spans,
+    #: and every verification's counters folded in.
+    record: obs.Record = field(default_factory=obs.Record)
 
     MAX_FAILURES = 50
+
+    @property
+    def provenance(self) -> dict[str, int]:
+        """Solved / memory / store / dedup / run-cache totals."""
+        return {
+            k: int(v) for k, v in self.record.group("provenance").items() if v
+        }
+
+    @property
+    def certified(self) -> int:
+        return int(self.record["batch.certified"])
+
+    # Only the verify phase is amortizable by a store: judge warm starts by it.
+    @property
+    def simulate_s(self) -> float:
+        return round(self.record.seconds("simulate", inclusive=True), 4)
+
+    @property
+    def verify_s(self) -> float:
+        return round(self.record.seconds("batch", inclusive=True), 4)
 
     @property
     def contract_ok(self) -> bool:
@@ -285,9 +298,11 @@ class CampaignReport:
             "unknown": self.unknown,
             "errors": self.errors,
             "certified": self.certified,
-            "provenance": dict(self.provenance),
+            "provenance": self.provenance,
+            "unknown_causes": self.record.unknowns(),
             "simulate_s": self.simulate_s,
             "verify_s": self.verify_s,
+            "record": self.record.as_dict(),
             "cells": [
                 {
                     "site": c.site.value,
@@ -341,8 +356,6 @@ def _replay_record(
     if expected == "VIOLATED":
         cell.visible_runs += 1
     cell.certified += record["certified"]
-    report.certified += record["certified"]
-    report.provenance["run-cache"] = report.provenance.get("run-cache", 0) + 1
     if expected == "VIOLATED":
         if record["violated"]:
             cell.detected_visible += 1
@@ -420,114 +433,116 @@ def run_campaign(
     entries: list[dict] = []
 
     say = progress or (lambda _msg: None)
-    t_start = time.perf_counter()
     seed_counter = 0
-    for substrate in substrates:
-        system_cls = SUBSTRATES[substrate]
-        supported = supported_faults(substrate)
-        cell_sites = [k for k in (sites or supported) if k in supported]
-        cell_delays = delay_models if substrate == "directory" else ["atomic"]
-        for delay in cell_delays:
-            for site in cell_sites:
-                cell = CellResult(
-                    site=site, substrate=substrate, delay_model=delay
-                )
-                cells.append(cell)
-                cell_idx = len(cells) - 1
-                say(f"simulating {cell.key}: {runs_per_cell}+1 runs")
-                for i in range(runs_per_cell + 1):
-                    control = i == runs_per_cell
-                    seed = base_seed + seed_counter
-                    seed_counter += 1
-                    label = f"{cell.key}/seed={seed}" + (
-                        "/control" if control else ""
-                    )
-                    entry = {
-                        "cell": cell_idx,
-                        "control": control,
-                        "label": label,
-                        "key": None,
-                        "record": None,
-                        "run": None,
-                        "outcome": None,
-                    }
-                    entries.append(entry)
-                    if run_cache is not None:
-                        entry["key"] = CampaignRunCache.key_of(
-                            {
-                                "substrate": substrate,
-                                "site": site.value,
-                                "delay": delay,
-                                "seed": seed,
+    with obs.opened(report.record):
+        with obs.span("simulate"):
+            for substrate in substrates:
+                system_cls = SUBSTRATES[substrate]
+                supported = supported_faults(substrate)
+                cell_sites = [k for k in (sites or supported) if k in supported]
+                cell_delays = delay_models if substrate == "directory" else ["atomic"]
+                for delay in cell_delays:
+                    for site in cell_sites:
+                        cell = CellResult(
+                            site=site, substrate=substrate, delay_model=delay
+                        )
+                        cells.append(cell)
+                        cell_idx = len(cells) - 1
+                        say(f"simulating {cell.key}: {runs_per_cell}+1 runs")
+                        for i in range(runs_per_cell + 1):
+                            control = i == runs_per_cell
+                            seed = base_seed + seed_counter
+                            seed_counter += 1
+                            label = f"{cell.key}/seed={seed}" + (
+                                "/control" if control else ""
+                            )
+                            entry = {
+                                "cell": cell_idx,
                                 "control": control,
-                                "procs": num_processors,
-                                "ops": ops_per_processor,
-                                "addrs": num_addresses,
-                                "wf": write_fraction,
-                                "values": values,
-                                "workload": workload,
-                                "rate": fault_rate,
-                                "max_events": max_events,
-                                "homes": num_homes,
-                                "certify": certify,
+                                "label": label,
+                                "key": None,
+                                "record": None,
+                                "run": None,
+                                "outcome": None,
                             }
-                        )
-                        entry["record"] = run_cache.lookup(entry["key"])
-                        if entry["record"] is not None:
-                            continue
-                    scripts, init = _make_workload(
-                        workload,
-                        num_processors=num_processors,
-                        ops_per_processor=ops_per_processor,
-                        num_addresses=num_addresses,
-                        write_fraction=write_fraction,
-                        values=values,
-                        seed=seed,
-                    )
-                    cfg = SystemConfig(
-                        num_processors=num_processors,
-                        protocol=_PROTOCOLS[substrate],
-                        seed=seed,
-                        num_homes=num_homes,
-                        delay_model=delay if delay != "atomic" else "fixed:1",
-                    )
-                    faults = (
-                        FaultConfig.none()
-                        if control
-                        else FaultConfig(
-                            kinds=frozenset([site]),
-                            rate=fault_rate,
-                            max_events=max_events,
-                            seed=seed,
-                        )
-                    )
-                    entry["run"] = system_cls(
-                        cfg, scripts, initial_memory=init, faults=faults
-                    ).run()
-
-    report.simulate_s = round(time.perf_counter() - t_start, 4)
-    live = [e for e in entries if e["record"] is None]
-    replayed = len(entries) - len(live)
-    say(
-        f"verifying {len(live)} executions "
-        f"({len(cells)} cells, jobs={jobs}, certify={certify}"
-        + (f", {replayed} replayed from run cache)" if replayed else ")")
-    )
-    t_verify = time.perf_counter()
-    if live:
-        outcomes = verify_many(
-            [e["run"].execution for e in live],
-            write_orders=[e["run"].write_orders for e in live],
-            labels=[e["label"] for e in live],
-            jobs=jobs,
-            cache=cache,
-            store=store,
-            resilience=resilience,
-            certify=certify,
+                            entries.append(entry)
+                            if run_cache is not None:
+                                entry["key"] = CampaignRunCache.key_of(
+                                    {
+                                        "substrate": substrate,
+                                        "site": site.value,
+                                        "delay": delay,
+                                        "seed": seed,
+                                        "control": control,
+                                        "procs": num_processors,
+                                        "ops": ops_per_processor,
+                                        "addrs": num_addresses,
+                                        "wf": write_fraction,
+                                        "values": values,
+                                        "workload": workload,
+                                        "rate": fault_rate,
+                                        "max_events": max_events,
+                                        "homes": num_homes,
+                                        "certify": certify,
+                                    }
+                                )
+                                entry["record"] = run_cache.lookup(entry["key"])
+                                if entry["record"] is not None:
+                                    continue
+                            scripts, init = _make_workload(
+                                workload,
+                                num_processors=num_processors,
+                                ops_per_processor=ops_per_processor,
+                                num_addresses=num_addresses,
+                                write_fraction=write_fraction,
+                                values=values,
+                                seed=seed,
+                            )
+                            cfg = SystemConfig(
+                                num_processors=num_processors,
+                                protocol=_PROTOCOLS[substrate],
+                                seed=seed,
+                                num_homes=num_homes,
+                                delay_model=delay if delay != "atomic" else "fixed:1",
+                            )
+                            faults = (
+                                FaultConfig.none()
+                                if control
+                                else FaultConfig(
+                                    kinds=frozenset([site]),
+                                    rate=fault_rate,
+                                    max_events=max_events,
+                                    seed=seed,
+                                )
+                            )
+                            entry["run"] = system_cls(
+                                cfg, scripts, initial_memory=init, faults=faults
+                            ).run()
+        live = [e for e in entries if e["record"] is None]
+        replayed = len(entries) - len(live)
+        for e in entries:
+            if e["record"] is not None:
+                obs.add("batch.certified", e["record"]["certified"])
+                obs.add("provenance.run-cache")
+        say(
+            f"verifying {len(live)} executions "
+            f"({len(cells)} cells, jobs={jobs}, certify={certify}"
+            + (f", {replayed} replayed from run cache)" if replayed else ")")
         )
-        for entry, outcome in zip(live, outcomes):
-            entry["outcome"] = outcome
-    report.verify_s = round(time.perf_counter() - t_verify, 4)
+        if live:
+            with obs.span("batch"):
+                outcomes = verify_many(
+                    [e["run"].execution for e in live],
+                    write_orders=[e["run"].write_orders for e in live],
+                    labels=[e["label"] for e in live],
+                    jobs=jobs,
+                    cache=cache,
+                    store=store,
+                    resilience=resilience,
+                    certify=certify,
+                )
+                for entry, outcome in zip(live, outcomes):
+                    entry["outcome"] = outcome
 
     for entry in entries:
         cell = cells[entry["cell"]]
@@ -562,9 +577,6 @@ def run_campaign(
             cell.visible_runs += 1
 
         cell.certified += outcome.certified
-        report.certified += outcome.certified
-        for k, v in outcome.provenance.items():
-            report.provenance[k] = report.provenance.get(k, 0) + v
 
         if outcome.error is not None:
             cell.errors += 1
@@ -622,14 +634,9 @@ def run_campaign(
     return report
 
 
-def campaign_table(
-    report: CampaignReport, cache: ResultCache | None = None
-) -> str:
-    """Render the detection-rate table per (site × substrate × delay).
-
-    When the sweep's shared ``cache`` is supplied, a footer reports
-    aggregate cache effectiveness across the whole campaign.
-    """
+def campaign_table(report: CampaignReport) -> str:
+    """Render the detection-rate table per (site × substrate × delay),
+    then the sweep's run record."""
     lines = [
         f"{'fault site':<24} {'substrate':<10} {'delay':<14} {'events':>6} "
         f"{'visible':>7} {'latent':>6} {'caught':>8} {'rate':>6}"
@@ -642,6 +649,5 @@ def campaign_table(
     )
     for failure in report.contract_failures[:10]:
         lines.append(f"  breach: {failure}")
-    if cache is not None:
-        lines.append(f"cache: {cache.stats.summary()}")
+    lines.append(obs.render(report.record))
     return "\n".join(lines)

@@ -42,6 +42,7 @@ from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from repro import obs
 from repro.core.types import Execution, OpKind, Operation
 from repro.memsys.faults import FaultEvent, FaultKind
 from repro.memsys.recorder import Divergence, RunResult
@@ -206,6 +207,7 @@ def check_run(
 # ----------------------------------------------------------------------
 # Classification
 # ----------------------------------------------------------------------
+@obs.timed("oracle")
 def classify_run(run: RunResult, line_words: int = 4) -> OracleReport:
     """Classify every injection of a run as visible or latent.
 

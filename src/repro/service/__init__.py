@@ -24,12 +24,11 @@ from repro.service.protocol import (
     response_retry_after,
     response_shutdown,
 )
-from repro.service.queue import BoundedRequestQueue, QueueStats
+from repro.service.queue import BoundedRequestQueue
 from repro.service.server import (
     BATCH_WINDOW,
     PendingRequest,
     ServiceConfig,
-    ServiceStats,
     VerificationServer,
 )
 from repro.service.tenants import TenantLimitError, TenantStores
@@ -42,12 +41,10 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ParseError",
     "PendingRequest",
-    "QueueStats",
     "RequestParser",
     "ServiceClient",
     "ServiceConfig",
     "ServiceRequest",
-    "ServiceStats",
     "TenantLimitError",
     "TenantStores",
     "VerificationServer",

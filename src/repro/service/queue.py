@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
+
+from repro import obs
 
 #: offer() outcomes.
 ADMITTED = "ok"
@@ -28,24 +30,10 @@ REJECT_TENANT = "tenant"
 REJECT_DRAINING = "draining"
 
 
-@dataclass
-class QueueStats:
-    admitted: int = 0
-    rejected_full: int = 0
-    rejected_tenant: int = 0
-    rejected_draining: int = 0
-    peak_depth: int = 0
-    batches: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "admitted": self.admitted,
-            "rejected_full": self.rejected_full,
-            "rejected_tenant": self.rejected_tenant,
-            "rejected_draining": self.rejected_draining,
-            "peak_depth": self.peak_depth,
-            "batches": self.batches,
-        }
+#: The queue's lifetime counters (``queue.stats.<name>``).
+QUEUE_COUNTERS = (
+    "admitted rejected_full rejected_tenant rejected_draining peak_depth"
+)
 
 
 @dataclass
@@ -76,7 +64,7 @@ class BoundedRequestQueue:
             )
         self.depth = depth
         self.tenant_cap = max(1, int(depth * tenant_share))
-        self.stats = QueueStats()
+        self.stats = obs.Counters("queue", QUEUE_COUNTERS)
         self._items: deque[_Item] = deque()
         self._per_tenant: dict[str, int] = {}
         self._cond = threading.Condition()
@@ -99,20 +87,18 @@ class BoundedRequestQueue:
         the bound."""
         with self._cond:
             if self._draining:
-                self.stats.rejected_draining += 1
+                self.stats.add("rejected_draining")
                 return REJECT_DRAINING
             if len(self._items) >= self.depth:
-                self.stats.rejected_full += 1
+                self.stats.add("rejected_full")
                 return REJECT_FULL
             if self._per_tenant.get(tenant, 0) >= self.tenant_cap:
-                self.stats.rejected_tenant += 1
+                self.stats.add("rejected_tenant")
                 return REJECT_TENANT
             self._items.append(_Item(value, tenant))
             self._per_tenant[tenant] = self._per_tenant.get(tenant, 0) + 1
-            self.stats.admitted += 1
-            self.stats.peak_depth = max(
-                self.stats.peak_depth, len(self._items)
-            )
+            self.stats.add("admitted")
+            self.stats.peak("peak_depth", len(self._items))
             self._cond.notify()
             return ADMITTED
 
@@ -162,7 +148,6 @@ class BoundedRequestQueue:
                     out.append(self._pop(i))
                 else:
                     i += 1
-            self.stats.batches += 1
             return out
 
     # ------------------------------------------------------------------

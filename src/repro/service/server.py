@@ -26,7 +26,8 @@ explicit liveness beat):
   quotas (:mod:`repro.service.tenants`);
 * **heartbeat** — periodic liveness/readiness beats carrying the
   queue, worker and engine counters (also served to any client via the
-  ``ping`` op);
+  ``ping`` op); the daemon's run record (:mod:`repro.obs`) sums every
+  request group's record, and the ``stats`` op returns it whole;
 * **supervisor** — restarts components whose threads die, with capped
   exponential backoff, and replaces wedged workers.
 
@@ -48,9 +49,10 @@ import signal
 import socket
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, BinaryIO, Callable
 
+from repro import obs
 from repro.core.serialize import parse_trace_bytes
 from repro.engine.batch import plan_batch, run_plan
 from repro.engine.executor import ResiliencePolicy
@@ -109,47 +111,11 @@ class ServiceConfig:
     on_heartbeat: Callable[[dict[str, Any]], None] | None = None
 
 
-@dataclass
-class ServiceStats:
-    connections: int = 0
-    requests: int = 0
-    ok: int = 0
-    errors: int = 0
-    retry_after: int = 0
-    shutdown: int = 0
-    parse_errors: int = 0
-    #: Responses dropped by injected ``conn-drop`` chaos.
-    conn_drops: int = 0
-    #: Connections closed because the client would not drain its
-    #: responses within ``send_timeout_s``.
-    slow_client_drops: int = 0
-    #: Component restarts by the supervisor.
-    restarts: int = 0
-    #: Wedged workers replaced by the supervisor.
-    replaced_workers: int = 0
-    batches: int = 0
-    certified: int = 0
-    #: Aggregated batch-engine provenance (solved / memory / store /
-    #: dedup counts across every answered request).
-    provenance: dict[str, int] = field(default_factory=dict)
-
-    def as_dict(self) -> dict[str, Any]:
-        return {
-            "connections": self.connections,
-            "requests": self.requests,
-            "ok": self.ok,
-            "errors": self.errors,
-            "retry_after": self.retry_after,
-            "shutdown": self.shutdown,
-            "parse_errors": self.parse_errors,
-            "conn_drops": self.conn_drops,
-            "slow_client_drops": self.slow_client_drops,
-            "restarts": self.restarts,
-            "replaced_workers": self.replaced_workers,
-            "batches": self.batches,
-            "certified": self.certified,
-            "provenance": dict(self.provenance),
-        }
+#: The daemon's own counters, ``service.<name>`` in its record.
+SERVICE_COUNTERS = (
+    "connections requests ok errors retry_after shutdown parse_errors "
+    "conn_drops slow_client_drops restarts replaced_workers batches"
+)
 
 
 # ---------------------------------------------------------------------
@@ -218,7 +184,9 @@ class _SocketConn(_BaseConn):
                         data = data[sent:]
                     except (BlockingIOError, InterruptedError):
                         if time.monotonic() >= deadline:
-                            self.server.stats.slow_client_drops += 1
+                            self.server.record.add(
+                                "service.slow_client_drops"
+                            )
                             self._abort()
                             return False
                         time.sleep(0.002)
@@ -277,11 +245,12 @@ class PendingRequest:
     response on the wire.
     """
 
-    __slots__ = ("req", "conn", "_lock", "_done")
+    __slots__ = ("req", "conn", "queued_at", "_lock", "_done")
 
     def __init__(self, req: ServiceRequest, conn: _BaseConn):
         self.req = req
         self.conn = conn
+        self.queued_at = time.perf_counter()
         self._lock = threading.Lock()
         self._done = False
 
@@ -299,20 +268,20 @@ class PendingRequest:
             if self._done:
                 return False
             self._done = True
+        # Counted before sending, so the client's next ``stats`` sees it.
+        server.count_response(payload, self)
         chaos = server.chaos
         if chaos is not None and chaos.drops_connection(str(self.req.id)):
             # The injected fault: the client's connection dies before
             # the response is written.  The daemon survives; nothing
             # wrong ever reaches the wire.
-            server.stats.conn_drops += 1
+            server.record.add("service.conn_drops")
             if isinstance(self.conn, _SocketConn):
                 self.conn._abort()
             self.conn.note_done()
-            server.count_response(payload)
             return True
         self.conn.send_line(payload)
         self.conn.note_done()
-        server.count_response(payload)
         return True
 
 
@@ -390,8 +359,10 @@ class _SocketFrontend(Component):
             sock, _addr = listener.accept()
         except (BlockingIOError, OSError):
             return
-        server.stats.connections += 1
-        conn = _SocketConn(server, sock, server.stats.connections)
+        server.record.add("service.connections")
+        conn = _SocketConn(
+            server, sock, int(server.record["service.connections"])
+        )
         sel.register(sock, selectors.EVENT_READ, conn)
 
     def _service(self, sel, conn: _SocketConn) -> None:
@@ -533,7 +504,7 @@ class _Supervisor(Component):
                     elif now >= comp._next_restart_at:
                         comp._next_restart_at = 0.0
                         comp.restarts += 1
-                        server.stats.restarts += 1
+                        server.record.add("service.restarts")
                         comp.start()
                 elif (
                     isinstance(comp, _Worker)
@@ -541,7 +512,7 @@ class _Supervisor(Component):
                     and now - comp.beat > cfg.worker_wedge_s
                 ):
                     comp.replaced = True
-                    server.stats.replaced_workers += 1
+                    server.record.add("service.replaced_workers")
                     server.diagnostics.append(
                         f"worker {comp.name} wedged for "
                         f"{now - comp.beat:.1f}s; superseded"
@@ -565,7 +536,8 @@ class VerificationServer:
                 "exactly one of socket_path / stdio must be set"
             )
         self.config = config
-        self.stats = ServiceStats()
+        #: ``service.*`` counters plus every request group's record.
+        self.record = obs.Record()
         self.diagnostics: list[str] = []
         self.chaos = (
             config.resilience.chaos
@@ -587,7 +559,6 @@ class VerificationServer:
         self._done = threading.Event()
         self._active: set[PendingRequest] = set()
         self._active_lock = threading.Lock()
-        self._stats_lock = threading.Lock()
         self._workers: list[_Worker] = []
         self._components: list[Component] = []
         self._drain_reason = ""
@@ -738,8 +709,8 @@ class VerificationServer:
                 self.submit(conn, payload)
 
     def _handle_parse_error(self, conn: _BaseConn, perr: ParseError) -> None:
-        self.stats.parse_errors += 1
-        self.stats.errors += 1
+        self.record.add("service.parse_errors")
+        self.record.add("service.errors")
         conn.send_line(
             response_error(perr.req_id, perr.message, perr.offset)
         )
@@ -747,7 +718,7 @@ class VerificationServer:
             conn._abort()
 
     def submit(self, conn: _BaseConn, req: ServiceRequest) -> None:
-        self.stats.requests += 1
+        self.record.add("service.requests")
         if req.op in ("ping", "stats"):
             payload: dict[str, Any] = {
                 "id": req.id, "status": protocol.STATUS_OK, "code": 0,
@@ -757,6 +728,7 @@ class VerificationServer:
             if req.op == "stats":
                 payload["tenants"] = self.tenants.stats()
                 payload["quota"] = self.tenants.quota_report()
+                payload["record"] = self.record.as_dict()
             conn.send_line(payload)
             return
         if req.op == "drain":
@@ -808,52 +780,15 @@ class VerificationServer:
         every request exactly once no matter what fails."""
         with self._active_lock:
             self._active.update(batch)
-        self.stats.batches += 1
-        pendings: list[PendingRequest] = []
+        self.record.add("service.batches")
+        group = obs.Record()
+        now = time.perf_counter()
+        for pending in batch:
+            group.time("queue", now - pending.queued_at)
+        replies: list[tuple[PendingRequest, dict[str, Any]]] = []
         try:
-            executions = []
-            for pending in batch:
-                req = pending.req
-                try:
-                    executions.append(
-                        parse_trace_bytes(
-                            req.trace or b"", f"{req.source}#{req.id}"
-                        )
-                    )
-                    pendings.append(pending)
-                except (ValueError, OSError) as e:
-                    pending.respond(self, response_error(req.id, str(e)))
-            if not pendings:
-                return
-            req0 = pendings[0].req
-            certify = (
-                req0.certify if req0.certify is not None
-                else self.config.certify
-            )
-            try:
-                cache = self.tenants.get(req0.tenant)
-            except (TenantLimitError, ValueError) as e:
-                for pending in pendings:
-                    pending.respond(
-                        self, response_error(pending.req.id, str(e))
-                    )
-                return
-            plan = plan_batch([
-                (f"{p.req.source}#{p.req.id}", ex, None)
-                for p, ex in zip(pendings, executions)
-            ])
-            outcomes, _stats = run_plan(
-                plan,
-                jobs=1,
-                cache=cache,
-                resilience=self._policy_for(req0),
-                certify=certify,
-            )
-            for pending, outcome in zip(pendings, outcomes):
-                self._count_outcome(outcome)
-                pending.respond(
-                    self, response_for_outcome(pending.req.id, outcome)
-                )
+            with obs.opened(group):
+                replies = self._solve(batch)
         except Exception as e:  # noqa: BLE001 — answer, then recover
             for pending in batch:
                 if not pending.responded:
@@ -865,8 +800,62 @@ class VerificationServer:
                     )
             self.diagnostics.append(f"batch failed: {e}")
         finally:
+            # The group's counts land before its replies do, so a
+            # client's next ``stats`` sees them.
+            self.record.merge(group)
+            for pending, payload in replies:
+                pending.respond(self, payload)
             with self._active_lock:
                 self._active.difference_update(batch)
+
+    def _solve(
+        self, batch: list[PendingRequest]
+    ) -> list[tuple[PendingRequest, dict[str, Any]]]:
+        """Parse, plan and decide one request group; returns the
+        verdict replies (refusals are sent here)."""
+        pendings: list[PendingRequest] = []
+        executions = []
+        for pending in batch:
+            req = pending.req
+            try:
+                executions.append(
+                    parse_trace_bytes(
+                        req.trace or b"", f"{req.source}#{req.id}"
+                    )
+                )
+                pendings.append(pending)
+            except (ValueError, OSError) as e:
+                pending.respond(self, response_error(req.id, str(e)))
+        if not pendings:
+            return []
+        req0 = pendings[0].req
+        certify = (
+            req0.certify if req0.certify is not None
+            else self.config.certify
+        )
+        try:
+            cache = self.tenants.get(req0.tenant)
+        except (TenantLimitError, ValueError) as e:
+            for pending in pendings:
+                pending.respond(
+                    self, response_error(pending.req.id, str(e))
+                )
+            return []
+        plan = plan_batch([
+            (f"{p.req.source}#{p.req.id}", ex, None)
+            for p, ex in zip(pendings, executions)
+        ])
+        outcomes, _ = run_plan(
+            plan,
+            jobs=1,
+            cache=cache,
+            resilience=self._policy_for(req0),
+            certify=certify,
+        )
+        return [
+            (pending, response_for_outcome(pending.req.id, outcome))
+            for pending, outcome in zip(pendings, outcomes)
+        ]
 
     def _policy_for(self, req: ServiceRequest) -> ResiliencePolicy:
         policy = (
@@ -882,25 +871,38 @@ class VerificationServer:
             policy = replace(policy, timeout=timeout)
         return policy
 
-    def _count_outcome(self, outcome: Any) -> None:
-        with self._stats_lock:
-            self.stats.certified += outcome.certified
-            for kind, n in (outcome.provenance or {}).items():
-                self.stats.provenance[kind] = (
-                    self.stats.provenance.get(kind, 0) + n
-                )
-
-    def count_response(self, payload: dict[str, Any]) -> None:
+    def count_response(
+        self, payload: dict[str, Any], pending: PendingRequest
+    ) -> None:
+        """Count a verify reply by status.  A shutdown reply is an
+        UNKNOWN answer: given up in ``batch`` when the request was in
+        flight, in ``queue`` when it never started."""
         status = payload.get("status")
-        with self._stats_lock:
-            if status == protocol.STATUS_OK:
-                self.stats.ok += 1
-            elif status == protocol.STATUS_RETRY_AFTER:
-                self.stats.retry_after += 1
-            elif status == protocol.STATUS_SHUTDOWN:
-                self.stats.shutdown += 1
-            elif status == protocol.STATUS_ERROR:
-                self.stats.errors += 1
+        name = {
+            protocol.STATUS_OK: "ok",
+            protocol.STATUS_RETRY_AFTER: "retry_after",
+            protocol.STATUS_SHUTDOWN: "shutdown",
+            protocol.STATUS_ERROR: "errors",
+        }.get(status)
+        if name is not None:
+            self.record.add(f"service.{name}")
+        if status == protocol.STATUS_SHUTDOWN:
+            with self._active_lock:
+                where = "batch" if pending in self._active else "queue"
+            self.record.add("unknown.shutdown")
+            self.record.add(f"unknown.shutdown@{where}")
+
+    def requests(self) -> dict[str, Any]:
+        """The ``requests`` section of ``ping``/``stats``."""
+        rec = self.record
+        return {
+            **{n: int(rec[f"service.{n}"]) for n in SERVICE_COUNTERS.split()},
+            "certified": int(rec["batch.certified"]),
+            "provenance": {
+                k: int(v) for k, v in rec.group("provenance").items() if v
+            },
+            "unknown": {k: int(v) for k, v in rec.unknowns().items()},
+        }
 
     # ------------------------------------------------------------------
     # Observability
@@ -928,7 +930,9 @@ class VerificationServer:
                 "configured": self.config.workers,
                 "alive": workers_alive,
                 "busy": sum(1 for w in self._workers if w.busy),
-                "wedged_replaced": self.stats.replaced_workers,
+                "wedged_replaced": int(
+                    self.record["service.replaced_workers"]
+                ),
             },
             "components": {
                 comp.name: {
@@ -938,6 +942,6 @@ class VerificationServer:
                 }
                 for comp in self.supervised()
             },
-            "requests": self.stats.as_dict(),
+            "requests": self.requests(),
             "tenants": self.tenants.tenants(),
         }

@@ -122,13 +122,7 @@ class TenantStores:
             caches = dict(self._caches)
         out: dict[str, Any] = {}
         for tenant, cache in sorted(caches.items()):
-            row: dict[str, Any] = {
-                "cache": {
-                    "hits": cache.stats.hits,
-                    "misses": cache.stats.misses,
-                    "store_hits": cache.stats.store_hits,
-                },
-            }
+            row: dict[str, Any] = {"cache": cache.stats.as_dict()}
             store = self._stores.get(tenant)
             if store is not None:
                 row["store"] = store.stats.as_dict()

@@ -18,6 +18,7 @@ from repro.core import kernels
 from repro.core.infer import eliminate_reads, infer_order
 from repro.core.vmc import verify_coherence
 from repro.engine import validate_result
+from repro import obs
 
 from tests.conftest import make_arbitrary_execution
 
@@ -225,10 +226,10 @@ class TestPythonFallback:
         ex = make_arbitrary_execution(1)
         with kernels.use("python"):
             res = verify_coherence(ex)
-        assert res.report.kernel == "python"
-        assert "kernel=python" in res.report.format()
-        assert "stages: " in res.report.format()
-        assert "prepass=" in res.report.format()
+        assert res.report.info["kernel"] == "python"
+        assert "kernel=python" in obs.render(res.report)
+        assert "stages: " in obs.render(res.report)
+        assert "plan=" in obs.render(res.report)
 
 
 class TestGrow:

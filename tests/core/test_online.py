@@ -73,9 +73,9 @@ class TestMonitorBasics:
         mon.commit_write(0, 1)
         mon.commit_read(1, 1)
         mon.commit_rmw(1, 1, 2)
-        assert mon.stats.writes == 2  # plain + RMW's write component
-        assert mon.stats.reads == 1
-        assert mon.stats.rmws == 1
+        assert mon.writes == 2  # plain + RMW's write component
+        assert mon.reads == 1
+        assert mon.rmws == 1
 
 
 class TestSystemMonitor:

@@ -80,8 +80,8 @@ class TestResultCache:
         b.process().read("x", 1).read("y", 1)
         result = verify_vmc(b.build())
         assert result.holds
-        assert result.report.cache_hits == 1
-        assert result.report.cache_misses == 1
+        assert result.report["engine.memory_hits"] == 1
+        assert result.report["engine.misses"] == 1
 
     def test_cached_witness_passes_the_checker(self):
         b = ExecutionBuilder(initial={"x": 0, "y": 0})
@@ -89,14 +89,14 @@ class TestResultCache:
         b.process().read("x", 1).read("y", 1)
         ex = b.build()
         result = verify_vmc(ex)
-        hit = [t for t in result.report.tasks if t.cache_hit]
+        hit = [t for t in result.report.rows if t["source"] == "cache"]
         assert len(hit) == 1
-        cached = result.per_address[hit[0].address]
+        cached = result.per_address[hit[0]["address"]]
         assert cached.stats.get("cache_hit") is True
         assert cached.schedule is not None
         # The witness was stored for the *other* address's instance and
         # re-materialized onto this one; it must certify this instance.
-        assert is_coherent_schedule(ex, cached.schedule, addr=hit[0].address)
+        assert is_coherent_schedule(ex, cached.schedule, addr=hit[0]["address"])
 
     def test_shared_cache_across_calls(self):
         cache = ResultCache()
@@ -104,8 +104,8 @@ class TestResultCache:
         r1 = verify_vmc(ex, cache=cache)
         r2 = verify_vmc(ex, cache=cache)
         assert r1.holds and r2.holds
-        assert r1.report.cache_hits == 0
-        assert r2.report.cache_hits == 1
+        assert r1.report["engine.memory_hits"] == 0
+        assert r2.report["engine.memory_hits"] == 1
         assert cache.stats.hits == 1 and cache.stats.stores == 1
 
     def test_negative_results_cached(self):
@@ -114,7 +114,7 @@ class TestResultCache:
         r1 = verify_vmc(ex, cache=cache)
         r2 = verify_vmc(ex, cache=cache)
         assert not r1.holds and not r2.holds
-        assert r2.report.cache_hits == 1
+        assert r2.report["engine.memory_hits"] == 1
         assert r1.reason == r2.reason
 
     def test_cache_false_disables(self):
@@ -123,7 +123,7 @@ class TestResultCache:
         b.process().read("x", 1).read("y", 1)
         result = verify_vmc(b.build(), cache=False)
         assert result.holds
-        assert result.report.cache_hits == 0
+        assert result.report["engine.memory_hits"] == 0
 
     def test_verdicts_keyed_by_backend(self):
         # The same instance forced through two backends must not share
@@ -133,7 +133,7 @@ class TestResultCache:
         r1 = verify_vmc(ex, method="exact", cache=cache)
         r2 = verify_vmc(ex, method="sat-cdcl", cache=cache)
         assert r1.method == "exact" and r2.method == "sat-cdcl"
-        assert r2.report.cache_hits == 0
+        assert r2.report["engine.memory_hits"] == 0
 
     def test_max_entries_evicts(self):
         cache = ResultCache(max_entries=1)

@@ -23,6 +23,7 @@ from repro.engine import (
     verify_vmc,
     verify_vsc,
 )
+from repro import obs
 from tests.conftest import make_coherent_execution
 
 # A feasible encoding that is UNSAT; a forced SAT backend refutes it
@@ -474,9 +475,9 @@ class TestEnsureCertificate:
         assert res.certificate.kind == kind
         assert res.stats["certificate_via"] == "closure"
         assert validate_result(ex.restrict_to_address("x"), res)
-        assert result.report.certified_via_closure == 1
-        assert result.report.certified_via_sat == 0
-        assert "via[closure=1 sat=0]" in result.report.format()
+        assert result.report["certify.via_closure"] == 1
+        assert result.report["certify.via_sat"] == 0
+        assert "via_closure=1 via_sat=0" in obs.render(result.report)
 
     def test_closure_skipped_for_vsc(self):
         """VSC keeps the SAT route, even on a single-address trace the
@@ -522,7 +523,7 @@ class TestCertifiedEngine:
             )
             polarities.add(result.violated)
             _validated(ex, result)
-            assert result.report.certified == len(result.per_address)
+            assert result.report["certify.certified"] == len(result.per_address)
             if result.violated:
                 assert result.certificate is not None
         assert polarities == {True, False}
@@ -571,13 +572,13 @@ class TestCertifiedEngine:
                 ex, cache=False, early_exit=False, certify="strict"
             )
             assert not result.unknown
-            assert result.report.uncertified == 0
+            assert result.report["certify.uncertified"] == 0
             _validated(ex, result)
 
     def test_certified_report_line(self):
         result = verify_vmc(CORPUS[0], cache=False, certify="on")
-        assert result.report.certified > 0
-        assert "certify:" in result.report.format()
+        assert result.report["certify.certified"] > 0
+        assert "certify:" in obs.render(result.report)
 
     def test_vsc_verdicts_are_certified(self):
         for seed in range(6):
@@ -634,7 +635,7 @@ class TestCacheRevalidation:
         again = verify_vmc(ex, cache=cache, early_exit=False)
         assert again.holds
         assert cache.stats.validation_failures >= corrupted
-        assert "failed validation" in cache.stats.summary()
+        assert "validation_failures=" in obs.render(again.report)
 
     def test_flipped_entries_are_recomputed_under_strict(self):
         ex, _ = make_coherent_execution(

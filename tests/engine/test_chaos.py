@@ -42,6 +42,7 @@ from repro.engine.backend import Backend, ExactBackend, Instance, SatBackend
 from repro.engine.planner import PlannedTask
 from repro.engine.store import ResultStore
 from repro.util.control import Cancelled
+from repro import obs
 from tests.conftest import make_coherent_execution
 
 CHAOS_JOBS = int(os.environ.get("REPRO_CHAOS_JOBS", "2"))
@@ -202,10 +203,11 @@ class TestChaosDifferential:
                 undecided += 1
                 assert chaotic.unknown_reason in UNKNOWN_REASONS
                 rep = chaotic.report
-                assert rep.unknown > 0
+                gave_up = rep.group("engine.unknown")
+                assert sum(gave_up.values()) > 0
                 assert (
-                    rep.retries + rep.crashes + rep.quarantined
-                    + rep.deadline_expired
+                    sum(rep.group("resilience").values())
+                    + gave_up.get("timeout", 0) + gave_up.get("budget", 0)
                 ) > 0
             else:
                 assert chaotic.holds == baseline.holds
@@ -228,8 +230,8 @@ class TestChaosDifferential:
             for _ in range(2)
         ]
         assert runs[0].holds == runs[1].holds
-        assert runs[0].report.crashes == runs[1].report.crashes
-        assert runs[0].report.retries == runs[1].report.retries
+        assert runs[0].report["resilience.crashes"] == runs[1].report["resilience.crashes"]
+        assert runs[0].report["resilience.retries"] == runs[1].report["resilience.retries"]
 
 
 # ---------------------------------------------------------------------
@@ -264,9 +266,9 @@ class TestCrashRecovery:
         result = verify_vmc(ex, cache=False, resilience=policy)
         assert result.unknown
         assert result.unknown_reason == "crashed"
-        assert result.report.quarantined >= 1
-        assert result.report.crashes >= 2  # first try + at least one retry
-        assert result.report.unknown >= 1
+        assert result.report["resilience.quarantined"] >= 1
+        assert result.report["resilience.crashes"] >= 2  # first try + at least one retry
+        assert sum(result.report.group("engine.unknown").values()) >= 1
 
     def test_lost_results_recover_via_quarantine(self, force_pool):
         """lost=1.0 drops every pooled result on harvest; quarantine
@@ -285,8 +287,8 @@ class TestCrashRecovery:
         )
         assert not result.unknown
         assert result.holds == baseline.holds
-        assert result.report.quarantined >= 1
-        assert result.report.retries >= 1
+        assert result.report["resilience.quarantined"] >= 1
+        assert result.report["resilience.retries"] >= 1
 
     def test_moderate_lost_rate_recovers_by_retry(self, force_pool):
         ex, _ = make_coherent_execution(
@@ -389,8 +391,8 @@ class TestDeadlines:
         result = results["x"]
         assert result.unknown
         assert result.unknown_reason == "timeout"
-        assert report.deadline_expired == 1
-        assert report.unknown == 1
+        assert report["engine.unknown.timeout"] == 1
+        assert sum(report.group("engine.unknown").values()) == 1
 
     def test_run_budget_yields_unknown_budget_serial(self):
         ex, _ = make_coherent_execution(
@@ -401,7 +403,9 @@ class TestDeadlines:
         )
         assert result.unknown
         assert result.unknown_reason == "budget"
-        assert result.report.deadline_expired == len(result.per_address)
+        assert result.report["engine.unknown.budget"] == len(
+            result.per_address
+        )
         for res in result.per_address.values():
             assert res.unknown
             assert res.unknown_reason == "budget"
@@ -427,7 +431,7 @@ class TestDeadlines:
         results, report = execute_plan(
             tasks, jobs=2, resilience=ResiliencePolicy(timeout=0.2),
         )
-        assert report.pool == "process"
+        assert report.info["pool"] == "process"
         assert time.monotonic() - t0 < 30.0
         assert results["x"].unknown
         assert results["x"].unknown_reason == "budget"
@@ -584,7 +588,7 @@ class TestChaosCertification:
             for res in result.per_address.values():
                 assert res.unknown
                 assert res.unknown_reason == "uncertified"
-            assert result.report.uncertified == len(result.per_address)
+            assert result.report["certify.uncertified"] == len(result.per_address)
 
     def test_tampered_certificates_always_caught_under_strict(self):
         policy = ResiliencePolicy(
@@ -614,7 +618,7 @@ class TestChaosCertification:
                 ex, cache=False, early_exit=False,
                 resilience=policy, certify="strict",
             )
-            flips_caught += result.report.uncertified
+            flips_caught += result.report["certify.uncertified"]
             for addr, res in result.per_address.items():
                 if res.unknown:
                     assert res.unknown_reason == "uncertified"
@@ -686,7 +690,7 @@ class TestKeyboardInterrupt:
         )
         tasks = plan_vmc(ex, method="exact")
         assert len(tasks) > 1
-        assert execute_plan(tasks, jobs=2)[1].pool == pool
+        assert execute_plan(tasks, jobs=2)[1].info["pool"] == pool
         real_wait = concurrent.futures.wait
         fired = []
 
@@ -709,7 +713,7 @@ class TestKeyboardInterrupt:
         )
         result = verify_vmc(ex, jobs=2, cache=False, method="exact")
         assert not result.unknown
-        assert result.report.pool == "process"
+        assert result.report.info["pool"] == "process"
         _assert_no_orphans()
 
 
@@ -804,9 +808,9 @@ class TestStoreChaos:
         ))
         result = verify_vmc(ex, cache=cache, certify="strict")
         assert bool(result) == bool(baseline)
-        assert result.report.store_revalidation_failures >= 1
-        assert result.report.store_hits == 0
-        assert "store:" in result.report.format()
+        assert result.report["cache.store_revalidation_failures"] >= 1
+        assert result.report["engine.store_hits"] == 0
+        assert "store:" in obs.render(result.report)
 
     def test_flipped_violation_served_only_without_certification(
         self, tmp_path

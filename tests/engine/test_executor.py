@@ -1,11 +1,14 @@
 """The executor: serial/parallel equivalence, early exit, reporting."""
 
+from collections import Counter
+
 import pytest
 
 from tests.conftest import make_coherent_execution
 from repro.core.builder import ExecutionBuilder
 from repro.core.types import Execution, OpKind, Operation
 from repro.engine import execute_plan, plan_vmc, verify_vmc
+from repro import obs
 
 
 def _multi_address_corpus():
@@ -58,9 +61,9 @@ class TestParallelEquivalence:
             18, 3, 7, addresses=("x", "y", "z"), num_values=3
         )
         result = verify_vmc(ex, jobs=4, cache=False)
-        assert result.report.jobs == 4
-        assert result.report.planned == len(ex.constrained_addresses())
-        assert result.report.executed == result.report.planned
+        assert result.report.info["jobs"] == 4
+        assert result.report["engine.planned"] == len(ex.constrained_addresses())
+        assert result.report["engine.executed"] == result.report["engine.planned"]
 
 
 def _bad_cheap_plus_expensive_good():
@@ -79,18 +82,18 @@ class TestEarlyExit:
         result = verify_vmc(ex, jobs=1, cache=False)
         assert not result.holds
         report = result.report
-        assert report.early_exit
-        assert report.executed == 1
-        skipped = [t for t in report.tasks if t.skipped]
-        assert len(skipped) == report.planned - 1
-        assert all(t.holds is None for t in skipped)
+        assert report["engine.early_exit"]
+        assert report["engine.executed"] == 1
+        skipped = [t for t in report.rows if t["verdict"] == "skipped"]
+        assert len(skipped) == report["engine.planned"] - 1
+        assert all(t["source"] == "-" for t in skipped)
 
     def test_early_exit_disabled_runs_everything(self):
         ex = _bad_cheap_plus_expensive_good()
         result = verify_vmc(ex, jobs=1, cache=False, early_exit=False)
         assert not result.holds
-        assert result.report.executed == result.report.planned
-        assert not result.report.early_exit
+        assert result.report["engine.executed"] == result.report["engine.planned"]
+        assert not result.report["engine.early_exit"]
 
     def test_violation_reason_names_the_address(self):
         result = verify_vmc(_bad_cheap_plus_expensive_good(), cache=False)
@@ -111,17 +114,17 @@ class TestExecutePlan:
         assert set(results) == {"a", "b", "c"}
         assert not results["a"].holds
         assert results["b"].holds and results["c"].holds
-        assert report.planned == 3 and report.executed == 3
+        assert report["engine.planned"] == 3 and report["engine.executed"] == 3
 
     def test_task_stats_rows_render(self):
         ex = _bad_cheap_plus_expensive_good()
         result = verify_vmc(ex, cache=False)
-        text = result.report.format()
+        text = obs.render(result.report)
         assert "engine:" in text and "VIOLATED" in text
 
     def test_backends_used(self):
         ex = _bad_cheap_plus_expensive_good()
         result = verify_vmc(ex, cache=False, early_exit=False)
-        used = result.report.backends_used
+        used = Counter(t["backend"] for t in result.report.rows)
         assert used.get("single-op") == 1
         assert used.get("readmap") == 2

@@ -114,13 +114,13 @@ class TestExecutorWorkerDeath:
                 resilience=ResiliencePolicy(backoff_s=0.0),
             )
             assert marker.exists()  # a worker really died
-            assert pooled.report.pool == "process"
+            assert pooled.report.info["pool"] == "process"
             assert not pooled.unknown
             assert pooled.holds == serial.holds
             assert _per_address(pooled) == _per_address(serial)
-            assert pooled.report.crashes >= 1
-            assert pooled.report.retries >= 1
-            assert pooled.report.quarantined == 0
+            assert pooled.report["resilience.crashes"] >= 1
+            assert pooled.report["resilience.retries"] >= 1
+            assert pooled.report["resilience.quarantined"] == 0
         assert verdicts == {True, False}
         _assert_no_orphans()
 
@@ -134,8 +134,8 @@ class TestExecutorWorkerDeath:
         assert (tmp_path / "died").exists()
         assert not pooled.unknown
         assert _per_address(pooled) == _per_address(serial)
-        assert pooled.report.crashes >= 1
-        assert pooled.report.quarantined >= 1
+        assert pooled.report["resilience.crashes"] >= 1
+        assert pooled.report["resilience.quarantined"] >= 1
         _assert_no_orphans()
 
 
@@ -189,7 +189,7 @@ class TestBatchWorkerDeath:
         self._kill_first_worker(monkeypatch, tmp_path / "died")
         store = ResultStore(tmp_path / "store")
         plan = plan_batch([(f"ex{i}", ex, None) for i, ex in enumerate(corpus)])
-        outcomes, stats = run_plan(
+        outcomes, rec = run_plan(
             plan, jobs=2, store=store, certify="on",
             resilience=ResiliencePolicy(retries=retries, backoff_s=0.0),
         )
@@ -197,10 +197,10 @@ class TestBatchWorkerDeath:
         assert not any(o.error for o in outcomes)
         assert self._verdicts(outcomes) == self._verdicts(serial)
         if retries:
-            assert stats.retries >= 1
-            assert stats.quarantined == 0
+            assert rec["resilience.retries"] >= 1
+            assert rec["resilience.quarantined"] == 0
         else:
-            assert stats.quarantined >= 1
+            assert rec["resilience.quarantined"] >= 1
         _assert_no_orphans()
 
 

@@ -321,7 +321,7 @@ def test_pool_only_for_jobs_and_a_heavy_task():
         for i, task in enumerate(tasks):
             task.order, task.address = i, f"a{i}"
         results, report = execute_plan(tasks, jobs=jobs)
-        assert report.pool == pool, (len(tasks), jobs)
+        assert report.info["pool"] == pool, (len(tasks), jobs)
         assert all(r.holds for r in results.values())
 
 
@@ -331,17 +331,17 @@ def test_engine_auto_pool_reported():
     )
     result = verify_vmc(ex, jobs=2, cache=False)
     assert result.holds
-    assert result.report.pool == "serial"  # light tasks stay serial
+    assert result.report.info["pool"] == "serial"  # light tasks stay serial
 
 
 def test_engine_report_aggregates_races():
     ex = _fig_4_1_execution()
     result = verify_vmc(ex, cache=False)
     assert result.holds
-    assert result.report.prepass["tasks"] == 1
-    pf = result.report.portfolio
+    assert result.report.group("prepass")["tasks"] == 1
+    pf = result.report.group("portfolio")
     assert pf["races"] == 1
-    assert sum(pf["wins"].values()) == 1
+    assert sum(v for k, v in pf.items() if k.startswith("wins.")) == 1
 
 
 # ---------------------------------------------------------------------

@@ -27,6 +27,7 @@ from repro.engine import (
     verify_vmc,
 )
 from repro.sat.cnf import CNF
+from repro import obs
 
 from tests.conftest import make_coherent_execution
 
@@ -133,7 +134,7 @@ class TestPrepassMechanics:
         ex = parse_trace("P0: W(x,1) W(x,1)\nP1: R(x,1)", initial={"x": 0})
         r = verify_coherence(ex)
         assert r and r.method == "write-order"
-        pp = r.report.prepass
+        pp = r.report.group("prepass")
         assert pp["tasks"] == 1 and pp["downgraded"] == 1
 
     def test_decided_task_reports_prepass_backend(self):
@@ -147,8 +148,8 @@ class TestPrepassMechanics:
         r = verify_coherence(ex)
         assert not r
         assert "cycle" in r.reason
-        assert r.report.prepass["decided"] == 1
-        assert r.report.backends_used.get("prepass") == 1
+        assert r.report.group("prepass")["decided"] == 1
+        assert [t["backend"] for t in r.report.rows].count("prepass") == 1
         # The same verdict without the pre-pass, the slow way.
         assert not verify_coherence(ex, method="exact")
 
@@ -159,7 +160,7 @@ class TestPrepassMechanics:
         )
         r = verify_coherence(ex)
         assert r
-        pp = r.report.prepass
+        pp = r.report.group("prepass")
         assert pp["ops_eliminated"] >= 3
         assert pp["ops_after"] < pp["ops_before"]
 
@@ -167,7 +168,7 @@ class TestPrepassMechanics:
         ex = parse_trace("P0: W(x,1) W(x,1)\nP1: R(x,1)", initial={"x": 0})
         r = verify_coherence(ex, method="exact")
         assert r and r.method == "exact"
-        assert not r.report.prepass
+        assert not r.report.group("prepass")
 
     def test_supplied_write_order_skips_prepass(self):
         ex = parse_trace("P0: W(x,1) W(x,1)\nP1: R(x,1)", initial={"x": 0})
@@ -181,7 +182,7 @@ class TestPrepassMechanics:
         ex = parse_trace("P0: W(x,1) R(x,1)\nP1: R(x,1) W(x,2)", initial={"x": 0})
         r = verify_coherence(ex)
         assert r and r.method == "readmap"
-        assert not r.report.prepass
+        assert not r.report.group("prepass")
 
 
 def _distinct_addr_traces():
@@ -200,9 +201,9 @@ class TestExecutorCounters:
         cache = ResultCache(max_entries=1)
         r = verify_vmc(ex, cache=cache)
         assert r
-        assert r.report.cache_evictions == 1
+        assert r.report["cache.evictions"] == 1
         assert cache.stats.evictions == 1
-        assert "evicted" in cache.stats.summary()
+        assert "evictions=1" in obs.render(r.report)
 
     def test_cancellation_counter(self, force_pool):
         # One prepass-decided violated task (estimate 0, so planned
@@ -223,9 +224,9 @@ class TestExecutorCounters:
         ex = parse_trace(text, initial={a: 0 for a in "abcdefghz"})
         r = verify_vmc(ex, jobs=2)
         assert not r
-        assert r.report.pool == "process"
-        assert r.report.early_exit
-        assert r.report.cancelled == 8
+        assert r.report.info["pool"] == "process"
+        assert r.report["engine.early_exit"]
+        assert r.report["engine.cancelled"] == 8
         serial = verify_vmc(ex, jobs=1)
         assert not serial
 
@@ -234,7 +235,7 @@ class TestExecutorCounters:
         serial = verify_vmc(ex)
         pooled = verify_vmc(ex, jobs=2)
         assert serial.holds == pooled.holds
-        assert pooled.report.pool == "process"
+        assert pooled.report.info["pool"] == "process"
         for addr, sub in pooled.per_address.items():
             assert sub.schedule is not None
             assert is_coherent_schedule(ex, sub.schedule, addr=addr)
@@ -248,7 +249,7 @@ class TestExecutorCounters:
         )
         r = verify_vmc(ex, jobs=2, cache=False)
         assert r
-        assert r.report.pool == "process"
+        assert r.report.info["pool"] == "process"
         for addr, sub in r.per_address.items():
             assert is_coherent_schedule(ex, sub.schedule, addr=addr)
 
@@ -301,7 +302,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "prepass:" in out
         assert "pool=serial" in out
-        assert "evicted" in out
+        assert "evictions=" in out
 
     def test_no_prepass_flag(self, trace_file):
         """The planner decides the pre-pass from the instance; no front
@@ -349,8 +350,6 @@ class TestCampaignCacheReporting:
             ops_per_processor=10,
             cache=cache,
         )
-        table = campaign_table(results, cache=cache)
+        table = campaign_table(results)
         assert "cache:" in table
-        assert "stored" in table
-        # Without the cache argument the footer is absent (back-compat).
-        assert "cache:" not in campaign_table(results)
+        assert "stores=" in table

@@ -34,7 +34,7 @@ def _verify_all(cache, **kwargs):
 
 
 def _misses(results) -> int:
-    return sum(r.report.cache_misses for r in results)
+    return sum(r.report["engine.misses"] for r in results)
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +106,7 @@ def test_forced_method_keeps_its_own_entries(filled):
     forced = verify_vmc(
         ex, method="sat-cdcl", cache=ResultCache(store=ResultStore(path))
     )
-    assert forced.report.cache_misses == len(ex.constrained_addresses())
+    assert forced.report["engine.misses"] == len(ex.constrained_addresses())
     assert forced.method == "sat-cdcl"
 
 

@@ -24,6 +24,7 @@ from repro.engine.store import (
     StoreFormatError,
     fingerprint_key,
 )
+from repro import obs
 
 
 def _canon(text, initial=None, method="auto"):
@@ -348,12 +349,13 @@ class TestCacheStoreTier:
         store.flush()
 
         cache = ResultCache(store=ResultStore(tmp_path / "store"))
-        first = cache.lookup(canon)
-        assert first is not None and first.stats.get("store_hit")
-        second = cache.lookup(canon)  # promoted: now a memory hit
-        assert second is not None and not second.stats.get("store_hit")
+        with obs.opened() as rec:
+            first = cache.lookup(canon)
+            assert first is not None and first.stats.get("store_hit")
+            second = cache.lookup(canon)  # promoted: now a memory hit
+            assert second is not None and not second.stats.get("store_hit")
         assert cache.stats.store_hits == 1 and cache.stats.hits == 1
-        assert "1 memory hit / 1 store hit" in cache.stats.summary()
+        assert "hits=1 " in obs.render(rec) and "store_hits=1" in obs.render(rec)
 
     def test_write_through_and_warm_readthrough(self, tmp_path):
         from repro.engine import verify_vmc
@@ -367,7 +369,7 @@ class TestCacheStoreTier:
         result = verify_vmc(ex, cache=warm)
         assert result.holds
         assert warm.stats.store_hits == 1
-        assert result.report.store_hits == 1
+        assert result.report["engine.store_hits"] == 1
 
     def test_store_revalidation_failure_counted(self, tmp_path):
         store = ResultStore(tmp_path / "store")
@@ -375,11 +377,12 @@ class TestCacheStoreTier:
         _put(store, canon)
         store.flush()
         cache = ResultCache(store=store)
-        assert cache.lookup(canon) is not None
-        cache.invalidate(canon)
+        with obs.opened() as rec:
+            assert cache.lookup(canon) is not None
+            cache.invalidate(canon)
         assert cache.stats.store_revalidation_failures == 1
         assert store.stats.tombstones == 1
-        assert "store records failed revalidation" in cache.stats.summary()
+        assert "store_revalidation_failures=1" in obs.render(rec)
 
     def test_cycle_certificate_revalidated_from_store(self, tmp_path):
         """A closure ``cycle`` certificate round-trips through the store

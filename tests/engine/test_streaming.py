@@ -385,10 +385,10 @@ class TestPeek:
     def test_peek_never_mutates(self):
         mon = AddressMonitor("x", 0)
         mon.commit_write(0, 1)
-        before = (dict(mon._cursors), mon.now, mon.stats.reads)
+        before = (dict(mon._cursors), mon.now, mon.reads)
         mon.peek_read(0, 1)
         mon.peek_rmw(0)
-        assert (dict(mon._cursors), mon.now, mon.stats.reads) == before
+        assert (dict(mon._cursors), mon.now, mon.reads) == before
 
 
 # ---------------------------------------------------------------------

@@ -158,9 +158,10 @@ class TestDeterminismAndDedup:
         b = run_campaign(**kw)
 
         def stable(report):
-            # Everything but the wall-clock phase timings.
+            # Everything but the wall-clock timings: the phase split
+            # and the run record (spans and the engine's wall time).
             blob = report.to_json()
-            blob.pop("simulate_s"), blob.pop("verify_s")
+            blob.pop("simulate_s"), blob.pop("verify_s"), blob.pop("record")
             return blob
 
         assert stable(a) == stable(b)
@@ -190,8 +191,7 @@ class TestReportRendering:
         report = run_campaign(
             sites=[FaultKind.DROPPED_WRITE], substrates=["bus"], **SMALL
         )
-        cache = ResultCache()
-        table = campaign_table(report, cache=cache)
+        table = campaign_table(report)
         assert "fault site" in table
         assert "dropped-write" in table
         assert "contract: OK" in table

@@ -192,7 +192,7 @@ class TestRequestResponse:
             assert "at byte" in err["reason"]
             # Same connection still serves the next request.
             assert c.ping()["status"] == "ok"
-        assert srv.stats.parse_errors >= 1
+        assert srv.record["service.parse_errors"] >= 1
 
     def test_writer_dying_mid_frame_gets_offset_diagnostic(self, boot):
         srv = boot()
@@ -264,8 +264,8 @@ class TestBackpressure:
             assert resp["unknown_reason"] == "shutdown"
             assert resp["code"] == 3
         assert srv.wait(timeout=10)
-        assert srv.stats.retry_after == 1
-        assert srv.stats.shutdown == 2
+        assert srv.record["service.retry_after"] == 1
+        assert srv.record["service.shutdown"] == 2
 
     def test_tenant_share_isolates_flooder(self, boot):
         srv = boot(workers=0, queue_depth=8, tenant_share=0.125,
@@ -367,7 +367,7 @@ class TestLifecycle:
         srv._components.append(comp)
         comp.start()
         assert _wait_for(lambda: comp.restarts >= 1 and comp.alive())
-        assert srv.stats.restarts >= 1
+        assert srv.record["service.restarts"] >= 1
         assert comp.crashed is None  # cleared by the restart
         assert any("injected death" in d for d in srv.diagnostics)
 
@@ -439,7 +439,7 @@ class TestLifecycle:
             req_id = c.send(ServiceClient.verify_payload(_execution()))
             # The lone worker stalls mid-solve; the supervisor notices
             # the stale beat and brings up a replacement.
-            assert _wait_for(lambda: srv.stats.replaced_workers >= 1)
+            assert _wait_for(lambda: srv.record["service.replaced_workers"] >= 1)
             status = srv.status()
             assert status["workers"]["wedged_replaced"] >= 1
             # The stalled solve still finishes and answers (late but
@@ -475,7 +475,7 @@ class TestLifecycle:
             # The response is dropped and the connection aborted.
             with pytest.raises(ConnectionError):
                 c.recv()
-        assert _wait_for(lambda: srv.stats.conn_drops >= 1)
+        assert _wait_for(lambda: srv.record["service.conn_drops"] >= 1)
         # The daemon survives the dropped client.
         with _client(srv) as c2:
             assert c2.ping()["ready"] is True
@@ -495,7 +495,7 @@ class TestLifecycle:
             elapsed = time.monotonic() - t0
             assert ok is False
             assert elapsed < 5.0  # bounded, not a worker wedged forever
-            assert srv.stats.slow_client_drops == 1
+            assert srv.record["service.slow_client_drops"] == 1
         finally:
             a.close()
             b.close()

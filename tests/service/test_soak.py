@@ -241,4 +241,4 @@ class TestDifferentialSoak:
         # requests crashed into UNKNOWN, and the drain refused some.
         assert unknown > 0, "crash chaos never fired"
         assert degraded > 0 or refused_conn > 0, "drain never bit"
-        assert srv.stats.conn_drops + dropped > 0, "conn-drop never fired"
+        assert srv.record["service.conn_drops"] + dropped > 0, "conn-drop never fired"

@@ -442,7 +442,7 @@ class TestMonitor:
         ) == 0
         out = capsys.readouterr().out
         assert "holds so far" in out
-        assert "ops" in out and "peak window" in out
+        assert "ops=" in out and "peak_window=" in out
 
     def test_plain_trace_goes_through_greedy_merge(
         self, coherent_trace_file, violation_trace_file, capsys
