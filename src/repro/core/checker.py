@@ -89,15 +89,17 @@ def schedule_respects_program_order(
     next_index: dict[int, int] = {}
     seen: set[tuple[int, int]] = set()
     for i, op in enumerate(schedule):
-        if op.uid not in expected:
+        uid = op.uid
+        want = expected.get(uid)
+        if want is None:
             return CheckOutcome(False, i, f"{op} is not part of the execution")
-        if op.uid in seen:
+        if uid in seen:
             return CheckOutcome(False, i, f"{op} appears twice in the schedule")
-        if expected[op.uid] != op:
+        if want is not op and want != op:
             return CheckOutcome(
-                False, i, f"{op} differs from the execution's operation {expected[op.uid]}"
+                False, i, f"{op} differs from the execution's operation {want}"
             )
-        seen.add(op.uid)
+        seen.add(uid)
         # Program order within the process must be preserved.  The
         # sub-execution case (restrict_to_address) keeps original po
         # indices, so we compare indices monotonically rather than
@@ -128,10 +130,14 @@ def is_coherent_schedule(
 
     If the execution touches several addresses, pass ``addr`` and the
     check applies to ``execution.restrict_to_address(addr)``.
+
+    Linear in the execution plus the schedule: the address check is
+    one pass over the histories (every operation's address counts,
+    sync operations' too), so no columnar view is built.
     """
     if addr is not None:
         execution = execution.restrict_to_address(addr)
-    addrs = execution.addresses()
+    addrs = list(dict.fromkeys(op.addr for op in execution.all_ops()))
     if len(addrs) > 1:
         return CheckOutcome(
             False,

@@ -41,6 +41,8 @@ from array import array
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
+from repro import obs
+
 #: Step rule codes (the wire order of RULE_NAMES is load-bearing:
 #: certificates store the names, columnar step arrays store the codes).
 RULE_PO, RULE_RF, RULE_INIT, RULE_FIN, RULE_FINR, RULE_WR, RULE_FR = range(7)
@@ -798,7 +800,19 @@ def backend(name: str | None = None):
     Priority: explicit ``name`` argument, then the innermost
     :func:`use` override, then ``$REPRO_KERNEL``, then auto (numpy when
     importable, python otherwise).  Instances are cached per name.
+
+    The run record open on the calling thread (:mod:`repro.obs`) is
+    labelled ``kernel=<name>`` here, where a kernel is about to run, so
+    a run that uses none neither names nor probes one.
     """
+    inst = _resolve(name)
+    rec = obs.current()
+    if rec is not None:
+        rec.info.setdefault("kernel", inst.name)
+    return inst
+
+
+def _resolve(name: str | None):
     if name is None:
         if _OVERRIDE:
             name = _OVERRIDE[-1]
@@ -827,7 +841,7 @@ def backend(name: str | None = None):
 @contextmanager
 def use(name: str):
     """Force a backend within a scope (tests and benchmarks)."""
-    backend(name)  # fail fast on unavailable backends
+    _resolve(name)  # fail fast on unavailable backends
     _OVERRIDE.append(name)
     try:
         yield

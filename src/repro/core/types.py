@@ -52,7 +52,12 @@ INITIAL: Value = _InitialValue()
 class OpKind(enum.Enum):
     """Operation kinds.  ``RMW`` is atomic (its read and write occupy a
     single schedule slot); ``ACQUIRE``/``RELEASE`` are the
-    synchronization primitives of Section 6.2's weak-model argument."""
+    synchronization primitives of Section 6.2's weak-model argument.
+
+    ``reads``, ``writes`` and ``is_sync`` are plain member attributes,
+    fixed from the kind's code when the enum is built: every hot loop
+    asks them, so they cost one attribute load each.
+    """
 
     READ = "R"
     WRITE = "W"
@@ -60,26 +65,27 @@ class OpKind(enum.Enum):
     ACQUIRE = "ACQ"
     RELEASE = "REL"
 
-    @property
-    def reads(self) -> bool:
-        return self in (OpKind.READ, OpKind.RMW)
+    reads: bool
+    writes: bool
+    is_sync: bool
 
-    @property
-    def writes(self) -> bool:
-        return self in (OpKind.WRITE, OpKind.RMW)
-
-    @property
-    def is_sync(self) -> bool:
-        return self in (OpKind.ACQUIRE, OpKind.RELEASE)
+    def __init__(self, code: str) -> None:
+        self.reads = code in ("R", "RW")
+        self.writes = code in ("W", "RW")
+        self.is_sync = code in ("ACQ", "REL")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One memory operation, identified by ``(proc, index)``.
 
     ``index`` is the operation's position in its process history
     (program order).  ``value_read`` is meaningful for READ/RMW,
     ``value_written`` for WRITE/RMW; both are ``None`` for sync ops.
+
+    Operations are slotted (no per-instance ``__dict__``) and frozen;
+    the constructor validates the values against the kind, then sets
+    each field once through its slot.
     """
 
     kind: OpKind
@@ -89,15 +95,27 @@ class Operation:
     value_read: Value = None
     value_written: Value = None
 
-    def __post_init__(self) -> None:
-        if self.kind is OpKind.READ and self.value_written is not None:
+    def __init__(
+        self,
+        kind: OpKind,
+        addr: Address,
+        proc: int,
+        index: int,
+        value_read: Value = None,
+        value_written: Value = None,
+    ) -> None:
+        if kind is OpKind.READ and value_written is not None:
             raise ValueError("a READ has no written value")
-        if self.kind is OpKind.WRITE and self.value_read is not None:
+        if kind is OpKind.WRITE and value_read is not None:
             raise ValueError("a WRITE has no read value")
-        if self.kind is OpKind.RMW and (
-            self.value_read is None and self.value_written is None
-        ):
+        if kind is OpKind.RMW and value_read is None and value_written is None:
             raise ValueError("an RMW must carry read and written values")
+        _set_kind(self, kind)
+        _set_addr(self, addr)
+        _set_proc(self, proc)
+        _set_index(self, index)
+        _set_value_read(self, value_read)
+        _set_value_written(self, value_written)
 
     @property
     def uid(self) -> tuple[int, int]:
@@ -115,6 +133,21 @@ class Operation:
                 f"{self.value_written})"
             )
         return f"P{self.proc}.{self.kind.value}({self.addr})"
+
+
+# The slots' own descriptors: a frozen class's fields are written once,
+# in ``__init__``, past the ``__setattr__`` that forbids it afterwards.
+(
+    _set_kind,
+    _set_addr,
+    _set_proc,
+    _set_index,
+    _set_value_read,
+    _set_value_written,
+) = (
+    vars(Operation)[name].__set__
+    for name in ("kind", "addr", "proc", "index", "value_read", "value_written")
+)
 
 
 def read(addr: Address, value: Value, proc: int = 0, index: int = 0) -> Operation:

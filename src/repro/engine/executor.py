@@ -407,7 +407,9 @@ def execute_tasks(
     cache key (:func:`_finalize`); it should be the cache the plan was
     made with.  With ``jobs > 1`` the tasks run on the process pool
     exactly when some task is heavy (:func:`_is_heavy`); the record's
-    ``info["pool"]`` is ``"process"`` or ``"serial"``, whichever ran.
+    ``info["pool"]`` is ``"process"`` or ``"serial"``, whichever ran;
+    ``info["kernel"]`` names the data-plane kernel when one ran
+    (:func:`repro.core.kernels.backend` labels the record).
 
     The run counts into the record open on the calling thread (a fresh
     one when none is): one row per task, the ``engine.*``,
@@ -425,8 +427,6 @@ def execute_tasks(
         raise ValueError(
             f"unknown certify mode {certify!r}; choose from {CERTIFY_MODES}"
         )
-    from repro.core import kernels
-
     policy = resilience or NO_RESILIENCE
     pooled = jobs > 1 and len(tasks) > 1 and any(map(_is_heavy, tasks))
     start = perf_counter()
@@ -436,8 +436,7 @@ def execute_tasks(
     if own:
         rec = obs.Record(rows=True)
     pool = "process" if pooled else "serial"
-    kernel = kernels.backend().name
-    for k, v in dict(problem=problem, jobs=jobs, pool=pool, kernel=kernel).items():
+    for k, v in dict(problem=problem, jobs=jobs, pool=pool).items():
         rec.info.setdefault(k, v)
     outcomes: dict[int, _Outcome] = {}
 

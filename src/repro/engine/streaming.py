@@ -31,7 +31,8 @@ the retained window rebuilt as a standalone execution (initial value =
 the value at the window base gap, reads placed below the base dropped
 — both only relax constraints), and the resulting HB-cycle /
 infeasibility / RUP certificate is checked by the independent trusted
-checker against that window execution.  Violations of the announced
+checker against that window execution (once, at the engine's certify
+gate).  Violations of the announced
 serialization whose window is nevertheless coherent as a raw trace
 (e.g. a stale read another write order could serve) carry no
 trace-level certificate and fail closed under ``--certify on|strict``,
@@ -364,12 +365,16 @@ class AddressMonitor:
         """Turn a frontier-detected violation into a (certified where
         possible) VIOLATED result over the window execution.
 
-        The window is re-verified by the offline engine; a VIOLATED
-        outcome donates its checked certificate.  A window that is
+        The window is re-verified by the offline engine under
+        ``certify="on"``, whose trusted-checker gate validates the
+        certificate against the window execution — the one validation a
+        refutation gets; a VIOLATED outcome donates that certificate.
+        A certificate the gate rejects is dropped; its reason goes
+        into the message.  A window that is
         coherent as a raw trace means the stream only violates the
         *announced serialization* — that verdict is real but carries no
-        trace-level certificate (the caller fails closed under
-        ``certify on|strict``).
+        trace-level certificate.  Either way the caller fails closed
+        under ``certify on|strict``.
         """
         ex = self.window_execution(final)
         from repro.engine import verify_vmc_at
@@ -381,9 +386,11 @@ class AddressMonitor:
         # first, which decides the frontier's violation shapes
         # (impossible read, forced cycle), so the SAT re-refutation —
         # cubic in the window — is left to the closure's residue.
+        note = " [window refutation unavailable]"
         try:
             deep = verify_vmc_at(ex, self.addr, certify="on")
-        except CertificationError:
+        except CertificationError as err:
+            note = f" [window certificate rejected: {err}]"
             deep = (
                 None
                 if certify != "off"
@@ -405,8 +412,6 @@ class AddressMonitor:
                 "retained window is coherent as a raw trace, so no "
                 "trace-level certificate exists]"
             )
-        else:
-            note = " [window refutation unavailable]"
         out = VerificationResult(
             holds=False,
             method="streaming",
@@ -608,21 +613,13 @@ class StreamingVerifier:
         mon = self.monitors[addr]
         result, ex = mon.refute(message, final=final, certify=self.certify)
         result.stats["op_index"] = index
-        if self.certify != "off":
-            with obs.span("certify"):
-                check = (
-                    None if result.certificate is None
-                    else validate_result(ex, result)
-                )
-            if not check:
-                problem = (
-                    "carries no certificate" if check is None
-                    else f"certificate rejected: {check.reason}"
-                )
-                result = self._uncertified(
-                    f"streaming violation at op {index} {problem}: "
-                    f"{result.reason}", addr,
-                )
+        # A certificate ``refute`` returns already passed the engine's
+        # trusted-checker gate against ``ex``.
+        if self.certify != "off" and result.certificate is None:
+            result = self._uncertified(
+                f"streaming violation at op {index} carries no "
+                f"certificate: {result.reason}", addr,
+            )
         verdict = StreamVerdict(
             "violation" if result.violated else "unknown",
             index,

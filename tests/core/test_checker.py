@@ -10,7 +10,7 @@ from repro.core.checker import (
     schedule_respects_program_order,
     value_trace_ok,
 )
-from repro.core.types import read, write
+from repro.core.types import Execution, OpKind, Operation, read, write
 
 from tests.conftest import coherent_executions
 
@@ -88,6 +88,45 @@ class TestCoherentSchedule:
         ex = parse_trace("P0: W(x,1) W(y,1)")
         outcome = is_coherent_schedule(ex, list(ex.all_ops()))
         assert not outcome and "per-address" in outcome.reason
+
+    def test_second_address_on_a_sync_op_rejected(self):
+        """Every operation's address counts, a sync op's too."""
+        ex = Execution.from_ops(
+            [[write("x", 1), Operation(OpKind.ACQUIRE, "l", 0, 0)]]
+        )
+        outcome = is_coherent_schedule(ex, list(ex.all_ops()))
+        assert not outcome and outcome.position == -1
+        assert outcome.reason == (
+            "coherence is per-address but the execution touches "
+            "['x', 'l']; pass addr= to select one"
+        )
+
+    def test_multi_address_reason_lists_addresses_in_order(self):
+        ex = parse_trace("P0: W(y,1) W(x,1)\nP1: R(z,1) R(y,1)")
+        outcome = is_coherent_schedule(ex, list(ex.all_ops()))
+        assert not outcome
+        assert "touches ['y', 'x', 'z']" in outcome.reason
+
+    def test_builds_no_columnar_view(self):
+        ex = simple_execution()
+        sched = [ex.histories[1][0], ex.histories[0][0], ex.histories[0][1]]
+        assert is_coherent_schedule(ex, sched)
+        assert getattr(ex, "_columnar", None) is None
+        bad = parse_trace("P0: W(x,1) W(y,1)")
+        assert not is_coherent_schedule(bad, list(bad.all_ops()))
+        assert getattr(bad, "_columnar", None) is None
+
+    def test_equal_copy_of_an_operation_accepted(self):
+        """Membership compares by value: a schedule of equal copies
+        (e.g. a witness that crossed a pickle) passes like the
+        execution's own objects."""
+        import pickle
+
+        ex = simple_execution()
+        sched = [ex.histories[1][0], ex.histories[0][0], ex.histories[0][1]]
+        copies = pickle.loads(pickle.dumps(sched))
+        assert copies[0] is not sched[0]
+        assert is_coherent_schedule(ex, copies)
 
     def test_addr_argument_restricts(self):
         ex = parse_trace("P0: W(x,1) W(y,1)\nP1: R(x,1)")

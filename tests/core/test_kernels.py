@@ -232,6 +232,49 @@ class TestPythonFallback:
         assert "plan=" in obs.render(res.report)
 
 
+class TestKernelLabel:
+    """The run record names the kernel that ran, and only a run that
+    uses a kernel resolves (and so probes) one."""
+
+    def test_first_run_without_a_kernel_imports_no_numpy(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "from repro.core.builder import parse_trace\n"
+            "from repro.engine import verify_vmc\n"
+            "r = verify_vmc(parse_trace('P0: W(x,1) R(x,1)\\nP1: R(x,1)'),"
+            " certify='on')\n"
+            "assert r.holds, r\n"
+            "assert 'kernel' not in r.report.info, r.report.info\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_closure_certificate_names_its_kernel(self):
+        from repro.core.builder import parse_trace
+        from repro.engine import verify_vmc
+
+        ex = parse_trace("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)")
+        with kernels.use("python"):
+            res = verify_vmc(ex, certify="on")
+        assert res.violated
+        assert res.report.info["kernel"] == "python"
+
+    def test_use_does_not_label_the_open_record(self):
+        with obs.opened() as rec:
+            with kernels.use("python"):
+                pass
+        assert "kernel" not in rec.info
+
+
 class TestGrow:
     """``Saturation.grow``: the incremental streaming path appends
     nodes to a live closure; the result must match a from-scratch

@@ -33,15 +33,17 @@ class TestOperation:
         assert op.kind.reads and op.kind.writes
 
     def test_invalid_read_with_written_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a READ has no written value$"):
             Operation(OpKind.READ, "x", 0, 0, value_written=1)
 
     def test_invalid_write_with_read_value(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^a WRITE has no read value$"):
             Operation(OpKind.WRITE, "x", 0, 0, value_read=1)
 
     def test_rmw_requires_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(
+            ValueError, match="^an RMW must carry read and written values$"
+        ):
             Operation(OpKind.RMW, "x", 0, 0)
 
     def test_str_forms(self):
@@ -52,6 +54,111 @@ class TestOperation:
     def test_sync_kinds(self):
         acq = Operation(OpKind.ACQUIRE, "l", 0, 0)
         assert acq.kind.is_sync and not acq.kind.reads and not acq.kind.writes
+
+
+class TestOpKindFlags:
+    @pytest.mark.parametrize(
+        "kind, reads, writes, is_sync",
+        [
+            (OpKind.READ, True, False, False),
+            (OpKind.WRITE, False, True, False),
+            (OpKind.RMW, True, True, False),
+            (OpKind.ACQUIRE, False, False, True),
+            (OpKind.RELEASE, False, False, True),
+        ],
+    )
+    def test_flag_table(self, kind, reads, writes, is_sync):
+        assert (kind.reads, kind.writes, kind.is_sync) == (reads, writes, is_sync)
+
+    def test_table_covers_every_kind(self):
+        assert [k.value for k in OpKind] == ["R", "W", "RW", "ACQ", "REL"]
+
+    def test_members_survive_pickling(self):
+        for kind in OpKind:
+            again = pickle.loads(pickle.dumps(kind))
+            assert again is kind and again.reads is kind.reads
+
+
+class TestOperationModel:
+    """``Operation`` is a slotted frozen dataclass with a hand-written,
+    validating ``__init__``."""
+
+    OPS = [
+        read("x", 5, proc=1, index=2),
+        write("y", INITIAL, proc=0, index=3),
+        rmw("z", 1, 2, proc=2, index=0),
+        Operation(OpKind.ACQUIRE, "l", 3, 4),
+        Operation(OpKind.RELEASE, ("a", 1), 3, 5),
+    ]
+
+    def test_rmw_with_one_value_is_accepted(self):
+        assert Operation(OpKind.RMW, "x", 0, 0, value_read=1).value_written is None
+
+    def test_frozen_and_slotted(self):
+        import dataclasses
+
+        op = read("x", 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op.value_read = 2
+        # No slot for it: refused (CPython before 3.12 raises TypeError
+        # from the frozen ``__setattr__`` of a slotted dataclass).
+        with pytest.raises((AttributeError, TypeError)):
+            op.extra = 1
+        assert not hasattr(op, "__dict__")
+        assert Operation.__slots__ == (
+            "kind", "addr", "proc", "index", "value_read", "value_written"
+        )
+
+    def test_fields_in_order(self):
+        import dataclasses
+
+        op = rmw("z", 1, 2, proc=2, index=7)
+        assert [f.name for f in dataclasses.fields(op)] == list(Operation.__slots__)
+        assert dataclasses.astuple(op) == (OpKind.RMW, "z", 2, 7, 1, 2)
+
+    @pytest.mark.parametrize("op", OPS, ids=str)
+    def test_equality_and_hash(self, op):
+        twin = Operation(
+            op.kind, op.addr, op.proc, op.index, op.value_read, op.value_written
+        )
+        assert twin == op and twin is not op and hash(twin) == hash(op)
+        assert op != Operation(
+            op.kind, op.addr, op.proc, op.index + 1, op.value_read,
+            op.value_written,
+        )
+        assert len({op, twin}) == 1
+
+    @pytest.mark.parametrize("op", OPS, ids=str)
+    def test_pickle_round_trip(self, op):
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(op, protocol=protocol))
+            assert again == op and hash(again) == hash(op)
+            assert again.kind is op.kind
+
+    def test_initial_value_keeps_identity_through_pickle(self):
+        op = pickle.loads(pickle.dumps(read("x", INITIAL)))
+        assert op.value_read is INITIAL
+
+    @pytest.mark.parametrize("op", OPS, ids=str)
+    def test_deepcopy_and_copy(self, op):
+        import copy
+
+        assert copy.deepcopy(op) == op and copy.copy(op) == op
+
+    def test_replace_revalidates(self):
+        import dataclasses
+
+        op = read("x", 1, proc=1, index=2)
+        moved = dataclasses.replace(op, proc=3, index=0)
+        assert moved == read("x", 1, proc=3, index=0)
+        with pytest.raises(ValueError, match="a READ has no written value"):
+            dataclasses.replace(op, value_written=2)
+
+    def test_repr(self):
+        assert repr(read("x", 1, proc=1, index=2)) == (
+            "Operation(kind=<OpKind.READ: 'R'>, addr='x', proc=1, index=2, "
+            "value_read=1, value_written=None)"
+        )
 
 
 class TestInitialSentinel:

@@ -22,7 +22,7 @@ import pytest
 
 from repro.core import kernels, serialize_bin
 from repro.core.types import Execution, OpKind, Operation
-from repro.engine import validate_result, verify_vmc
+from repro.engine import CertificationError, validate_result, verify_vmc
 from repro.engine.streaming import (
     AddressMonitor,
     StreamingVerifier,
@@ -365,6 +365,83 @@ class TestStreamingVerifier:
         v2, _, _ = drive(sched, 2, {}, None, certify="off")
         assert v2.kind == "violation"
         assert v2.result.certificate is None
+
+
+
+# ---------------------------------------------------------------------
+# Refutation certificates: validated once, at the engine's gate
+# ---------------------------------------------------------------------
+#: P1 reads P0's two writes in the opposite order: a read-read inversion
+#: the frontier trips on at the last op, refutable from the trace alone.
+INVERSION = [
+    Operation(OpKind.WRITE, "x", 0, 0, value_written=1),
+    Operation(OpKind.WRITE, "x", 0, 1, value_written=2),
+    Operation(OpKind.READ, "x", 1, 0, value_read=2),
+    Operation(OpKind.READ, "x", 1, 1, value_read=1),
+]
+
+
+def _count_validations(monkeypatch):
+    """Count every trusted-checker call the engine or the monitor makes."""
+    from repro.engine import executor, streaming
+
+    calls = []
+
+    def counted(real):
+        def validate(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+        return validate
+
+    for module in (executor, streaming):
+        monkeypatch.setattr(
+            module, "validate_result", counted(module.validate_result)
+        )
+    return calls
+
+
+def _tamper_certificates(monkeypatch):
+    """Swap every refutation certificate the engine derives for one that
+    names operations the window does not have."""
+    from repro.core.result import Certificate
+    from repro.engine import executor
+
+    real = executor.ensure_certificate
+
+    def tampered(*args, **kwargs):
+        result = real(*args, **kwargs)
+        if result.violated:
+            result.certificate = Certificate("cycle", ((), ((7, 0), (8, 0))))
+        return result
+
+    monkeypatch.setattr(executor, "ensure_certificate", tampered)
+
+
+class TestRefutationCertificate:
+    def test_one_validation_per_refutation(self, monkeypatch):
+        calls = _count_validations(monkeypatch)
+        v, _, _ = drive(INVERSION, 2, {}, None, certify="on")
+        assert v.kind == "violation" and v.op_index == 3
+        assert v.result.certificate is not None
+        assert validate_result(v.execution, v.result)
+        assert len(calls) == 1
+
+    def test_tampered_certificate_raises_under_on(self, monkeypatch):
+        _tamper_certificates(monkeypatch)
+        with pytest.raises(CertificationError, match="certificate"):
+            drive(INVERSION, 2, {}, None, certify="on")
+
+    def test_tampered_certificate_is_unknown_under_strict(self, monkeypatch):
+        _tamper_certificates(monkeypatch)
+        v, _, _ = drive(INVERSION, 2, {}, None, certify="strict")
+        assert v.kind == "unknown"
+        assert v.result.unknown_reason == "uncertified"
+        assert "window certificate rejected" in v.result.reason
+
+    def test_tampered_certificate_keeps_the_verdict_under_off(self, monkeypatch):
+        _tamper_certificates(monkeypatch)
+        v, _, _ = drive(INVERSION, 2, {}, None, certify="off")
+        assert v.kind == "violation" and v.op_index == 3
 
 
 # ---------------------------------------------------------------------
