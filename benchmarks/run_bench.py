@@ -26,11 +26,13 @@ Two comparison matrices:
   neither leg wins on every family.
 
 * **Kernel-scaling ladder**: one execution per size from 1k to 200k
-  ops (chain blocks of ~1.6k ops per address), verified once under
-  each data-plane kernel (``python`` int bitsets vs ``numpy`` packed
-  matrices).  Records the fitted log-log wall-time-vs-ops exponent per
-  kernel; the numpy kernel must be >= 3x faster than the fallback at
-  the largest size.
+  ops (chain blocks of ~1.6k ops per address), verified on the
+  default path (the engine picks the kernel per saturation: ``numpy``
+  packed matrices on these blocks when installed) and with every
+  saturation pinned to the ``python`` int-bitset kernel.  Records the
+  fitted log-log wall-time-vs-ops exponent per arm; with numpy
+  installed the default path must be >= 3x faster than the pinned one
+  at the largest size.
 
 * **Persistent-store arms**: a solve-heavy corpus (chains forced onto
   ``method="sat-cdcl"``, so every unique instance pays the SAT route)
@@ -95,6 +97,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import platform
 import statistics
 import subprocess
@@ -338,17 +341,19 @@ CERTIFY_GUARD_RATIO = 1.25
 CERTIFY_GUARD_SLACK_S = 0.25
 
 # The kernel-scaling scenario: one execution per size, chain blocks of
-# ~1.6k ops per address (the regime where the packed-uint64 saturation
-# matrices amortize best), verified once per kernel backend.  The
-# fitted log-log slope of wall time vs total ops is recorded — with
-# bounded per-address blocks the data plane should scale ~linearly —
-# and the numpy kernel must beat the int-bitset fallback by
-# SCALING_GUARD_SPEEDUP at the largest size.
+# ~1.6k ops per address (~800 forced reads-from pairs each, where the
+# selection rule picks the packed-uint64 numpy saturation), verified
+# twice: on the default path, where the rule picks the kernel, and with
+# every saturation pinned to the int-bitset kernel.  The fitted log-log
+# slope of wall time vs total ops is recorded — with bounded
+# per-address blocks the data plane should scale ~linearly — and, when
+# numpy is installed, the default path must beat the python-pinned one
+# by SCALING_GUARD_SPEEDUP at the largest size.
 SCALING_SIZES_FULL = [1_000, 5_000, 25_000, 100_000, 200_000]
 SCALING_SIZES_QUICK = [1_000, 5_000, 25_000]
 #: Chain length per address: ~2*len+1 ops per address block.
 SCALING_BLOCK_LEN = 800
-#: Required numpy-over-python speedup at the largest scaling size.
+#: Required default-over-python-pinned speedup at the largest size.
 SCALING_GUARD_SPEEDUP = 3.0
 
 
@@ -372,55 +377,57 @@ def build_scaling_execution(total_ops: int) -> Execution:
 
 
 def run_scaling(quick: bool) -> tuple[dict, bool]:
-    """Time each kernel backend across the size ladder (one repeat —
-    the large sizes dominate and the comparison is across backends on
-    identical instances, not across noisy repeats)."""
-    from repro.core import kernels
+    """Time the default path and the python-pinned path across the size
+    ladder (one repeat — the large sizes dominate and the comparison is
+    across arms on identical instances, not across noisy repeats)."""
+    from repro.core import infer, kernels
 
     sizes = SCALING_SIZES_QUICK if quick else SCALING_SIZES_FULL
-    backends = ["python"]
-    if "numpy" in kernels.available_backends():
-        backends.append("numpy")
-    times: dict[str, list[float]] = {b: [] for b in backends}
+    arms = {"python": math.inf, "default": infer.NUMPY_MIN_FORCED}
+    times: dict[str, list[float]] = {arm: [] for arm in arms}
     actual_ops: list[int] = []
-    for size in sizes:
-        ex = build_scaling_execution(size)
-        actual_ops.append(ex.num_ops)
-        for b in backends:
-            with kernels.use(b):
+    try:
+        for size in sizes:
+            ex = build_scaling_execution(size)
+            actual_ops.append(ex.num_ops)
+            for arm, limit in arms.items():
+                infer.NUMPY_MIN_FORCED = limit
                 t0 = time.perf_counter()
                 r = verify_vmc(ex, jobs=1, cache=False)
-            dt = time.perf_counter() - t0
-            times[b].append(round(dt, 4))
-            if not r:
-                print(
-                    f"error: kernel-{b} flagged the {size}-op scaling "
-                    f"execution", file=sys.stderr,
-                )
-                raise SystemExit(1)
-        row = "  ".join(
-            f"{b}={times[b][-1] * 1e3:>9.1f}ms" for b in backends
-        )
-        print(f"scaling {actual_ops[-1]:>7} ops  {row}")
+                dt = time.perf_counter() - t0
+                times[arm].append(round(dt, 4))
+                if not r:
+                    print(
+                        f"error: the {arm} arm flagged the {size}-op "
+                        f"scaling execution", file=sys.stderr,
+                    )
+                    raise SystemExit(1)
+            row = "  ".join(
+                f"{arm}={times[arm][-1] * 1e3:>9.1f}ms" for arm in arms
+            )
+            print(f"scaling {actual_ops[-1]:>7} ops  {row}")
+    finally:
+        infer.NUMPY_MIN_FORCED = arms["default"]
 
     exponents = {
-        b: round(fit_loglog_slope(actual_ops, times[b]), 3) for b in backends
+        arm: round(fit_loglog_slope(actual_ops, times[arm]), 3) for arm in arms
     }
     print(
         "scaling exponents (fitted wall-time vs ops): "
-        + ", ".join(f"{b}={e}" for b, e in exponents.items())
+        + ", ".join(f"{arm}={e}" for arm, e in exponents.items())
     )
     speedup = None
     guard_ok = True
-    if "numpy" in backends:
+    if "numpy" in kernels.available_backends():
         speedup = (
-            round(times["python"][-1] / times["numpy"][-1], 2)
-            if times["numpy"][-1]
+            round(times["python"][-1] / times["default"][-1], 2)
+            if times["default"][-1]
             else None
         )
         guard_ok = speedup is not None and speedup >= SCALING_GUARD_SPEEDUP
         print(
-            f"scaling numpy speedup at {actual_ops[-1]} ops: {speedup}x "
+            f"scaling default-path speedup over python-pinned at "
+            f"{actual_ops[-1]} ops: {speedup}x "
             f"({'ok' if guard_ok else 'REGRESSION'}; guard "
             f">={SCALING_GUARD_SPEEDUP}x)"
         )
@@ -1381,8 +1388,8 @@ def main(argv: list[str] | None = None) -> int:
         f"{CERTIFY_GUARD_RATIO}x + {CERTIFY_GUARD_SLACK_S}s slack)"
     )
 
-    # Kernel-scaling ladder: wall time vs total ops per data-plane
-    # kernel, with the numpy-vs-python speedup guard at the top size.
+    # Kernel-scaling ladder: wall time vs total ops, default path vs
+    # python-pinned, with the speedup guard at the top size.
     scaling_payload, scaling_ok = run_scaling(args.quick)
 
     # Streaming ladder: the incremental monitor vs from-scratch
@@ -1492,7 +1499,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     if not scaling_ok:
         print(
-            f"error: numpy kernel speedup "
+            f"error: default-path speedup over python-pinned "
             f"{scaling_payload['numpy_speedup_at_max']}x at "
             f"{scaling_payload['ops'][-1]} ops is below the "
             f"{SCALING_GUARD_SPEEDUP}x guard",

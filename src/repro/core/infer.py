@@ -24,12 +24,13 @@ Soundness contract: every edge emitted by :func:`infer_order` holds in
 of the residual (so residual-coherent ⇔ original-coherent).
 
 The inner loops — the covered-read scan, the reachability closure and
-the wr/fr rule application — live in :mod:`repro.core.kernels` behind
-the ``REPRO_KERNEL`` switch; this module is the driver: it reads the
-columnar view, seeds the base edges, interprets the saturation outcome
-and materializes human-readable reasons, step logs and hint edges
-*lazily* (an inferred chain with half a million implied edges costs
-nothing unless somebody actually asks for the proof).
+the wr/fr rule application — live in :mod:`repro.core.kernels`; this
+module is the driver: it reads the columnar view, picks the kernel for
+each saturation (:data:`NUMPY_MIN_FORCED`), seeds the base edges,
+interprets the saturation outcome and materializes human-readable
+reasons, step logs and hint edges *lazily* (an inferred chain with half
+a million implied edges costs nothing unless somebody actually asks for
+the proof).
 """
 
 from __future__ import annotations
@@ -52,6 +53,12 @@ from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Execution, OpKind, Operation, ProcessHistory
 
 Uid = tuple[int, int]
+
+#: Forced reads-from pairs (reads with exactly one possible writer) from
+#: which the numpy saturation beats the int-bitset one, when numpy is
+#: installed: the measured crossover (docs/engine.md, "Kernels").  Below
+#: it the python kernel runs and numpy is never imported.
+NUMPY_MIN_FORCED = 72
 
 #: One certificate proof step: ``(u_uid, v_uid, rule, aux)`` asserting
 #: the necessary edge u -> v.  Rules ``po``/``rf``/``init``/``fin``/
@@ -154,17 +161,15 @@ def eliminate_reads(execution: Execution) -> tuple[Execution, ReinsertionPlan]:
     Executions containing sync operations are returned unchanged (the
     sync semantics live outside this module's model).
 
-    The covered/front/tail decisions come from the active kernel's
-    :meth:`~repro.core.kernels.PythonKernel.eliminate_scan` over the
-    columnar view; both kernels report them in the same order, so the
-    plan is identical either way.
+    The covered/front/tail decisions come from
+    :func:`~repro.core.kernels.eliminate_scan` over the columnar view.
     """
     plan = ReinsertionPlan()
     if any(op.kind.is_sync for op in execution.all_ops()):
         return execution, plan
 
     view = execution.columnar()
-    scan = kernels.backend().eliminate_scan(view)
+    scan = kernels.eliminate_scan(view)
     if scan is None or scan.total == 0:
         return execution, plan
 
@@ -338,6 +343,11 @@ def infer_order(execution: Execution) -> Inference:
     A cycle among these edges is a polynomial *incoherence proof*; the
     returned reason walks the cycle edge by edge with the rule that
     produced each edge.
+
+    The saturation runs on the numpy kernel when the instance has at
+    least :data:`NUMPY_MIN_FORCED` forced reads-from pairs and numpy is
+    installed, on the python kernel otherwise; both derive the same
+    edges, steps and verdict.
     """
     ops = [op for h in execution.histories for op in h]
     n = len(ops)
@@ -423,7 +433,8 @@ def infer_order(execution: Execution) -> Inference:
         elif len(cands) == 1:
             forced_rf.append((cands[0], r))
 
-    g = kernels.backend().saturation(n)
+    use_numpy = len(forced_rf) >= NUMPY_MIN_FORCED and kernels.NumpyKernel.is_available()
+    g = kernels.backend("numpy" if use_numpy else "python").saturation(n)
     for p in range(view.n_procs):
         start, stop = view.proc_offsets[p], view.proc_offsets[p + 1]
         for i in range(start, stop - 1):

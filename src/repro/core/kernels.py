@@ -1,44 +1,44 @@
-"""Pluggable data-plane kernels for the polynomial hot paths.
+"""Data-plane kernels for the polynomial hot paths.
 
 The happens-before saturation of :func:`repro.core.infer.infer_order`
-and the read-elimination scan of :func:`~repro.core.infer.eliminate_reads`
-spend their time in three inner loops — reachability closure over the
-precedence DAG, the coherence (``wr``) / from-read (``fr``) forced-edge
-rules, and the covered/front/tail read scan.  This module provides two
-interchangeable implementations of those loops:
+spends its time in two inner loops — reachability closure over the
+precedence DAG and the coherence (``wr``) / from-read (``fr``)
+forced-edge rules.  This module provides two interchangeable
+implementations of those loops:
 
 * ``python`` — pure-python integer bitsets.  Adjacency, predecessor
   and reachability sets are arbitrary-precision ints (one bit per
   operation), steps are recorded into compact parallel arrays, and
   reason strings are never built unless a cycle or an export demands
   them.  Always available; it is both the fallback when numpy is not
-  installed and the *differential oracle* the vectorized kernels are
+  installed and the *differential oracle* the vectorized kernel is
   pinned against.
 * ``numpy`` — the same algorithms over packed ``uint64`` bitset
   matrices (``n x ceil(n/64)``), with the per-pair rule application,
   bit unpacking and reachability accumulation vectorized.  Optional:
   ``pip install repro[fast]``.
 
-Selection (:func:`backend`): an explicit ``kernels.use(...)`` override
-wins, then the ``REPRO_KERNEL`` environment variable (``python`` or
-``numpy``), then auto — numpy when importable, python otherwise.  The
-registry (:func:`register`) accepts third-party kernels by name.
+The caller picks one per saturation from the instance
+(:func:`repro.core.infer.infer_order`: numpy from
+:data:`~repro.core.infer.NUMPY_MIN_FORCED` forced reads-from pairs up,
+when it is installed).  The covered/front/tail read scan
+(:func:`eliminate_scan`) has one implementation, over the columnar
+view.
 
 Equivalence contract: for the same instance both kernels derive the
 *same* edges with the same rule attributions in the same per-round
 batched order, report the same round count, find cycles with the same
 extraction procedure, and rank the same forced write order — so
-verdicts, certificates, hints and step logs are identical and
-``tests/core/test_kernels.py`` can assert full equality, not just
-verdict agreement.
+verdicts, certificates, hints and step logs are identical whichever
+kernel ran, and ``tests/core/test_kernels.py`` can assert full
+equality, not just verdict agreement.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from array import array
-from contextlib import contextmanager
+from functools import cache
 from typing import Iterator, Sequence
 
 from repro import obs
@@ -48,17 +48,10 @@ from repro import obs
 RULE_PO, RULE_RF, RULE_INIT, RULE_FIN, RULE_FINR, RULE_WR, RULE_FR = range(7)
 RULE_NAMES = ("po", "rf", "init", "fin", "finr", "wr", "fr")
 
-#: Environment variable selecting the kernel backend.
-KERNEL_ENV = "REPRO_KERNEL"
-
 #: One recorded derivation step over flat node ids:
 #: ``(u, v, rule_code, aux_w, aux_r)`` — aux is the forced reads-from
 #: pair for wr/fr closure steps, ``-1`` otherwise.
 StepRow = tuple[int, int, int, int, int]
-
-
-class KernelUnavailable(RuntimeError):
-    """The requested kernel backend cannot run in this environment."""
 
 
 # ---------------------------------------------------------------------
@@ -103,6 +96,9 @@ def _find_cycle_masks(succ: Sequence[int], n: int) -> list[int]:
     return []
 
 
+# ---------------------------------------------------------------------
+# Read-elimination scan
+# ---------------------------------------------------------------------
 class EliminationScan:
     """Raw outcome of the covered/front/tail read scan over one
     execution, in flat (process-major) positions.
@@ -110,9 +106,8 @@ class EliminationScan:
     ``eliminated[i]`` is a flat position removed by the covered/front
     rules, ``anchors[i]`` the flat position it re-inserts after (``-1``
     = front of the schedule); ``tails`` are positions moved to the very
-    end.  All three lists are in the order the object-model scan would
-    have discovered them, so :func:`repro.core.infer.eliminate_reads`
-    rebuilds byte-identical plans from either backend.
+    end.  ``eliminated`` and ``tails`` ascend; ``anchors`` is parallel
+    to ``eliminated``.
     """
 
     __slots__ = ("eliminated", "anchors", "tails")
@@ -130,6 +125,73 @@ class EliminationScan:
     @property
     def total(self) -> int:
         return len(self.eliminated) + len(self.tails)
+
+
+def eliminate_scan(view) -> EliminationScan | None:
+    """Covered/front/tail read decisions over the columnar view.
+
+    Mirrors the object-model walk rule for rule: a READ is covered
+    when its immediate program-order predecessor touches the same
+    address and determines its value; a leading READ of the initial
+    value goes to the front; a surviving trailing READ of the
+    required final value goes to the tail.  Returns None when
+    nothing is eliminated.
+    """
+    from repro.core.columnar import KIND_CODES
+    from repro.core.types import OpKind
+
+    READ = KIND_CODES[OpKind.READ]
+    kinds = view.kinds
+    addr_ids = view.addr_ids
+    rv = view.read_vids
+    wv = view.write_vids
+    initial_ids = view.initial_ids
+    final_ids = view.final_ids
+    values = view.values
+
+    eliminated: list[int] = []
+    anchors: list[int] = []
+    tails: list[int] = []
+    for p in range(view.n_procs):
+        start = view.proc_offsets[p]
+        stop = view.proc_offsets[p + 1]
+        prev_anchor = -2  # -2 = no predecessor; -1 = front
+        last_survivor = -2
+        for i in range(start, stop):
+            anchor = -2
+            if kinds[i] == READ:
+                if i > start:
+                    # Determined value of the immediate predecessor:
+                    # written value if it writes, read value if it
+                    # is a READ (sync ops determine nothing, but
+                    # sync disables elimination upstream).
+                    det = wv[i - 1] if wv[i - 1] >= 0 else (
+                        rv[i - 1] if kinds[i - 1] == READ else -2
+                    )
+                    if addr_ids[i - 1] == addr_ids[i] and det == rv[i]:
+                        anchor = prev_anchor
+                elif rv[i] == initial_ids[addr_ids[i]]:
+                    anchor = -1
+            if anchor == -2:
+                last_survivor = i
+                prev_anchor = i
+            else:
+                eliminated.append(i)
+                anchors.append(anchor)
+                prev_anchor = anchor
+        if last_survivor == stop - 1 and stop > start:
+            i = last_survivor
+            fi = final_ids[addr_ids[i]]
+            if (
+                kinds[i] == READ
+                and fi >= 0
+                and values[fi] is not None
+                and rv[i] == fi
+            ):
+                tails.append(i)
+    if not eliminated and not tails:
+        return None
+    return EliminationScan(eliminated, anchors, tails)
 
 
 # ---------------------------------------------------------------------
@@ -357,72 +419,6 @@ class PythonKernel:
 
     def saturation(self, n: int) -> PythonSaturation:
         return PythonSaturation(n)
-
-    def eliminate_scan(self, view) -> EliminationScan | None:
-        """Covered/front/tail read decisions over the columnar view.
-
-        Mirrors the object-model walk rule for rule: a READ is covered
-        when its immediate program-order predecessor touches the same
-        address and determines its value; a leading READ of the initial
-        value goes to the front; a surviving trailing READ of the
-        required final value goes to the tail.  Returns None when
-        nothing is eliminated.
-        """
-        from repro.core.columnar import KIND_CODES
-        from repro.core.types import OpKind
-
-        READ = KIND_CODES[OpKind.READ]
-        kinds = view.kinds
-        addr_ids = view.addr_ids
-        rv = view.read_vids
-        wv = view.write_vids
-        initial_ids = view.initial_ids
-        final_ids = view.final_ids
-        values = view.values
-
-        eliminated: list[int] = []
-        anchors: list[int] = []
-        tails: list[int] = []
-        for p in range(view.n_procs):
-            start = view.proc_offsets[p]
-            stop = view.proc_offsets[p + 1]
-            prev_anchor = -2  # -2 = no predecessor; -1 = front
-            last_survivor = -2
-            for i in range(start, stop):
-                anchor = -2
-                if kinds[i] == READ:
-                    if i > start:
-                        # Determined value of the immediate predecessor:
-                        # written value if it writes, read value if it
-                        # is a READ (sync ops determine nothing, but
-                        # sync disables elimination upstream).
-                        det = wv[i - 1] if wv[i - 1] >= 0 else (
-                            rv[i - 1] if kinds[i - 1] == READ else -2
-                        )
-                        if addr_ids[i - 1] == addr_ids[i] and det == rv[i]:
-                            anchor = prev_anchor
-                    elif rv[i] == initial_ids[addr_ids[i]]:
-                        anchor = -1
-                if anchor == -2:
-                    last_survivor = i
-                    prev_anchor = i
-                else:
-                    eliminated.append(i)
-                    anchors.append(anchor)
-                    prev_anchor = anchor
-            if last_survivor == stop - 1 and stop > start:
-                i = last_survivor
-                fi = final_ids[addr_ids[i]]
-                if (
-                    kinds[i] == READ
-                    and fi >= 0
-                    and values[fi] is not None
-                    and rv[i] == fi
-                ):
-                    tails.append(i)
-        if not eliminated and not tails:
-            return None
-        return EliminationScan(eliminated, anchors, tails)
 
 
 # ---------------------------------------------------------------------
@@ -671,6 +667,7 @@ class NumpyKernel:
         self.np = numpy
 
     @staticmethod
+    @cache
     def is_available() -> bool:
         if sys.byteorder != "little":  # packed views assume LE layout
             return False
@@ -683,167 +680,40 @@ class NumpyKernel:
     def saturation(self, n: int) -> NumpySaturation:
         return NumpySaturation(n, self.np)
 
-    def eliminate_scan(self, view) -> EliminationScan | None:
-        """Vectorized covered/front/tail scan; same decisions, same
-        discovery order as the python kernel."""
-        np = self.np
-        from repro.core.columnar import KIND_CODES
-        from repro.core.types import OpKind
-
-        n = view.n_ops
-        if n == 0:
-            return None
-        READ = KIND_CODES[OpKind.READ]
-        kinds = np.frombuffer(view.kinds, dtype=np.uint8)
-        addr_ids = np.frombuffer(view.addr_ids, dtype=np.uint32)
-        rv = np.frombuffer(view.read_vids, dtype=np.int32)
-        wv = np.frombuffer(view.write_vids, dtype=np.int32)
-        initial_ids = np.frombuffer(view.initial_ids, dtype=np.int32)
-        final_ids = np.frombuffer(view.final_ids, dtype=np.int32)
-        offsets = np.frombuffer(view.proc_offsets, dtype=np.uint64).astype(
-            np.int64
-        )
-        starts = np.zeros(n, dtype=bool)
-        starts[offsets[:-1][offsets[:-1] < n]] = True
-
-        is_read = kinds == READ
-        det = np.where(wv >= 0, wv, np.where(is_read, rv, -2))
-        prev_det = np.empty(n, dtype=det.dtype)
-        prev_det[0] = -2
-        prev_det[1:] = det[:-1]
-        prev_addr = np.empty(n, dtype=addr_ids.dtype)
-        prev_addr[0] = 0
-        prev_addr[1:] = addr_ids[:-1]
-        covered = (
-            is_read & ~starts & (prev_addr == addr_ids) & (prev_det == rv)
-        )
-        front = is_read & starts & (rv == initial_ids[addr_ids])
-        elim = covered | front
-        if not elim.any():
-            tails_only = self._tails(view, elim)
-            if not tails_only:
-                return None
-            return EliminationScan([], [], tails_only)
-
-        # Anchor = nearest surviving position before i in its process,
-        # else the front sentinel -1.  A global running max of survivor
-        # positions suffices: positions grow monotonically, so a
-        # survivor from an earlier process is always below the current
-        # process's start offset — thresholding restores the reset.
-        idx = np.arange(n, dtype=np.int64)
-        run = np.maximum.accumulate(np.where(elim, -1, idx))
-        prev_run = np.empty(n, dtype=np.int64)
-        prev_run[0] = -1
-        prev_run[1:] = run[:-1]
-        base = np.maximum.accumulate(np.where(starts, idx, 0))
-        anchors_flat = np.where(prev_run >= base, prev_run, -1)
-        eliminated = idx[elim].tolist()
-        anchors = anchors_flat[elim].tolist()
-        tails = self._tails(view, elim)
-        return EliminationScan(eliminated, anchors, tails)
-
-    def _tails(self, view, elim) -> list[int]:
-        from repro.core.columnar import KIND_CODES
-        from repro.core.types import OpKind
-
-        READ = KIND_CODES[OpKind.READ]
-        tails: list[int] = []
-        for p in range(view.n_procs):
-            s, e = view.proc_offsets[p], view.proc_offsets[p + 1]
-            if e == s or elim[e - 1]:
-                continue
-            i = e - 1
-            fi = view.final_ids[view.addr_ids[i]]
-            if (
-                view.kinds[i] == READ
-                and fi >= 0
-                and view.values[fi] is not None
-                and view.read_vids[i] == fi
-            ):
-                tails.append(i)
-        return tails
-
 
 # ---------------------------------------------------------------------
-# Registry and selection
+# Instances
 # ---------------------------------------------------------------------
-_REGISTRY: dict[str, type] = {
-    "python": PythonKernel,
-    "numpy": NumpyKernel,
-}
+_KERNELS = {"python": PythonKernel, "numpy": NumpyKernel}
 _INSTANCES: dict[str, object] = {}
-_OVERRIDE: list[str] = []  # stack of use() overrides
-
-
-def register(name: str, factory: type) -> None:
-    """Register a kernel backend class under ``name`` (must expose
-    ``name``, ``is_available()``, ``saturation(n)``, ``eliminate_scan``)."""
-    _REGISTRY[name] = factory
 
 
 def available_backends() -> list[str]:
-    """Names of the registered backends that can run here."""
-    return [
-        name for name, cls in _REGISTRY.items()
-        if _is_available(cls)
-    ]
-
-
-def _is_available(cls) -> bool:
-    probe = getattr(cls, "is_available", None)
-    return bool(probe()) if probe is not None else True
+    """Names of the kernels that can run here."""
+    return [name for name, cls in _KERNELS.items() if cls.is_available()]
 
 
 def backend(name: str | None = None):
-    """Resolve and instantiate the active kernel backend.
-
-    Priority: explicit ``name`` argument, then the innermost
-    :func:`use` override, then ``$REPRO_KERNEL``, then auto (numpy when
-    importable, python otherwise).  Instances are cached per name.
+    """The kernel named ``name`` (default: numpy when importable,
+    python otherwise); one instance per name.
 
     The run record open on the calling thread (:mod:`repro.obs`) is
     labelled ``kernel=<name>`` here, where a kernel is about to run, so
-    a run that uses none neither names nor probes one.
+    a run names every kernel it used and a run that uses none neither
+    names nor probes one.
     """
-    inst = _resolve(name)
-    rec = obs.current()
-    if rec is not None:
-        rec.info.setdefault("kernel", inst.name)
-    return inst
-
-
-def _resolve(name: str | None):
     if name is None:
-        if _OVERRIDE:
-            name = _OVERRIDE[-1]
-        else:
-            name = os.environ.get(KERNEL_ENV) or None
-    if name is None or name == "auto":
-        name = "numpy" if _is_available(_REGISTRY["numpy"]) else "python"
-    cls = _REGISTRY.get(name)
-    if cls is None:
-        raise KernelUnavailable(
-            f"unknown kernel backend {name!r}; registered: "
-            f"{sorted(_REGISTRY)}"
-        )
-    if not _is_available(cls):
-        raise KernelUnavailable(
-            f"kernel backend {name!r} is not available in this "
-            f"environment (is the optional dependency installed? "
-            f"try `pip install repro[fast]` for numpy)"
+        name = "numpy" if NumpyKernel.is_available() else "python"
+    cls = _KERNELS.get(name)
+    if cls is None or not cls.is_available():
+        raise ValueError(
+            f"kernel {name!r} cannot run here; available: "
+            f"{available_backends()} (numpy needs `pip install repro[fast]`)"
         )
     inst = _INSTANCES.get(name)
     if inst is None:
         inst = _INSTANCES[name] = cls()
+    rec = obs.current()
+    if rec is not None:
+        rec.label("kernel", name)
     return inst
-
-
-@contextmanager
-def use(name: str):
-    """Force a backend within a scope (tests and benchmarks)."""
-    _resolve(name)  # fail fast on unavailable backends
-    _OVERRIDE.append(name)
-    try:
-        yield
-    finally:
-        _OVERRIDE.pop()

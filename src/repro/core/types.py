@@ -22,7 +22,7 @@ a read returning it can only be scheduled before the first write.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 Value = Hashable
@@ -148,6 +148,22 @@ class Operation:
     vars(Operation)[name].__set__
     for name in ("kind", "addr", "proc", "index", "value_read", "value_written")
 )
+
+
+# The frozen ``__setattr__``/``__delattr__`` that ``dataclass`` generates
+# for a slotted class reach ``super()`` with the pre-slots class on
+# CPython before 3.12, so a name that is not a field raised TypeError
+# there.  Every name is refused alike on every version.
+def _refuse_set(self, name: str, value) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+Operation.__setattr__ = _refuse_set
+Operation.__delattr__ = _refuse_del
 
 
 def read(addr: Address, value: Value, proc: int = 0, index: int = 0) -> Operation:

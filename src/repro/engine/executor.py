@@ -408,7 +408,7 @@ def execute_tasks(
     made with.  With ``jobs > 1`` the tasks run on the process pool
     exactly when some task is heavy (:func:`_is_heavy`); the record's
     ``info["pool"]`` is ``"process"`` or ``"serial"``, whichever ran;
-    ``info["kernel"]`` names the data-plane kernel when one ran
+    ``info["kernel"]`` names every data-plane kernel that ran
     (:func:`repro.core.kernels.backend` labels the record).
 
     The run counts into the record open on the calling thread (a fresh

@@ -29,6 +29,10 @@ STAGES = (
     "monitor", "simulate", "oracle", "queue",
 )
 
+#: ``info`` labels that name every value a run used
+#: (:meth:`Record.label`); the other labels keep the first value set.
+SET_LABELS = ("kernel",)
+
 _local = threading.local()
 
 
@@ -48,6 +52,18 @@ class Record:
     def add(self, name: str, n: float = 1) -> None:
         with self._lock:
             self.counters[name] = self.counters.get(name, 0) + n
+
+    def label(self, key: str, value: str) -> None:
+        """Add ``value`` to the set label ``key``, kept as sorted
+        comma-joined names (``kernel=numpy,python``)."""
+        with self._lock:
+            self._label(key, value)
+
+    def _label(self, key: str, value: str) -> None:
+        names = set(value.split(","))
+        if key in self.info:
+            names.update(self.info[key].split(","))
+        self.info[key] = ",".join(sorted(names))
 
     def __getitem__(self, name: str) -> float:
         return self.counters.get(name, 0)
@@ -97,7 +113,10 @@ class Record:
                 for i in range(3):
                     mine[i] += span[i]
             for k, v in other.get("info", {}).items():
-                self.info.setdefault(k, v)
+                if k in SET_LABELS:
+                    self._label(k, v)
+                else:
+                    self.info.setdefault(k, v)
             if rows and self.rows is not None:
                 self.rows.extend(other.get("rows") or ())
 

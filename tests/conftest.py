@@ -7,12 +7,14 @@ truth; CNF strategies stay small enough for the brute-force oracle.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
 from repro.core.checker import execution_from_schedule
+from repro.core.kernels import NumpyKernel
 from repro.core.types import Execution, OpKind, Operation
 from repro.sat.cnf import CNF
 
@@ -180,3 +182,26 @@ def force_pool(monkeypatch):
     from repro.engine import executor
 
     monkeypatch.setattr(executor, "_is_heavy", lambda task: True)
+
+
+#: The data-plane kernels that can run here: python always, numpy when
+#: installed.
+KERNELS = ["python"] + (["numpy"] if NumpyKernel.is_available() else [])
+
+
+@pytest.fixture
+def pin_kernel(monkeypatch):
+    """``pin_kernel(name)`` runs every later saturation in this test's
+    process on kernel ``name``, whatever the instance, by moving the
+    engine's selection threshold (:data:`repro.core.infer.NUMPY_MIN_FORCED`)
+    to 0 for numpy or out of reach for python.  Pinning numpy skips the
+    test where numpy is not installed."""
+    from repro.core import infer
+
+    def pin(name: str) -> None:
+        if name not in KERNELS:
+            pytest.skip(f"kernel {name!r} not available")
+        limit = 0 if name == "numpy" else math.inf
+        monkeypatch.setattr(infer, "NUMPY_MIN_FORCED", limit)
+
+    return pin

@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro.core import kernels, serialize_bin
+from repro.core import serialize_bin
 from repro.core.types import Execution, OpKind, Operation
 from repro.engine import CertificationError, validate_result, verify_vmc
 from repro.engine.streaming import (
@@ -29,10 +29,7 @@ from repro.engine.streaming import (
     monitor_execution,
 )
 
-from tests.conftest import make_coherent_execution
-from tests.core.test_kernels import HAVE_NUMPY
-
-KERNELS = ["python"] + (["numpy"] if HAVE_NUMPY else [])
+from tests.conftest import KERNELS, make_coherent_execution
 
 FRESH = 424242  # a value no corpus generator ever writes
 
@@ -73,56 +70,56 @@ def corpus_params(n):
 # ---------------------------------------------------------------------
 class TestDifferentialCorpus:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_coherent_streams_hold_certified(self, kernel):
+    def test_coherent_streams_hold_certified(self, kernel, pin_kernel):
         """40 coherent streams per kernel: HOLDS, certified, and the
         offline engine agrees on the rebuilt trace."""
         checked = 0
-        with kernels.use(kernel):
-            for seed, nproc in corpus_params(40):
-                ex, sched = make_coherent_execution(
-                    30 + (seed % 5) * 8, nproc, seed,
-                    addresses=("x", "y"), num_values=3,
-                    rmw_fraction=0.15,
-                )
-                v, sv, _ = drive(sched, nproc, ex.initial, ex.final)
-                assert v.kind == "final", v.result.reason
-                assert v.result.holds
-                assert v.result.stats.get("certified") is True
-                assert verify_vmc(ex).holds
-                checked += 1
+        pin_kernel(kernel)
+        for seed, nproc in corpus_params(40):
+            ex, sched = make_coherent_execution(
+                30 + (seed % 5) * 8, nproc, seed,
+                addresses=("x", "y"), num_values=3,
+                rmw_fraction=0.15,
+            )
+            v, sv, _ = drive(sched, nproc, ex.initial, ex.final)
+            assert v.kind == "final", v.result.reason
+            assert v.result.holds
+            assert v.result.stats.get("certified") is True
+            assert verify_vmc(ex).holds
+            checked += 1
         assert checked >= 40
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_injected_violation_caught_at_exact_index(self, kernel):
+    def test_injected_violation_caught_at_exact_index(self, kernel, pin_kernel):
         """40 corrupted streams per kernel: a fresh-value read spliced
         at a random prefix position trips at exactly that index, with
         a validating certificate; offline agrees the trace is bad."""
         checked = 0
-        with kernels.use(kernel):
-            for seed, nproc in corpus_params(40):
-                rng = random.Random(1000 + seed)
-                ex, sched = make_coherent_execution(
-                    40, nproc, seed, addresses=("x", "y"), num_values=3,
-                )
-                i = rng.randrange(5, len(sched))
-                bad = list(sched)
-                op = bad[i]
-                bad[i] = Operation(
-                    OpKind.READ, op.addr, op.proc, op.index,
-                    value_read=FRESH,
-                )
-                v, sv, _ = drive(
-                    bad, nproc, ex.initial, None, window=8,
-                )
-                assert v is not None and v.kind == "violation"
-                assert v.op_index == i
-                assert v.result.violated
-                assert v.result.certificate is not None
-                check = validate_result(v.execution, v.result)
-                assert check, check.reason
-                bad_ex = rebuilt(bad, nproc, ex.initial)
-                assert verify_vmc(bad_ex).violated
-                checked += 1
+        pin_kernel(kernel)
+        for seed, nproc in corpus_params(40):
+            rng = random.Random(1000 + seed)
+            ex, sched = make_coherent_execution(
+                40, nproc, seed, addresses=("x", "y"), num_values=3,
+            )
+            i = rng.randrange(5, len(sched))
+            bad = list(sched)
+            op = bad[i]
+            bad[i] = Operation(
+                OpKind.READ, op.addr, op.proc, op.index,
+                value_read=FRESH,
+            )
+            v, sv, _ = drive(
+                bad, nproc, ex.initial, None, window=8,
+            )
+            assert v is not None and v.kind == "violation"
+            assert v.op_index == i
+            assert v.result.violated
+            assert v.result.certificate is not None
+            check = validate_result(v.execution, v.result)
+            assert check, check.reason
+            bad_ex = rebuilt(bad, nproc, ex.initial)
+            assert verify_vmc(bad_ex).violated
+            checked += 1
         assert checked >= 40
 
     def test_corpus_size_meets_floor(self):
@@ -473,39 +470,39 @@ class TestPeek:
 # ---------------------------------------------------------------------
 class TestMonitorExecution:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_agrees_with_offline_on_mixed_corpus(self, kernel):
+    def test_agrees_with_offline_on_mixed_corpus(self, kernel, pin_kernel):
         """Greedy merge or escalation, the verdict always equals the
         offline engine's."""
         checked = 0
-        with kernels.use(kernel):
-            for seed in range(12):
-                ex, _ = make_coherent_execution(
-                    25, 3, 300 + seed, addresses=("x", "y"),
-                    num_values=3,
-                )
-                v = monitor_execution(ex, certify="on")
-                assert v.kind == "final" and v.result.holds
-                checked += 1
+        pin_kernel(kernel)
+        for seed in range(12):
+            ex, _ = make_coherent_execution(
+                25, 3, 300 + seed, addresses=("x", "y"),
+                num_values=3,
+            )
+            v = monitor_execution(ex, certify="on")
+            assert v.kind == "final" and v.result.holds
+            checked += 1
 
-                histories = [list(h.operations) for h in ex.histories]
-                for ops in histories:
-                    for i, op in enumerate(ops):
-                        if op.kind is OpKind.READ:
-                            ops[i] = Operation(
-                                OpKind.READ, op.addr, op.proc, op.index,
-                                value_read=FRESH,
-                            )
-                            break
-                    else:
-                        continue
-                    break
-                bad = Execution.from_ops(
-                    histories, initial=ex.initial, final=None
-                )
-                v = monitor_execution(bad, certify="on")
-                assert v.kind == "violation" and v.result.violated
-                assert v.result.certificate is not None
-                checked += 1
+            histories = [list(h.operations) for h in ex.histories]
+            for ops in histories:
+                for i, op in enumerate(ops):
+                    if op.kind is OpKind.READ:
+                        ops[i] = Operation(
+                            OpKind.READ, op.addr, op.proc, op.index,
+                            value_read=FRESH,
+                        )
+                        break
+                else:
+                    continue
+                break
+            bad = Execution.from_ops(
+                histories, initial=ex.initial, final=None
+            )
+            v = monitor_execution(bad, certify="on")
+            assert v.kind == "violation" and v.result.violated
+            assert v.result.certificate is not None
+            checked += 1
         assert checked >= 24
 
     def test_escalation_is_marked(self):
