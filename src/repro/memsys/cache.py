@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from repro.memsys.protocol import LineState
 
 
-@dataclass
+@dataclass(slots=True)
 class CacheLine:
     """One cache line: tag + coherence state + per-word data."""
 

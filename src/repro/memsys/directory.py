@@ -7,7 +7,7 @@ racing other messages.  The protocol is a home-centric MSI:
 
 * each line has a **home node** (sharded by line address across
   ``config.num_homes`` homes) holding the directory entry —
-  ``U``/``S``/``M`` plus sharer set, owner, and a *transient* busy
+  ``U``/``S``/``M`` plus a sharer bitmask, owner, and a *transient* busy
   record while a transaction is outstanding;
 * cores are blocking (one outstanding miss each) with M/S/I lines;
   M-hits commit locally, misses send GetS/GetM to the home;
@@ -53,7 +53,7 @@ writeback data, plus the datapath sites (``DROPPED_WRITE`` /
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.types import INITIAL
 from repro.memsys.cache import Cache, CacheLine
@@ -68,7 +68,7 @@ from repro.memsys.memory import MainMemory
 from repro.memsys.processor import Processor, ScriptKind, ScriptOp
 from repro.memsys.protocol import LineState
 from repro.memsys.recorder import Recorder, RunResult
-from repro.memsys.system import SystemConfig
+from repro.memsys.system import SystemConfig, finish_run
 from repro.util.rng import make_rng
 
 #: Ticks a requester waits for any response before re-issuing.  Must
@@ -93,7 +93,12 @@ class DirState(enum.Enum):
     MODIFIED = "M"
 
 
-@dataclass
+def _bits(mask: int) -> list[int]:
+    """The core ids in a sharer bitmask, ascending."""
+    return [q for q in range(mask.bit_length()) if mask >> q & 1]
+
+
+@dataclass(slots=True)
 class PendingTxn:
     """The home's transient state for one in-flight transaction."""
 
@@ -101,18 +106,19 @@ class PendingTxn:
     requester: int
     txn_id: int
     base: int
-    awaiting: set[int] = field(default_factory=set)
+    awaiting: int = 0  # bitmask of cores whose InvAck is outstanding
     started: int = 0
     fwd_retries: int = 0
     owner: int | None = None  # forward target, for fwd-* kinds
 
 
-@dataclass
+@dataclass(slots=True)
 class DirectoryEntry:
-    """Directory state for one memory line."""
+    """Directory state for one memory line.  ``sharers`` is a bitmask:
+    bit ``p`` is set while the home records core ``p`` as a sharer."""
 
     state: DirState = DirState.UNCACHED
-    sharers: set[int] = field(default_factory=set)
+    sharers: int = 0
     owner: int | None = None
     busy: PendingTxn | None = None
     defer_since: int | None = None
@@ -145,7 +151,7 @@ class DirectoryStats:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class CoreTxn:
     """A core's one outstanding transaction."""
 
@@ -206,6 +212,8 @@ class DirectorySystem:
             injector=self.injector,
         )
         self.directory: dict[int, DirectoryEntry] = {}
+        #: Entries with a transaction outstanding, by line base.
+        self._busy: dict[int, DirectoryEntry] = {}
         self.dir_stats = DirectoryStats()
         self.txns: list[CoreTxn | None] = [None] * config.num_processors
         self.tick = 0
@@ -226,10 +234,6 @@ class DirectorySystem:
     def _entry(self, base: int) -> DirectoryEntry:
         return self.directory.setdefault(base, DirectoryEntry())
 
-    def _txn_id(self) -> int:
-        self._next_txn_id += 1
-        return self._next_txn_id
-
     def _mem_line(self, base: int) -> dict[int, object]:
         return self.memory.read_line(base, self.config.line_words)
 
@@ -238,10 +242,10 @@ class DirectorySystem:
     # ------------------------------------------------------------------
     def _quiescent(self) -> bool:
         return (
-            all(p.done for p in self.processors)
+            self.network.pending() == 0
+            and not self._busy
             and all(t is None for t in self.txns)
-            and self.network.pending() == 0
-            and not any(e.busy for e in self.directory.values())
+            and all(p.done for p in self.processors)
         )
 
     def step(self) -> bool:
@@ -251,10 +255,7 @@ class DirectorySystem:
         self.tick += 1
         self.steps = self.tick
         for msg in self.network.deliver_until(self.tick):
-            if msg.dst[0] == "home":
-                self._home_handle(msg)
-            else:
-                self._core_handle(msg.dst[1], msg)
+            _HANDLERS[msg.mtype](self, msg)
         for p in self._schedule_order():
             self._core_advance(p)
         self._check_timeouts()
@@ -277,16 +278,6 @@ class DirectorySystem:
         cap = max_steps if max_steps is not None else self._default_cap()
         while self.tick < cap and self.step():
             pass
-        final = self._final_values()
-        self.recorder.check_final(final, self.tick)
-        execution = self.recorder.build_execution(
-            initial=self._initial_snapshot, final=final
-        )
-        from repro.memsys.faults import corrupt_write_orders
-
-        write_orders = corrupt_write_orders(
-            self.recorder.write_orders, self.injector, self.tick
-        )
         traffic = {
             "requests": self.dir_stats.requests,
             "nacks": self.dir_stats.nacks,
@@ -296,21 +287,7 @@ class DirectorySystem:
             "messages": self.network.stats.sent,
             "forced_recoveries": self.dir_stats.forced_total,
         }
-        result = RunResult(
-            execution=execution,
-            write_orders=write_orders,
-            steps=self.tick,
-            bus_transactions=self.dir_stats.requests,
-            bus_traffic=traffic,
-            fault_events=list(self.injector.events),
-            cache_stats=[vars(c.stats) for c in self.caches],
-            commit_log=list(self.recorder.commit_log),
-            divergences=list(self.recorder.divergences),
-        )
-        from repro.memsys.oracle import classify_run
-
-        result.oracle = classify_run(result, line_words=self.config.line_words)
-        return result
+        return finish_run(self, self.tick, self.dir_stats.requests, traffic)
 
     # ------------------------------------------------------------------
     # Core side: issue, commit, message handling
@@ -352,19 +329,18 @@ class DirectorySystem:
         self._send_request(p, "getm", op)
 
     def _send_request(self, p: int, kind: str, op: ScriptOp) -> None:
-        base = self._line_base(op.addr)
-        txn = CoreTxn(
-            kind=kind, op=op, base=base, txn_id=self._txn_id(), issued=self.tick
-        )
+        txn = CoreTxn(kind, op, self._line_base(op.addr), txn_id=0, issued=0)
         self.txns[p] = txn
-        mtype = MessageType.GETS if kind == "gets" else MessageType.GETM
-        self.network.send(
-            Message(mtype, ("core", p), self._home_of(base), base, txn=txn.txn_id),
-            self.tick,
-        )
+        self._issue(p, txn)
 
     def _resend(self, p: int, txn: CoreTxn) -> None:
-        txn.txn_id = self._txn_id()
+        self.dir_stats.core_retries += 1
+        self._issue(p, txn)
+
+    def _issue(self, p: int, txn: CoreTxn) -> None:
+        """Send ``txn``'s request to its home under a fresh id."""
+        self._next_txn_id += 1
+        txn.txn_id = self._next_txn_id
         txn.issued = self.tick
         txn.retry_at = None
         txn.discard = False
@@ -376,7 +352,6 @@ class DirectorySystem:
             ),
             self.tick,
         )
-        self.dir_stats.core_retries += 1
 
     def _commit_write(self, p: int, op: ScriptOp, line: CacheLine) -> None:
         """Commit a store/RMW into an M line (datapath fault sites)."""
@@ -422,20 +397,8 @@ class DirectorySystem:
         victim.tag = -1
         victim.data = {}
 
-    def _core_handle(self, p: int, msg: Message) -> None:
-        handler = {
-            MessageType.DATA: self._core_on_data,
-            MessageType.NACK: self._core_on_nack,
-            MessageType.INV: self._core_on_inv,
-            MessageType.FWD_GETS: self._core_on_fwd,
-            MessageType.FWD_GETM: self._core_on_fwd,
-        }.get(msg.mtype)
-        if handler is None:
-            self.dir_stats.stale_messages_dropped += 1
-            return
-        handler(p, msg)
-
-    def _core_on_data(self, p: int, msg: Message) -> None:
+    def _core_on_data(self, msg: Message) -> None:
+        p = msg.dst[1]
         txn = self.txns[p]
         if txn is None or msg.addr != txn.base:
             self.dir_stats.stale_messages_dropped += 1
@@ -477,7 +440,8 @@ class DirectorySystem:
         self.txns[p] = None
         self.processors[p].advance()
 
-    def _core_on_nack(self, p: int, msg: Message) -> None:
+    def _core_on_nack(self, msg: Message) -> None:
+        p = msg.dst[1]
         txn = self.txns[p]
         if txn is None or msg.txn != txn.txn_id or msg.addr != txn.base:
             self.dir_stats.stale_messages_dropped += 1
@@ -486,7 +450,8 @@ class DirectorySystem:
         # Small, core-skewed backoff to avoid lockstep retry storms.
         txn.retry_at = self.tick + 1 + min(txn.nacks, 5) + (p % 3)
 
-    def _core_on_inv(self, p: int, msg: Message) -> None:
+    def _core_on_inv(self, msg: Message) -> None:
+        p = msg.dst[1]
         cache = self.caches[p]
         line = cache.peek(msg.addr)
         if line is not None and line.valid:
@@ -508,7 +473,8 @@ class DirectorySystem:
             self.tick,
         )
 
-    def _core_on_fwd(self, p: int, msg: Message) -> None:
+    def _core_on_fwd(self, msg: Message) -> None:
+        p = msg.dst[1]
         cache = self.caches[p]
         line = cache.peek(msg.addr)
         if line is None or not line.valid:
@@ -534,19 +500,6 @@ class DirectorySystem:
     # ------------------------------------------------------------------
     # Home side
     # ------------------------------------------------------------------
-    def _home_handle(self, msg: Message) -> None:
-        handler = {
-            MessageType.GETS: self._home_on_request,
-            MessageType.GETM: self._home_on_request,
-            MessageType.INV_ACK: self._home_on_inv_ack,
-            MessageType.DATA_WB: self._home_on_data_wb,
-            MessageType.PUTM: self._home_on_putm,
-        }.get(msg.mtype)
-        if handler is None:
-            self.dir_stats.stale_messages_dropped += 1
-            return
-        handler(msg)
-
     def _maybe_corrupt_entry(self, entry: DirectoryEntry, base: int) -> None:
         """DIR_STATE_CORRUPT site: bit-rot in the directory SRAM."""
         if entry.state is DirState.UNCACHED:
@@ -554,17 +507,18 @@ class DirectorySystem:
         if entry.state is DirState.MODIFIED:
             if self.injector.fire(
                 FaultKind.DIR_STATE_CORRUPT, self.tick, -1, base,
-                detail=f"owner {entry.owner} forgotten, M entry demoted to U",
+                detail=lambda: f"owner {entry.owner} forgotten, M entry demoted to U",
             ):
                 entry.state = DirState.UNCACHED
                 entry.owner = None
                 entry.defer_since = None
             return
-        if entry.sharers and self.injector.fire(
+        sharers = entry.sharers
+        if sharers and self.injector.fire(
             FaultKind.DIR_STATE_CORRUPT, self.tick, -1, base,
-            detail=f"sharer mask cleared (was {sorted(entry.sharers)})",
+            detail=lambda: f"sharer mask cleared (was {_bits(sharers)})",
         ):
-            entry.sharers.clear()
+            entry.sharers = 0
             entry.state = DirState.UNCACHED
 
     def _nack(self, requester: int, base: int, txn_id: int) -> None:
@@ -614,10 +568,10 @@ class DirectorySystem:
         if msg.mtype is MessageType.GETS:
             if entry.state is DirState.MODIFIED:
                 self.dir_stats.forwards += 1
-                entry.busy = PendingTxn(
+                self._set_busy(entry, PendingTxn(
                     "fwd-gets", p, msg.txn, base, started=self.tick,
                     owner=entry.owner,
-                )
+                ))
                 self.network.send(
                     Message(
                         MessageType.FWD_GETS, self._home_of(base),
@@ -626,17 +580,17 @@ class DirectorySystem:
                     self.tick,
                 )
                 return
-            entry.sharers.add(p)
+            entry.sharers |= 1 << p
             entry.state = DirState.SHARED
             self._grant(base, p, msg.txn, shared=True)
             return
         # GETM
         if entry.state is DirState.MODIFIED:
             self.dir_stats.forwards += 1
-            entry.busy = PendingTxn(
+            self._set_busy(entry, PendingTxn(
                 "fwd-getm", p, msg.txn, base, started=self.tick,
                 owner=entry.owner,
-            )
+            ))
             self.network.send(
                 Message(
                     MessageType.FWD_GETM, self._home_of(base),
@@ -645,19 +599,18 @@ class DirectorySystem:
                 self.tick,
             )
             return
-        targets = sorted(entry.sharers - {p})
-        awaiting: set[int] = set()
-        for q in targets:
+        awaiting = 0
+        for q in _bits(entry.sharers & ~(1 << p)):
             if self.injector.fire(
                 FaultKind.STALE_SHARER, self.tick, q, base,
                 detail="sharer dropped from invalidation fan-out",
             ):
                 # The mask bit rotted: the directory no longer knows
                 # about q, which keeps a stale readable copy.
-                entry.sharers.discard(q)
+                entry.sharers &= ~(1 << q)
                 continue
             self.dir_stats.invalidations_sent += 1
-            awaiting.add(q)
+            awaiting |= 1 << q
             self.network.send(
                 Message(
                     MessageType.INV, self._home_of(base), ("core", q), base,
@@ -666,9 +619,9 @@ class DirectorySystem:
                 self.tick,
             )
         if awaiting:
-            entry.busy = PendingTxn(
+            self._set_busy(entry, PendingTxn(
                 "inv", p, msg.txn, base, awaiting=awaiting, started=self.tick
-            )
+            ))
             return
         self._grant_modified(entry, base, p, msg.txn)
 
@@ -677,10 +630,18 @@ class DirectorySystem:
     ) -> None:
         entry.state = DirState.MODIFIED
         entry.owner = requester
-        entry.sharers = set()
+        entry.sharers = 0
+        self._clear_busy(entry, base)
+        self._grant(base, requester, txn_id, shared=False)
+
+    def _set_busy(self, entry: DirectoryEntry, busy: PendingTxn) -> None:
+        entry.busy = busy
+        self._busy[busy.base] = entry
+
+    def _clear_busy(self, entry: DirectoryEntry, base: int) -> None:
         entry.busy = None
         entry.defer_since = None
-        self._grant(base, requester, txn_id, shared=False)
+        self._busy.pop(base, None)
 
     def _home_on_inv_ack(self, msg: Message) -> None:
         base = msg.addr
@@ -690,10 +651,11 @@ class DirectorySystem:
             self.dir_stats.stale_messages_dropped += 1
             return
         busy = entry.busy
-        if q not in busy.awaiting:
+        bit = 1 << q
+        if not busy.awaiting & bit:
             self.dir_stats.stale_messages_dropped += 1  # duplicate ack
             return
-        busy.awaiting.discard(q)
+        busy.awaiting ^= bit
         if not busy.awaiting:
             self._grant_modified(entry, base, busy.requester, busy.txn_id)
 
@@ -716,14 +678,13 @@ class DirectorySystem:
         busy = entry.busy
         assert busy is not None
         if busy.kind == "fwd-gets":
-            sharers = {busy.requester}
+            sharers = 1 << busy.requester
             if busy.owner is not None and self.caches[busy.owner].peek(base):
-                sharers.add(busy.owner)
+                sharers |= 1 << busy.owner
             entry.state = DirState.SHARED
             entry.sharers = sharers
             entry.owner = None
-            entry.busy = None
-            entry.defer_since = None
+            self._clear_busy(entry, base)
             self._grant(base, busy.requester, busy.txn_id, shared=True)
         else:
             self._grant_modified(entry, base, busy.requester, busy.txn_id)
@@ -769,10 +730,17 @@ class DirectorySystem:
             if self.tick - txn.issued > REQUEST_TIMEOUT:
                 self.dir_stats.request_timeouts += 1
                 self._resend(p, txn)
-        for base, entry in self.directory.items():
+        tick = self.tick
+        expired = [
+            base for base, entry in self._busy.items()
+            if tick - entry.busy.started > BUSY_TIMEOUT
+        ]
+        if len(expired) > 1:
+            # Handle them in the directory's (line creation) order.
+            expired = [base for base in self.directory if base in expired]
+        for base in expired:
+            entry = self.directory[base]
             busy = entry.busy
-            if busy is None or self.tick - busy.started <= BUSY_TIMEOUT:
-                continue
             if busy.kind == "inv":
                 # Acks never arrived (dropped Inv or dropped ack): force
                 # the grant through; any sharer that kept its copy is
@@ -800,28 +768,18 @@ class DirectorySystem:
             self.dir_stats.forced_stale_serves += 1
             self._complete_forward(entry, base)
 
-    # ------------------------------------------------------------------
-    # Post-run state
-    # ------------------------------------------------------------------
-    def _final_values(self) -> dict[int, object]:
-        final: dict[int, object] = {}
-        touched: set[int] = set()
-        for h in self.recorder.histories:
-            for op in h:
-                touched.add(op.addr)  # type: ignore[arg-type]
-        image = self.memory.snapshot()
-        best_tick: dict[int, int] = {}
-        for cache in self.caches:
-            for si, ways in enumerate(cache.sets):
-                for line in ways:
-                    if not line.valid or not line.state.dirty:
-                        continue
-                    base = cache.base_addr(si, line.tag)
-                    for off, val in line.data.items():
-                        a = base + off
-                        if line.lru >= best_tick.get(a, -1):
-                            best_tick[a] = line.lru
-                            image[a] = val
-        for a in touched:
-            final[a] = image.get(a, self._initial_snapshot.get(a, INITIAL))
-        return final
+
+#: The one receiver of each message type: a core's controller for the
+#: home's replies and forwards, the home for requests, acks and data.
+_HANDLERS = {
+    MessageType.DATA: DirectorySystem._core_on_data,
+    MessageType.NACK: DirectorySystem._core_on_nack,
+    MessageType.INV: DirectorySystem._core_on_inv,
+    MessageType.FWD_GETS: DirectorySystem._core_on_fwd,
+    MessageType.FWD_GETM: DirectorySystem._core_on_fwd,
+    MessageType.GETS: DirectorySystem._home_on_request,
+    MessageType.GETM: DirectorySystem._home_on_request,
+    MessageType.INV_ACK: DirectorySystem._home_on_inv_ack,
+    MessageType.DATA_WB: DirectorySystem._home_on_data_wb,
+    MessageType.PUTM: DirectorySystem._home_on_putm,
+}

@@ -63,6 +63,7 @@ it into an injector configuration.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from repro.util.rng import make_rng
@@ -250,31 +251,48 @@ class FaultSpec:
 
 
 class FaultInjector:
-    """Decides, opportunity by opportunity, whether a fault fires."""
+    """Decides, opportunity by opportunity, whether a fault fires.
+
+    The armed ``{kind: rate}`` map is resolved once.  ``active`` is
+    false when no site is armed or the ``max_events`` cap is reached;
+    callers may skip a whole block of opportunities while it is false,
+    since :meth:`fire` would then draw nothing and return False.
+    """
 
     def __init__(self, config: FaultConfig):
         self.config = config
         self.rng = make_rng(config.seed)
         self.events: list[FaultEvent] = []
-
-    def _armed(self, kind: FaultKind) -> bool:
-        rate = self.config.rate_for(kind)
-        if rate <= 0.0:
-            return False
-        if (
-            self.config.max_events is not None
-            and len(self.events) >= self.config.max_events
-        ):
-            return False
-        return self.rng.random() < rate
+        self._rates = {
+            kind: rate for kind in FaultKind if (rate := config.rate_for(kind)) > 0.0
+        }
+        self._cap = config.max_events
+        self.active = bool(self._rates) and (self._cap is None or self._cap > 0)
 
     def fire(
-        self, kind: FaultKind, step: int, proc: int, addr: int, detail: str = ""
+        self,
+        kind: FaultKind,
+        step: int,
+        proc: int,
+        addr: int,
+        detail: str | Callable[[], str] = "",
     ) -> bool:
-        """Roll the dice for one opportunity; record and report."""
-        if not self._armed(kind):
+        """Roll the dice for one opportunity; record and report.
+
+        An unarmed site, or any site once the cap is reached, draws no
+        random number.  A callable ``detail`` is called only when the
+        fault fires.
+        """
+        if not self.active:
             return False
+        rate = self._rates.get(kind)
+        if rate is None or self.rng.random() >= rate:
+            return False
+        if callable(detail):
+            detail = detail()
         self.events.append(FaultEvent(kind, step, proc, addr, detail))
+        if self._cap is not None and len(self.events) >= self._cap:
+            self.active = False
         return True
 
     def corrupt(self, value: object) -> object:
@@ -300,13 +318,13 @@ def corrupt_write_orders(
     for addr, order in write_orders.items():
         order = list(order)
         i = 0
-        while i + 1 < len(order):
+        while injector.active and i + 1 < len(order):
             if injector.fire(
                 FaultKind.REORDERED_SERIALIZATION,
                 step,
                 order[i].proc,
                 addr,
-                detail=f"swapped serialization slots {i} and {i + 1}",
+                detail=lambda: f"swapped serialization slots {i} and {i + 1}",
             ):
                 order[i], order[i + 1] = order[i + 1], order[i]
                 i += 2

@@ -51,21 +51,21 @@ class MessageType(enum.Enum):
     NACK = "Nack"  # home -> core: busy, retry later
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One coherence message.  ``addr`` is the line base address,
     ``txn`` the requester-side transaction id (so stale replies from a
     timed-out attempt can be recognized and dropped), ``data`` the line
-    payload where the type carries one, ``acks`` the inv-ack count a
-    DATA grant tells the requester to expect (unused here — the home
-    collects acks itself — kept for protocol-shape clarity)."""
+    payload (word offset -> value) on the types that carry one (PutM,
+    Data, DataWB), and ``detail`` what a Data grant grants
+    (``"shared"`` or ``"modified"``)."""
 
     mtype: MessageType
     src: Endpoint
     dst: Endpoint
     addr: int
     txn: int = 0
-    data: list | None = None
+    data: dict[int, object] | None = None
     detail: str = ""
 
 
@@ -204,55 +204,55 @@ class Interconnect:
     # -- sending ------------------------------------------------------
     def send(self, msg: Message, now: int) -> None:
         self.stats.sent += 1
-        key = msg.mtype.value
+        key = msg.mtype._value_
         self.stats.by_type[key] = self.stats.by_type.get(key, 0) + 1
 
+        # Skip the fault rolls once the injector cannot fire: they
+        # would draw nothing and return False.
         inj = self.injector
-        proc = msg.src[1] if msg.src[0] == "core" else (
-            msg.dst[1] if msg.dst[0] == "core" else -1
-        )
-        if inj is not None:
+        faulty = inj is not None and inj.active
+        src, dst = msg.src, msg.dst
+        if faulty:
+            proc = src[1] if src[0] == "core" else (
+                dst[1] if dst[0] == "core" else -1
+            )
             if msg.mtype is MessageType.INV_ACK and inj.fire(
                 FaultKind.DROPPED_INV_ACK, now, proc, msg.addr,
-                detail=f"inv-ack {msg.src}->{msg.dst} lost",
-            ):
-                self.stats.dropped += 1
-                return
-            if inj.fire(
+                detail=lambda: f"inv-ack {src}->{dst} lost",
+            ) or inj.fire(
                 FaultKind.DROPPED_MSG, now, proc, msg.addr,
-                detail=f"{key} {msg.src}->{msg.dst} lost",
+                detail=lambda: f"{key} {src}->{dst} lost",
             ):
                 self.stats.dropped += 1
                 return
 
-        arrival = now + 1 + self.delay_model.delay(msg.src, msg.dst, self.rng)
-        link = (msg.src, msg.dst)
+        arrival = now + 1 + self.delay_model.delay(src, dst, self.rng)
+        link = (src, dst)
+        last = self._last_arrival.get(link, 0)
 
-        if inj is not None and inj.fire(
+        if faulty and inj.fire(
             FaultKind.DELAYED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} delayed",
+            detail=lambda: f"{key} {src}->{dst} delayed",
         ):
             arrival += 5 + self.rng.randint(0, 10)
             self.stats.delayed += 1
 
-        reorder = inj is not None and inj.fire(
+        if faulty and inj.fire(
             FaultKind.REORDERED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} overtaken on link",
-        )
-        if self.fifo and not reorder:
-            arrival = max(arrival, self._last_arrival.get(link, 0))
-        elif reorder:
+            detail=lambda: f"{key} {src}->{dst} overtaken on link",
+        ):
             # Slip behind whatever is already queued on this link.
-            arrival = max(arrival, self._last_arrival.get(link, 0)) + 1 + \
-                self.rng.randint(0, 3)
+            arrival = max(arrival, last) + 1 + self.rng.randint(0, 3)
             self.stats.reordered += 1
-        self._last_arrival[link] = max(self._last_arrival.get(link, 0), arrival)
+        elif self.fifo:
+            arrival = max(arrival, last)
+        self._last_arrival[link] = max(last, arrival)
 
         self._push(arrival, msg)
 
-        if inj is not None and inj.fire(
+        if faulty and inj.fire(
             FaultKind.DUPLICATED_MSG, now, proc, msg.addr,
-            detail=f"{key} {msg.src}->{msg.dst} duplicated",
+            detail=lambda: f"{key} {src}->{dst} duplicated",
         ):
             dup_arrival = arrival + 1 + self.rng.randint(0, 3)
             self._last_arrival[link] = max(self._last_arrival[link], dup_arrival)

@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from repro.core.types import INITIAL
 from repro.memsys.bus import Bus
 from repro.memsys.cache import Cache, CacheLine
-from repro.memsys.faults import FaultConfig, FaultInjector, FaultKind
+from repro.memsys.faults import (
+    FaultConfig,
+    FaultInjector,
+    FaultKind,
+    corrupt_write_orders,
+)
 from repro.memsys.memory import MainMemory
 from repro.memsys.processor import Processor, ScriptKind, ScriptOp
 from repro.memsys.protocol import BusOp, LineState, make_protocol
@@ -121,31 +126,9 @@ class MultiprocessorSystem:
         while self.step():
             if max_steps is not None and self.steps >= max_steps:
                 break
-        final = self._final_values()
-        self.recorder.check_final(final, self.steps)
-        execution = self.recorder.build_execution(
-            initial=self._initial_snapshot, final=final
+        return finish_run(
+            self, self.steps, self.bus.num_transactions, self.bus.traffic_summary()
         )
-        from repro.memsys.faults import corrupt_write_orders
-
-        write_orders = corrupt_write_orders(
-            self.recorder.write_orders, self.injector, self.steps
-        )
-        result = RunResult(
-            execution=execution,
-            write_orders=write_orders,
-            steps=self.steps,
-            bus_transactions=self.bus.num_transactions,
-            bus_traffic=self.bus.traffic_summary(),
-            fault_events=list(self.injector.events),
-            cache_stats=[vars(c.stats) for c in self.caches],
-            commit_log=list(self.recorder.commit_log),
-            divergences=list(self.recorder.divergences),
-        )
-        from repro.memsys.oracle import classify_run
-
-        result.oracle = classify_run(result, line_words=self.config.line_words)
-        return result
 
     # ------------------------------------------------------------------
     # Cache controller actions
@@ -191,7 +174,7 @@ class MultiprocessorSystem:
                     self.steps,
                     q,
                     addr,
-                    detail=f"lost intervention on {op.value}",
+                    detail=lambda: f"lost intervention on {op.value}",
                 ):
                     # The dirty holder fails to respond: memory (stale)
                     # will serve the request, and the holder's state is
@@ -209,7 +192,7 @@ class MultiprocessorSystem:
                     self.steps,
                     q,
                     addr,
-                    detail=f"ignored {op.value}",
+                    detail=lambda: f"ignored {op.value}",
                 ):
                     # The snooper keeps its (now stale) copy.
                     others_retain = True
@@ -297,34 +280,58 @@ class MultiprocessorSystem:
         line.data[cache.offset(addr)] = value
         self.recorder.record_rmw(proc, addr, old, value, tick=self.steps)
 
-    # ------------------------------------------------------------------
-    # Post-run state
-    # ------------------------------------------------------------------
-    def _final_values(self) -> dict[int, object]:
-        """The value of every touched word after flushing the caches.
 
-        Dirty copies override memory; if faults produced *multiple*
-        dirty copies of a line, the most recently touched one wins (as
-        a real flush-order would pick some winner).
-        """
-        final: dict[int, object] = {}
-        touched: set[int] = set()
-        for h in self.recorder.histories:
-            for op in h:
-                touched.add(op.addr)  # type: ignore[arg-type]
-        image = self.memory.snapshot()
-        best_tick: dict[int, int] = {}
-        for cache in self.caches:
-            for si, ways in enumerate(cache.sets):
-                for line in ways:
-                    if not line.valid or not line.state.dirty:
-                        continue
-                    base = cache.base_addr(si, line.tag)
-                    for off, val in line.data.items():
-                        a = base + off
-                        if line.lru >= best_tick.get(a, -1):
-                            best_tick[a] = line.lru
-                            image[a] = val
-        for a in touched:
-            final[a] = image.get(a, self._initial_snapshot.get(a, INITIAL))
-        return final
+
+def finish_run(system, steps: int, transactions: int, traffic: dict) -> RunResult:
+    """Package a finished run of either substrate: flush the caches
+    into the final memory image, check it against the golden replay,
+    export the (possibly fault-corrupted) write orders, and classify
+    every injection with the latency oracle."""
+    final = _final_values(system)
+    system.recorder.check_final(final, steps)
+    execution = system.recorder.build_execution(
+        initial=system._initial_snapshot, final=final
+    )
+    write_orders = corrupt_write_orders(
+        system.recorder.write_orders, system.injector, steps
+    )
+    result = RunResult(
+        execution=execution,
+        write_orders=write_orders,
+        steps=steps,
+        bus_transactions=transactions,
+        bus_traffic=traffic,
+        fault_events=list(system.injector.events),
+        cache_stats=[vars(c.stats) for c in system.caches],
+        commit_log=list(system.recorder.commit_log),
+        divergences=list(system.recorder.divergences),
+    )
+    from repro.memsys.oracle import classify_run
+
+    result.oracle = classify_run(result, line_words=system.config.line_words)
+    return result
+
+
+def _final_values(system) -> dict[int, object]:
+    """The value of every touched word after flushing the caches.
+
+    Dirty copies override memory; if faults produced *multiple*
+    dirty copies of a line, the most recently touched one wins (as
+    a real flush-order would pick some winner).
+    """
+    touched = {op.addr for h in system.recorder.histories for op in h}
+    image = system.memory.snapshot()
+    best_tick: dict[int, int] = {}
+    for cache in system.caches:
+        for si, ways in enumerate(cache.sets):
+            for line in ways:
+                if not line.valid or not line.state.dirty:
+                    continue
+                base = cache.base_addr(si, line.tag)
+                for off, val in line.data.items():
+                    a = base + off
+                    if line.lru >= best_tick.get(a, -1):
+                        best_tick[a] = line.lru
+                        image[a] = val
+    initial = system._initial_snapshot
+    return {a: image.get(a, initial.get(a, INITIAL)) for a in touched}

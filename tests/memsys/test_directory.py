@@ -49,7 +49,7 @@ class TestEntryLifecycle:
         res = system.run()
         entry = system.directory[0]
         assert entry.state is DirState.SHARED
-        assert entry.sharers == {0}
+        assert entry.sharers == 1 << 0  # a bitmask: core 0's bit alone
         assert res.execution.histories[0][0].value_read == 7
 
     def test_writer_invalidates_sharers(self):

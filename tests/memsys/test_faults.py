@@ -68,6 +68,106 @@ class TestInjectorMechanics:
         assert cfg.seed == 1
 
 
+class TestInjectorContract:
+    """The injector resolves its armed sites once and costs nothing
+    once it cannot fire, without moving a single RNG draw."""
+
+    @staticmethod
+    def armed(rate=1.0, max_events=None, kind=FaultKind.DROPPED_MSG):
+        return FaultInjector(
+            FaultConfig(kinds=frozenset([kind]), rate=rate, max_events=max_events)
+        )
+
+    def test_zero_rate_site_draws_nothing(self):
+        inj = FaultInjector(
+            FaultConfig(
+                kinds=frozenset([FaultKind.DROPPED_MSG, FaultKind.STALE_SHARER]),
+                rate=0.5,
+                rates={FaultKind.DROPPED_MSG: 0.0},
+            )
+        )
+        before = inj.rng.getstate()
+        assert not inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert not inj.fire(FaultKind.WB_RACE_CORRUPT, 0, 0, 0)
+        assert inj.rng.getstate() == before
+        inj.fire(FaultKind.STALE_SHARER, 0, 0, 0)
+        assert inj.rng.getstate() != before
+
+    def test_no_draw_after_the_cap(self):
+        inj = self.armed(max_events=1)
+        assert inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        after_cap = inj.rng.getstate()
+        for _ in range(5):
+            assert not inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert inj.rng.getstate() == after_cap
+        assert inj.injected == 1
+
+    def test_callable_detail_runs_only_when_its_site_fires(self):
+        calls = []
+
+        def detail():
+            calls.append(1)
+            return "built"
+
+        inj = self.armed(max_events=1)
+        assert not inj.fire(FaultKind.STALE_SHARER, 0, 0, 0, detail)  # unarmed
+        assert not calls
+        assert inj.fire(FaultKind.DROPPED_MSG, 3, 1, 8, detail)
+        assert calls == [1]
+        assert inj.events[0].detail == "built"
+        assert not inj.fire(FaultKind.DROPPED_MSG, 4, 1, 8, detail)  # capped
+        assert calls == [1]
+        missing = self.armed(rate=1e-12)
+        assert not missing.fire(FaultKind.DROPPED_MSG, 0, 0, 0, detail)
+        assert calls == [1]
+
+    def test_active_flag(self):
+        assert not FaultInjector(FaultConfig.none()).active
+        assert not self.armed(rate=0.0).active
+        assert not self.armed(max_events=0).active
+        inj = self.armed(max_events=2)
+        assert inj.active
+        inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert inj.active
+        inj.fire(FaultKind.DROPPED_MSG, 0, 0, 0)
+        assert not inj.active
+        assert self.armed().active  # uncapped stays active after firing
+
+    @pytest.mark.parametrize("max_events", [None, 0, 3])
+    def test_string_detail_matches_the_per_opportunity_rule(self, max_events):
+        """Against a direct transcription of the rule: look the rate up,
+        stop at the cap, then draw once."""
+        from repro.memsys.faults import FaultEvent
+        from repro.util.rng import make_rng
+
+        cfg = FaultConfig(
+            kinds=frozenset([FaultKind.STALE_SHARER, FaultKind.DELAYED_MSG]),
+            rate=0.4,
+            rates={FaultKind.DROPPED_MSG: 0.2, FaultKind.DELAYED_MSG: 0.0},
+            max_events=max_events,
+            seed=11,
+        )
+        inj = FaultInjector(cfg)
+        rng, events = make_rng(11), []
+        kinds = [
+            FaultKind.DROPPED_MSG, FaultKind.STALE_SHARER,
+            FaultKind.DELAYED_MSG, FaultKind.WB_RACE_CORRUPT,
+        ]
+        for i in range(200):
+            kind = kinds[i % len(kinds)]
+            rate = cfg.rate_for(kind)
+            want = (
+                rate > 0.0
+                and (max_events is None or len(events) < max_events)
+                and rng.random() < rate
+            )
+            if want:
+                events.append(FaultEvent(kind, i, i % 4, i % 7, f"d{i}"))
+            assert inj.fire(kind, i, i % 4, i % 7, f"d{i}") == want
+        assert inj.events == events
+        assert inj.rng.getstate() == rng.getstate()
+
+
 class TestFaultSpec:
     def test_parse_and_describe_round_trip(self):
         spec = FaultSpec.parse("drop-msg=0.02,stale-sharer=0.01,seed=7")
