@@ -1325,7 +1325,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="LIST",
         help="comma-separated interconnect delay models for the "
         "directory substrate (the bus is atomic); e.g. "
-        "'fixed:1,uniform:1:4,numa:1:6'",
+        "'fixed:1,uniform:1:4,numa:1:6:2'",
     )
     p.add_argument("--homes", type=_positive_int, default=2,
                    help="directory home nodes (default 2)")

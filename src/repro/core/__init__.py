@@ -6,7 +6,7 @@ Public surface:
   :class:`Execution`, :data:`INITIAL`;
 * construction — :class:`ExecutionBuilder`, :func:`parse_trace`;
 * certificate checking — :func:`is_coherent_schedule`,
-  :func:`is_sc_schedule`;
+  :func:`check_coherence_witnesses`, :func:`is_sc_schedule`;
 * decision procedures — :func:`verify_coherence`,
   :func:`verify_coherence_at`, :func:`verify_sequential_consistency`,
   :func:`verify_vscc`, :func:`vsc_via_conflict`, :func:`vsc_conflict`.
@@ -28,6 +28,7 @@ from repro.core.types import (
 from repro.core.builder import ExecutionBuilder, ProcessBuilder, parse_trace
 from repro.core.checker import (
     CheckOutcome,
+    check_coherence_witnesses,
     execution_from_schedule,
     is_coherent_schedule,
     is_sc_schedule,
@@ -61,6 +62,7 @@ __all__ = [
     "ProcessBuilder",
     "parse_trace",
     "CheckOutcome",
+    "check_coherence_witnesses",
     "execution_from_schedule",
     "is_coherent_schedule",
     "is_sc_schedule",

@@ -31,12 +31,15 @@ class CheckOutcome:
 
     ``ok`` is the verdict; on failure ``position`` is the index of the
     offending operation in the schedule (or -1 for structural problems)
-    and ``reason`` is a human-readable explanation.
+    and ``reason`` is a human-readable explanation.  A check of several
+    per-address schedules also names the ``address`` whose schedule (or
+    final value) failed.
     """
 
     ok: bool
     position: int = -1
     reason: str = ""
+    address: Address | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -121,12 +124,103 @@ def schedule_respects_program_order(
     return _OK
 
 
+def check_coherence_witnesses(
+    execution: Execution,
+    witnesses: Mapping[Address, Sequence[Operation]],
+) -> CheckOutcome:
+    """Full VMC certificate check of one witness schedule per address
+    against one (possibly multi-address) execution, in a single pass.
+
+    ``witnesses[a]`` must hold exactly the execution's operations at
+    ``a``, each once and equal to the execution's own, in each
+    process's program order, with every read returning the current
+    value of ``a`` (the initial value before the first write).  Every
+    operation of the execution must appear in its address's witness,
+    and every ``final`` entry must be the last value written (the
+    initial one for an address no witness writes).  Program-order
+    indices are compared monotonically, so sub-executions with gappy
+    indices check as they are.
+    """
+    expected = {
+        (op.proc, op.index): op
+        for h in execution.histories
+        for op in h.operations
+    }
+    unseen = dict(expected)
+    initial = execution.initial
+    last_value: dict[Address, Value] = {}
+    for addr, schedule in witnesses.items():
+        current = initial.get(addr, INITIAL)
+        last_index: dict[int, int] = {}
+        for i, op in enumerate(schedule):
+            uid = (op.proc, op.index)
+            want = unseen.pop(uid, None)
+            if want is None:
+                why = "appears twice in the schedule" if uid in expected else (
+                    "is not part of the execution"
+                )
+                return CheckOutcome(False, i, f"{op} {why}", addr)
+            if want is not op and want != op:
+                return CheckOutcome(
+                    False, i,
+                    f"{op} differs from the execution's operation {want}",
+                    addr,
+                )
+            if op.addr != addr:
+                return CheckOutcome(
+                    False, i, f"{op} is not an operation at {addr!r}", addr
+                )
+            if op.index <= last_index.get(op.proc, -1):
+                return CheckOutcome(
+                    False,
+                    i,
+                    f"{op} violates program order of process {op.proc} "
+                    f"(a later operation of that process already appeared)",
+                    addr,
+                )
+            last_index[op.proc] = op.index
+            kind = op.kind
+            if kind.reads and op.value_read != current:
+                return CheckOutcome(
+                    False,
+                    i,
+                    f"{op} reads {op.value_read!r} but the current value of "
+                    f"{addr!r} is {current!r}",
+                    addr,
+                )
+            if kind.writes:
+                current = op.value_written
+        last_value[addr] = current
+    if unseen:
+        missing = next(iter(unseen.values()))
+        return CheckOutcome(
+            False, -1, f"schedule is missing operation {missing}",
+            missing.addr,
+        )
+    for addr, want in execution.final.items():
+        got = (
+            last_value[addr]
+            if addr in last_value
+            else initial.get(addr, INITIAL)
+        )
+        if got != want:
+            schedule = witnesses.get(addr)
+            return CheckOutcome(
+                False,
+                len(schedule) - 1 if schedule else -1,
+                f"final value of {addr!r} is {got!r}, required {want!r}",
+                addr,
+            )
+    return _OK
+
+
 def is_coherent_schedule(
     execution: Execution,
     schedule: Sequence[Operation],
     addr: Address | None = None,
 ) -> CheckOutcome:
-    """Full VMC certificate check for a single-address execution.
+    """Full VMC certificate check for a single-address execution: the
+    one-address case of :func:`check_coherence_witnesses`.
 
     If the execution touches several addresses, pass ``addr`` and the
     check applies to ``execution.restrict_to_address(addr)``.
@@ -145,10 +239,10 @@ def is_coherent_schedule(
             f"coherence is per-address but the execution touches {addrs}; "
             f"pass addr= to select one",
         )
-    po = schedule_respects_program_order(execution, schedule)
-    if not po:
-        return po
-    return _check_value_trace(schedule, execution.initial, execution.final)
+    if not schedule:
+        return check_coherence_witnesses(execution, {})
+    key = addrs[0] if addrs else schedule[0].addr
+    return check_coherence_witnesses(execution, {key: schedule})
 
 
 def is_sc_schedule(

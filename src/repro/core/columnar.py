@@ -64,6 +64,7 @@ from repro.core.types import (
     Operation,
     ProcessHistory,
     Value,
+    _trusted_operation,
 )
 
 #: Kind codes, stable across releases (the binary format stores them).
@@ -306,19 +307,20 @@ class ColumnarTrace:
     def op_at(self, i: int) -> Operation:
         """The :class:`Operation` at flat position ``i`` — the original
         object when the view came from an Execution, a freshly (and
-        equally) materialized one when it was loaded from bytes."""
+        equally) materialized one when it was loaded from bytes or
+        built by :class:`ColumnarBuilder`.  Both sources check every
+        row's shape, so the fresh one skips the constructor's checks."""
         if self._source_ops is not None:
             return self._source_ops[i]
-        kind = KINDS_BY_CODE[self.kinds[i]]
         rv = self.read_vids[i]
         wv = self.write_vids[i]
-        return Operation(
-            kind,
+        return _trusted_operation(
+            KINDS_BY_CODE[self.kinds[i]],
             self.addrs[self.addr_ids[i]],
             self.procs[i],
             self.indices[i],
-            value_read=self.values[rv] if rv >= 0 else None,
-            value_written=self.values[wv] if wv >= 0 else None,
+            self.values[rv] if rv >= 0 else None,
+            self.values[wv] if wv >= 0 else None,
         )
 
     # -- address-restricted views -----------------------------------------
@@ -489,7 +491,20 @@ class ColumnarBuilder:
         write_vid: int,
         index: int | None = None,
     ) -> int:
-        """Append one pre-interned row (the frame decoder's fast path)."""
+        """Append one pre-interned row.  Its value ids must match the
+        kind (a read id exactly when it reads, a write id exactly when
+        it writes, never an RMW of None to None), as the public
+        ``Operation`` constructor demands: the built view's operations
+        are made without its checks."""
+        kind = KINDS_BY_CODE[kind_code]
+        if (read_vid >= 0) != kind.reads or (write_vid >= 0) != kind.writes:
+            raise ValueError(f"value ids disagree with kind {kind.value!r}")
+        if (
+            kind is OpKind.RMW
+            and self._values[read_vid] is None
+            and self._values[write_vid] is None
+        ):
+            raise ValueError("an RMW must carry read and written values")
         nxt = self._next_index.get(proc, 0)
         if index is None:
             index = nxt

@@ -47,13 +47,14 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
+from array import array
+from itertools import count, repeat
 from pathlib import Path
 
-from repro.core.columnar import ColumnarTrace, OP_COLUMNS
+from repro.core.columnar import KIND_CODES, KINDS_BY_CODE, ColumnarTrace
 from repro.core.serialize import _decode_value, _encode_value
-from repro.core.types import Execution
-from array import array
-import sys
+from repro.core.types import Execution, Operation, OpKind, _trusted_operation
 
 MAGIC = b"REPROBIN"
 VERSION = 1
@@ -219,7 +220,7 @@ def loads_bin_view(data: bytes) -> ColumnarTrace:
     if pos != len(data):
         raise BinaryFormatError("trailing data", pos)
 
-    _validate_columns(columns, n_ops, n_addrs, n_values, pos)
+    _validate_columns(columns, n_ops, n_addrs, values, pos)
     return ColumnarTrace(
         n_touched=n_touched,
         n_constrained=n_constrained,
@@ -229,9 +230,12 @@ def loads_bin_view(data: bytes) -> ColumnarTrace:
     )
 
 
-def _validate_columns(columns, n_ops, n_addrs, n_values, end) -> None:
-    """Range checks so a corrupt file fails here, not as an IndexError
-    deep inside a kernel."""
+def _validate_columns(columns, n_ops, n_addrs, values, end) -> None:
+    """Range and shape checks so a corrupt file fails here, not as an
+    IndexError deep inside a kernel or a ValueError from ``Operation``:
+    the loaded operations are then built without the constructor's
+    checks (:meth:`ColumnarTrace.op_at`)."""
+    n_values = len(values)
     off = columns["proc_offsets"]
     prev = 0
     for o in off:
@@ -243,8 +247,6 @@ def _validate_columns(columns, n_ops, n_addrs, n_values, end) -> None:
             f"proc_offsets must span 0..{n_ops}", end
         )
     if n_ops:
-        from repro.core.columnar import KINDS_BY_CODE
-
         if max(columns["kinds"]) >= len(KINDS_BY_CODE):
             raise BinaryFormatError("unknown kind code", end)
         if max(columns["addr_ids"]) >= n_addrs:
@@ -253,12 +255,60 @@ def _validate_columns(columns, n_ops, n_addrs, n_values, end) -> None:
             col = columns[name]
             if col and (max(col) >= n_values or min(col) < -1):
                 raise BinaryFormatError(f"{name} out of range", end)
+        bad = _misshapen_op(
+            columns["kinds"], columns["read_vids"], columns["write_vids"],
+            values,
+        )
+        if bad is not None:
+            i, why = bad
+            raise BinaryFormatError(f"op {i}: {why}", end)
     for name in ("initial_ids", "final_ids"):
         col = columns[name]
         if col and (max(col) >= n_values or min(col) < -1):
             raise BinaryFormatError(f"{name} out of range", end)
     if any(v < 0 for v in columns["initial_ids"]):
         raise BinaryFormatError("initial_ids must be valid", end)
+
+
+# -- operation shape, checked over whole columns -----------------------
+#: Kind code -> 1 if the kind reads (writes), else 0; codes past the
+#: table map to 2, which matches no id flag.
+_READS_BY_CODE = bytes(k.reads for k in KINDS_BY_CODE).ljust(256, b"\x02")
+_WRITES_BY_CODE = bytes(k.writes for k in KINDS_BY_CODE).ljust(256, b"\x02")
+#: Top byte of a little-endian i32 value id -> 1 if the id names a
+#: value, 0 for the -1 of "no value" (once ids are known to be >= -1,
+#: the top byte is 0xff exactly for -1).
+_NAMES_VALUE = b"\x01" * 255 + b"\x00"
+_RMW = KIND_CODES[OpKind.RMW]
+_SUCC = (1).__add__
+
+
+def _shapes_agree(kinds: bytes, read_le: bytes, write_le: bytes) -> bool:
+    """Whether every op carries a read id exactly when its kind reads
+    and a write id exactly when it writes: two table lookups over the
+    whole columns (``kinds`` one byte per op, the ids as little-endian
+    i32 bytes, every id already checked to be >= -1)."""
+    return kinds.translate(_READS_BY_CODE) == read_le[3::4].translate(
+        _NAMES_VALUE
+    ) and kinds.translate(_WRITES_BY_CODE) == write_le[3::4].translate(
+        _NAMES_VALUE
+    )
+
+
+def _misshapen_op(kinds, read_vids, write_vids, values):
+    """``(position, reason)`` of the first op the public ``Operation``
+    constructor would refuse, or a kind whose value ids disagree with
+    it; None when every op is well-shaped.  Ids are range-checked."""
+    if _shapes_agree(kinds.tobytes(), _le(read_vids), _le(write_vids)):
+        if _RMW not in kinds or None not in values:
+            return None
+    for i, (kc, rv, wv) in enumerate(zip(kinds, read_vids, write_vids)):
+        kind = KINDS_BY_CODE[kc]
+        if (rv >= 0) != kind.reads or (wv >= 0) != kind.writes:
+            return i, f"value ids disagree with kind {kind.value!r}"
+        if kc == _RMW and values[rv] is None and values[wv] is None:
+            return i, "an RMW must carry read and written values"
+    return None
 
 
 def sniff(data: bytes) -> bool:
@@ -507,6 +557,12 @@ class FrameReader:
 
     Malformed input raises :class:`BinaryFormatError` with the absolute
     byte offset of the problem.
+
+    An OPS frame is checked once, as columns; a well-formed frame's
+    operations are then built lazily, as the events are drawn, through
+    the trusted constructor.  A frame that fails the column check is
+    decoded op by op instead, so it yields every operation before the
+    first bad one and then raises.
     """
 
     def __init__(self):
@@ -516,7 +572,14 @@ class FrameReader:
         self.n_procs: int | None = None
         self.addrs: list = []
         self.values: list = []
-        self._next_index: list[int] = []
+        #: None, then ``values`` (append-only): value id ``v`` sits at
+        #: ``v + 1``, so the -1 of "no value" maps to None.
+        self._none_then_values: list = [None]
+        #: Whether ``values`` holds None (an RMW may not read and write
+        #: it both, so such a frame takes the checked path).
+        self._none_interned = False
+        #: Per process, the next program-order index to assign.
+        self._next_index: list = []
         self.ended = False
 
     def feed(self, data: bytes) -> None:
@@ -556,7 +619,7 @@ class FrameReader:
         if n_procs < 1:
             raise self._error("n_procs must be >= 1", 12)
         self.n_procs = n_procs
-        self._next_index = [0] * n_procs
+        self._next_index = [count() for _ in range(n_procs)]
         del self._buf[:STREAM_HEADER_SIZE]
         self._consumed += STREAM_HEADER_SIZE
         self._header_done = True
@@ -588,22 +651,20 @@ class FrameReader:
             yield from self._decode(ftype, payload, start)
 
     def _decode(self, ftype: int, payload: bytes, start: int):
+        """One frame's events, as an iterable."""
+        if ftype == FRAME_OPS:
+            return self._decode_ops(payload, start)
         if ftype == FRAME_INTERN:
             self._decode_intern(payload, start)
-            return
-        if ftype == FRAME_OPS:
-            yield from self._decode_ops(payload, start)
-            return
+            return ()
         if ftype in (FRAME_INITIAL, FRAME_FINAL):
             tag = "initial" if ftype == FRAME_INITIAL else "final"
-            yield (tag, self._decode_constraints(payload, start))
-            return
+            return ((tag, self._decode_constraints(payload, start)),)
         if ftype == FRAME_END:
             if payload:
                 raise BinaryFormatError("END frame carries a payload", start)
             self.ended = True
-            yield ("end", None)
-            return
+            return (("end", None),)
         raise BinaryFormatError(f"unknown frame type {ftype}", start - 5)
 
     def _decode_intern(self, payload: bytes, start: int) -> None:
@@ -620,17 +681,19 @@ class FrameReader:
         ):
             raise BinaryFormatError("intern tables must be lists", start)
         try:
-            self.addrs.extend(_decode_value(a) for a in intern["addrs"])
-            self.values.extend(_decode_value(v) for v in intern["values"])
+            addrs = [_decode_value(a) for a in intern["addrs"]]
+            values = [_decode_value(v) for v in intern["values"]]
         except ValueError as e:
             raise BinaryFormatError(
                 f"bad interned value: {e}", start
             ) from e
+        self.addrs.extend(addrs)
+        self.values.extend(values)
+        self._none_then_values.extend(values)
+        if None in values:
+            self._none_interned = True
 
     def _decode_ops(self, payload: bytes, start: int):
-        from repro.core.columnar import KINDS_BY_CODE
-        from repro.core.types import Operation
-
         if len(payload) < 4:
             raise BinaryFormatError("truncated OPS frame", start)
         (n,) = struct.unpack_from("<I", payload, 0)
@@ -650,9 +713,46 @@ class FrameReader:
                 col.byteswap()
             cols.append(col)
             pos += n * size
+        if not n:
+            return ()
+        kinds, procs, addr_ids, read_vids, write_vids = cols
+        n_values = len(self.values)
+        reads_at, writes_at = 4 + 9 * n, 4 + 13 * n
+        if not (
+            max(kinds) < len(KINDS_BY_CODE)
+            and max(procs) < self.n_procs
+            and max(addr_ids) < len(self.addrs)
+            and min(read_vids) >= -1 and max(read_vids) < n_values
+            and min(write_vids) >= -1 and max(write_vids) < n_values
+            and _shapes_agree(
+                payload[4:4 + n],
+                payload[reads_at:writes_at],
+                payload[writes_at:],
+            )
+            and not (self._none_interned and _RMW in kinds)
+        ):
+            return self._decode_ops_checked(cols, start)
+        # Every op is well-formed: build them as the events are drawn.
+        value = self._none_then_values.__getitem__
+        return zip(
+            repeat("op"),
+            map(
+                _trusted_operation,
+                map(KINDS_BY_CODE.__getitem__, kinds),
+                map(self.addrs.__getitem__, addr_ids),
+                procs,
+                map(next, map(self._next_index.__getitem__, procs)),
+                map(value, map(_SUCC, read_vids)),
+                map(value, map(_SUCC, write_vids)),
+            ),
+        )
+
+    def _decode_ops_checked(self, cols, start: int):
+        """An OPS frame that failed the column check, op by op: every
+        operation before the first bad one, then the error."""
         kinds, procs, addr_ids, read_vids, write_vids = cols
         n_addrs, n_values = len(self.addrs), len(self.values)
-        for i in range(n):
+        for i in range(len(kinds)):
             kc = kinds[i]
             if kc >= len(KINDS_BY_CODE):
                 raise BinaryFormatError(f"unknown kind code {kc}", start)
@@ -672,15 +772,13 @@ class FrameReader:
                 raise BinaryFormatError(
                     f"value ids disagree with kind {kind.value!r}", start
                 )
-            index = self._next_index[p]
-            self._next_index[p] = index + 1
             yield (
                 "op",
                 Operation(
                     kind,
                     self.addrs[ai],
                     p,
-                    index,
+                    next(self._next_index[p]),
                     value_read=self.values[rv] if rv >= 0 else None,
                     value_written=self.values[wv] if wv >= 0 else None,
                 ),

@@ -166,6 +166,38 @@ Operation.__setattr__ = _refuse_set
 Operation.__delattr__ = _refuse_del
 
 
+class _OperationTwin:
+    """Mutable twin of :class:`Operation` with the same slot layout, so
+    an instance can be filled by plain slot stores and then re-classed."""
+
+    __slots__ = Operation.__slots__
+
+
+def _trusted_operation(
+    kind: OpKind,
+    addr: Address,
+    proc: int,
+    index: int,
+    value_read: Value,
+    value_written: Value,
+) -> Operation:
+    """An :class:`Operation` built without the constructor's shape
+    checks, for decoders whose columns already passed them (a read value
+    exactly for reading kinds, a written value exactly for writing
+    kinds, and no RMW with both values ``None``).  The result is an
+    ordinary, frozen ``Operation``: equal, hashing and pickling alike to
+    the one the public constructor builds from the same fields."""
+    op = _OperationTwin()
+    op.kind = kind
+    op.addr = addr
+    op.proc = proc
+    op.index = index
+    op.value_read = value_read
+    op.value_written = value_written
+    op.__class__ = Operation
+    return op
+
+
 def read(addr: Address, value: Value, proc: int = 0, index: int = 0) -> Operation:
     """Convenience constructor for ``R(addr, value)``."""
     return Operation(OpKind.READ, addr, proc, index, value_read=value)

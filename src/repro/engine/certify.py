@@ -315,23 +315,24 @@ def _check_infeasible(execution: Execution, claim) -> CertCheck:
 # ---------------------------------------------------------------------
 # Happens-before cycle certificates
 # ---------------------------------------------------------------------
+def _writers_index(execution: Execution) -> dict[tuple, list[Operation]]:
+    """``(addr, value) -> writers`` in execution order, built once per
+    validation so no proof step rescans the trace."""
+    writers: dict[tuple, list[Operation]] = {}
+    for op in execution.all_ops():
+        if op.kind.writes:
+            writers.setdefault((op.addr, op.value_written), []).append(op)
+    return writers
+
+
 def _unique_writer(
-    execution: Execution, addr, value, excluding: tuple[int, int]
+    writers: dict[tuple, list[Operation]], addr, value,
+    excluding: tuple[int, int],
 ) -> Operation | None:
     """The single op writing ``value`` to ``addr`` (ignoring
     ``excluding``), or None when absent or ambiguous."""
-    found: Operation | None = None
-    for op in execution.all_ops():
-        if (
-            op.uid != excluding
-            and op.kind.writes
-            and op.addr == addr
-            and op.value_written == value
-        ):
-            if found is not None:
-                return None
-            found = op
-    return found
+    found = [op for op in writers.get((addr, value), ()) if op.uid != excluding]
+    return found[0] if len(found) == 1 else None
 
 
 def _reaches(
@@ -363,6 +364,7 @@ def _check_cycle(execution: Execution, payload) -> CertCheck:
     except (TypeError, ValueError):
         return _fail(f"malformed cycle certificate payload {payload!r}")
     ops = _ops_by_uid(execution)
+    writers = _writers_index(execution)
     edges: dict[tuple[int, int], set[tuple[int, int]]] = {}
     rf_pairs: set[tuple[tuple[int, int], tuple[int, int]]] = set()
     for i, step in enumerate(steps):
@@ -374,7 +376,9 @@ def _check_cycle(execution: Execution, payload) -> CertCheck:
         u, v = ops.get(u_uid), ops.get(v_uid)
         if u is None or v is None or u_uid == v_uid:
             return _fail(f"proof step {i} names unknown operations: {step!r}")
-        verdict = _check_step(execution, u, v, rule, aux, edges, rf_pairs)
+        verdict = _check_step(
+            execution, writers, u, v, rule, aux, edges, rf_pairs
+        )
         if not verdict:
             return _fail(f"proof step {i} ({rule} {u} -> {v}): {verdict.reason}")
         edges.setdefault(u_uid, set()).add(v_uid)
@@ -393,6 +397,7 @@ def _check_cycle(execution: Execution, payload) -> CertCheck:
 
 def _check_step(
     execution: Execution,
+    writers: dict[tuple, list[Operation]],
     u: Operation,
     v: Operation,
     rule: str,
@@ -416,7 +421,7 @@ def _check_step(
         if v.value_read == execution.initial_value(v.addr):
             return _fail("the read value equals the initial value, so the "
                          "source is not forced")
-        writer = _unique_writer(execution, v.addr, v.value_read, v.uid)
+        writer = _unique_writer(writers, v.addr, v.value_read, v.uid)
         if writer is None or writer.uid != u.uid:
             return _fail("the claimed source is not the unique writer")
         return _OK
@@ -429,13 +434,8 @@ def _check_step(
             return _fail("source does not read the initial value")
         if not (v.kind.writes and v.addr == u.addr):
             return _fail("target is not a write to the same address")
-        for op in execution.all_ops():
-            if (
-                op.uid != u.uid
-                and op.kind.writes
-                and op.addr == u.addr
-                and op.value_written == u.value_read
-            ):
+        for op in writers.get((u.addr, u.value_read), ()):
+            if op.uid != u.uid:
                 return _fail(f"the initial value is re-written by {op}")
         return _OK
     if rule in ("fin", "finr"):
@@ -446,7 +446,7 @@ def _check_step(
             return _fail(f"no final value is required of {v.addr!r}")
         if not (v.kind.writes and v.value_written == d_f):
             return _fail("target does not write the final value")
-        if _unique_writer(execution, v.addr, d_f, (-1, -1)) is None:
+        if _unique_writer(writers, v.addr, d_f, (-1, -1)) is None:
             return _fail("the final value's writer is not unique")
         if u.addr != v.addr:
             return _fail("addresses differ")

@@ -53,13 +53,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from time import perf_counter
 from typing import Iterable, Iterator, Mapping
 
 from repro import obs
-from repro.core.result import Certificate, VerificationResult
+from repro.core.checker import check_coherence_witnesses
+from repro.core.infer import _gappy_execution
+from repro.core.result import VerificationResult
 from repro.core.types import INITIAL, Address, Execution, Operation, Value
-from repro.engine.certify import CertificationError, validate_result
+from repro.engine.certify import CertificationError
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -94,9 +97,9 @@ class AddressMonitor:
     With ``window`` set (and ``n_procs`` declared), each event may also
     carry its :class:`Operation`; the monitor then retains a bounded
     certificate window with sound prefix eviction and can build
-    checkable refutations (:meth:`refute`) and HOLDS witnesses
-    (:meth:`window_schedule`).  Without a window (the compatibility
-    shim) it is a pure value-level frontier.
+    checkable refutations (:meth:`refute`) and HOLDS witnesses (the
+    gap placement, :meth:`StreamingVerifier.window_witnesses`).  Without
+    a window (the compatibility shim) it is a pure value-level frontier.
 
     ``writes``, ``reads``, ``rmws`` and ``violations`` count the events
     committed so far (plain ints: the hot path records nothing else).
@@ -316,45 +319,50 @@ class AddressMonitor:
             self._trimmed = True
 
     # -- certification support --------------------------------------------
+    def _kept_window(self, per_proc: list[list[Operation]]) -> list:
+        """Append every retained operation the window execution keeps
+        to ``per_proc[op.proc]`` (commit order); return them as
+        ``(placement key, op)`` rows.  Reads placed below the window
+        base gap (transient stragglers behind a high-gap head) are
+        dropped.  Sorting the rows by key gives the gap placement:
+        writes at their gap, reads right after the write that serves
+        them, ties in commit order."""
+        base = self._win_base_gap
+        rows = []
+        for g, op in self._window:
+            if op.kind.writes:
+                key = 2 * g
+            elif g >= base:
+                key = 2 * g + 1
+            else:
+                continue
+            rows.append((key, op))
+            per_proc[op.proc].append(op)
+        return rows
+
+    @property
+    def base_value(self) -> Value:
+        """The value at the window base gap: the window execution's
+        initial value."""
+        return self._gap_values[self._win_base_gap - self._gap_base]
+
     def window_execution(
         self, final: Mapping[Address, Value] | None = None
     ) -> Execution:
         """The retained window as a standalone execution.
 
         Initial value = the value at the window base gap; reads placed
-        below the base (transient stragglers behind a high-gap head)
-        are dropped.  Both are pure relaxations, so any refutation of
-        this execution refutes the full stream.
+        below the base are dropped.  Both are pure relaxations, so any
+        refutation of this execution refutes the full stream.
         """
-        from repro.core.infer import _gappy_execution
-
-        base = self._win_base_gap
-        base_value = self._gap_values[base - self._gap_base]
         per_proc: list[list[Operation]] = [
             [] for _ in range(self.n_procs or 0)
         ]
-        for g, op in self._window:
-            if g < base and not op.kind.writes:
-                continue
-            while op.proc >= len(per_proc):  # open-world shims
-                per_proc.append([])
-            per_proc[op.proc].append(op)
+        self._kept_window(per_proc)
         histories = [(p, tuple(ops)) for p, ops in enumerate(per_proc)]
-        initial = {} if base_value is INITIAL else {self.addr: base_value}
+        value = self.base_value
+        initial = {} if value is INITIAL else {self.addr: value}
         return _gappy_execution(histories, initial, dict(final or {}))
-
-    def window_schedule(self) -> list[Operation]:
-        """The gap placement as a witness schedule for
-        :meth:`window_execution`: writes at their gap, reads right
-        after the write that serves them (ties keep commit order)."""
-        base = self._win_base_gap
-        rows = [
-            (g, 0 if op.kind.writes else 1, op)
-            for g, op in self._window
-            if op.kind.writes or g >= base
-        ]
-        rows.sort(key=lambda t: (t[0], t[1]))
-        return [op for _, _, op in rows]
 
     def refute(
         self,
@@ -645,10 +653,35 @@ class StreamingVerifier:
         obs.count_unknown(result)
         return result
 
+    def window_witnesses(
+        self, final: Mapping[Address, Value] | None = None
+    ) -> tuple[Execution, dict[Address, list[Operation]]]:
+        """Every monitor's retained window as one gappy execution, and
+        each address's gap placement as its witness schedule.
+
+        Per address the window execution keeps its own relaxations
+        (initial value = the value at its window base gap, stragglers
+        below the base dropped); each process's operations across all
+        addresses are in program (index) order."""
+        per_proc: list[list[Operation]] = [[] for _ in range(self.n_procs)]
+        initial: dict[Address, Value] = {}
+        witnesses: dict[Address, list[Operation]] = {}
+        for addr, mon in self.monitors.items():
+            rows = mon._kept_window(per_proc)
+            rows.sort(key=itemgetter(0))
+            witnesses[addr] = [op for _, op in rows]
+            value = mon.base_value
+            if value is not INITIAL:
+                initial[addr] = value
+        for ops in per_proc:
+            ops.sort(key=attrgetter("index"))
+        histories = [(p, tuple(ops)) for p, ops in enumerate(per_proc)]
+        return _gappy_execution(histories, initial, dict(final or {})), witnesses
+
     def checkpoint(self, kind: str = "heartbeat") -> StreamVerdict:
         """A HOLDS-so-far verdict over everything consumed.  Under
-        certification every address's window witness is replayed by the
-        trusted checker."""
+        certification the trusted checker replays every address's
+        window witness against one window execution, in one pass."""
         if kind == "heartbeat":
             self.stats.add("heartbeats")
         snap = self.snapshot()
@@ -658,28 +691,16 @@ class StreamingVerifier:
         result.stats.update(snap)
         if self.certify != "off":
             with obs.span("certify"):
-                for addr, mon in self.monitors.items():
-                    fin = (
-                        {addr: self._final[addr]}
-                        if kind == "final" and addr in self._final
-                        else None
+                ex, witnesses = self.window_witnesses(
+                    self._final if kind == "final" else None
+                )
+                check = check_coherence_witnesses(ex, witnesses)
+                if not check.ok:
+                    result = self._uncertified(
+                        f"{kind} witness rejected for {check.address!r}: "
+                        f"{check.reason}"
                     )
-                    ex = mon.window_execution(fin)
-                    witness = VerificationResult(
-                        holds=True,
-                        method="streaming",
-                        schedule=mon.window_schedule(),
-                        certificate=Certificate("witness"),
-                    )
-                    check = validate_result(ex, witness)
-                    if not check.ok:
-                        result = self._uncertified(
-                            f"{kind} witness rejected for {addr!r}: "
-                            f"{check.reason}"
-                        )
-                        return StreamVerdict(
-                            "unknown", self._ops, result, ex, snap
-                        )
+                    return StreamVerdict("unknown", self._ops, result, ex, snap)
             result.stats["certified"] = True
         return StreamVerdict(kind, self._ops, result, None, snap)
 

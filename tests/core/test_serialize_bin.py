@@ -347,3 +347,225 @@ class TestStream:
         w.finish()
         with pytest.raises(ValueError, match="finished"):
             w.append(OpKind.WRITE, 0, "x", value_written=1)
+
+
+# ---------------------------------------------------------------------
+# Kind/value-id shape and malformed OPS frames
+# ---------------------------------------------------------------------
+def _bin_column_offset(blob: bytes, name: str) -> int:
+    """Byte offset of column ``name`` in a REPROBIN blob (every blob's
+    offset follows from the header)."""
+    from repro.core.serialize_bin import _BLOBS, _HEADER
+
+    fields = _HEADER.unpack_from(blob, 0)
+    n_procs, n_ops, n_addrs, intern_len = (
+        fields[3], fields[4], fields[5], fields[9]
+    )
+    counts = {"ops": n_ops, "procs+1": n_procs + 1, "addrs": n_addrs}
+    pos = HEADER_SIZE + intern_len + (8 - intern_len % 8) % 8
+    for col, _tc, size, cnt in _BLOBS:
+        if col == name:
+            return pos
+        pos += counts[cnt] * size
+    raise KeyError(name)
+
+
+def _stamp_i32(blob: bytearray, at: int, value: int) -> None:
+    import struct
+
+    struct.pack_into("<i", blob, at, value)
+
+
+class TestShapeRejection:
+    """REPROBIN checks each op's value ids against its kind: loading
+    builds operations without the constructor's checks, so a mismatch
+    must fail as a BinaryFormatError, never load or escape as a bare
+    ValueError."""
+
+    # sample_execution, process-major: W(x,1) R(x,1) ACQ(l) | RW(x,1,2) R(y,init)
+    def _stamped(self, ex, column: str, op: int, value: int) -> bytes:
+        blob = bytearray(dumps_bin(ex))
+        _stamp_i32(blob, _bin_column_offset(blob, column) + 4 * op, value)
+        return bytes(blob)
+
+    def test_read_without_read_id_rejected(self):
+        blob = self._stamped(sample_execution(), "read_vids", 1, -1)
+        with pytest.raises(BinaryFormatError, match="op 1: value ids disagree "
+                           "with kind 'R'"):
+            loads_bin(blob)
+
+    def test_write_with_read_id_rejected(self):
+        blob = self._stamped(sample_execution(), "read_vids", 0, 0)
+        with pytest.raises(ValueError) as exc:
+            loads_bin(blob)
+        assert type(exc.value) is BinaryFormatError
+        assert "op 0: value ids disagree with kind 'W'" in str(exc.value)
+
+    def test_sync_op_with_a_value_rejected(self):
+        blob = self._stamped(sample_execution(), "write_vids", 2, 0)
+        with pytest.raises(BinaryFormatError, match="kind 'ACQ'"):
+            loads_bin_view(blob)
+
+    def test_rmw_of_none_to_none_rejected(self):
+        ex = Execution.from_ops([[
+            Operation(OpKind.RMW, "x", 0, 0, value_read=1, value_written=2),
+            Operation(OpKind.WRITE, "y", 0, 1, value_written=None),
+        ]])
+        none_id = ex.columnar().values.index(None)
+        blob = bytearray(dumps_bin(ex))
+        for column in ("read_vids", "write_vids"):
+            _stamp_i32(blob, _bin_column_offset(blob, column), none_id)
+        with pytest.raises(BinaryFormatError, match="op 0: an RMW must carry"):
+            loads_bin(bytes(blob))
+
+    def test_a_lone_none_value_still_loads(self):
+        ex = Execution.from_ops([[
+            Operation(OpKind.RMW, "x", 0, 0, value_read=None, value_written=2),
+            Operation(OpKind.WRITE, "y", 0, 1, value_written=None),
+            Operation(OpKind.READ, "y", 0, 2, value_read=None),
+        ]])
+        assert_same_execution(loads_bin(dumps_bin(ex)), ex)
+
+
+class TestMalformedOpsFrame:
+    """A bad op at position k of an OPS frame: the reader yields ops
+    0..k-1, then raises the BinaryFormatError it always raised for that
+    op, at the frame payload's offset.  A frame is checked once, as
+    columns; only a frame that fails that check is decoded op by op."""
+
+    N_PROCS = 3
+
+    def _stream(self):
+        import io
+
+        from repro.core.serialize_bin import dump_stream
+        from tests.conftest import make_coherent_execution
+
+        ex, schedule = make_coherent_execution(
+            40, self.N_PROCS, 17, addresses=("x", "y"), num_values=4,
+            rmw_fraction=0.2,
+        )
+        buf = io.BytesIO()
+        dump_stream(buf, schedule, self.N_PROCS, chunk=1000)
+        return bytearray(buf.getvalue()), schedule
+
+    @staticmethod
+    def _ops_frame(blob: bytes) -> tuple[int, int]:
+        """(payload offset, op count) of the stream's one OPS frame."""
+        from repro.core.serialize_bin import (
+            _FRAME_HEADER,
+            FRAME_OPS,
+            STREAM_HEADER_SIZE,
+        )
+
+        pos = STREAM_HEADER_SIZE
+        while True:
+            ftype, length = _FRAME_HEADER.unpack_from(blob, pos)
+            pos += _FRAME_HEADER.size
+            if ftype == FRAME_OPS:
+                return pos, int.from_bytes(blob[pos:pos + 4], "little")
+            pos += length
+
+    @staticmethod
+    def _decode(blob: bytes):
+        """Every op decoded before the first error, and the error."""
+        from repro.core.serialize_bin import FrameReader
+
+        reader = FrameReader()
+        reader.feed(bytes(blob))
+        ops = []
+        try:
+            for tag, payload in reader.events():
+                if tag == "op":
+                    ops.append(payload)
+        except ValueError as err:
+            return ops, err
+        return ops, None
+
+    def _stamp(self, blob, column: str, k: int, value: int) -> int:
+        """Overwrite op ``k``'s entry of ``column``; returns the
+        payload offset."""
+        import struct
+
+        at, n = self._ops_frame(blob)
+        col_at = {
+            "kinds": (4, "<B", 1), "procs": (4 + n, "<I", 4),
+            "addr_ids": (4 + 5 * n, "<I", 4),
+            "read_vids": (4 + 9 * n, "<i", 4),
+            "write_vids": (4 + 13 * n, "<i", 4),
+        }
+        base, fmt, size = col_at[column]
+        struct.pack_into(fmt, blob, at + base + k * size, value)
+        return at
+
+    def _position(self, schedule, kind: OpKind, nth: int) -> int:
+        return [i for i, op in enumerate(schedule) if op.kind is kind][nth]
+
+    CASES = [
+        # (kind of the op stamped, column, value, the op-by-op decoder's message)
+        (OpKind.WRITE, "kinds", 9, "unknown kind code 9"),
+        (OpKind.READ, "procs", 3, "proc 3 outside the declared 0..2"),
+        (OpKind.READ, "addr_ids", 7, "op references an unseen intern id"),
+        (OpKind.READ, "read_vids", 99, "op references an unseen intern id"),
+        (OpKind.RMW, "write_vids", 99, "op references an unseen intern id"),
+        (OpKind.READ, "read_vids", -1, "value ids disagree with kind 'R'"),
+        (OpKind.WRITE, "read_vids", 0, "value ids disagree with kind 'W'"),
+        (OpKind.RMW, "write_vids", -1, "value ids disagree with kind 'RW'"),
+        (OpKind.WRITE, "kinds", 3, "value ids disagree with kind 'ACQ'"),
+    ]
+
+    @pytest.mark.parametrize("nth", [0, 1, -1])
+    @pytest.mark.parametrize(
+        "kind,column,value,message", CASES,
+        ids=[f"{c[0].value}-{c[1]}={c[2]}" for c in CASES],
+    )
+    def test_prefix_then_the_same_error(self, kind, column, value, message,
+                                        nth):
+        clean, schedule = self._stream()
+        good, err = self._decode(clean)
+        assert err is None and len(good) == len(schedule)
+        k = self._position(schedule, kind, nth)
+        blob = bytearray(clean)
+        at = self._stamp(blob, column, k, value)
+        ops, err = self._decode(blob)
+        assert ops == good[:k]
+        assert type(err) is BinaryFormatError
+        assert str(err) == f"{message} at byte {at}"
+        assert err.offset == at
+
+    def test_ids_below_minus_one_decode_as_before(self):
+        """A kind that carries no read value ignores its read id unless
+        it names a value: -5 on a WRITE decodes like -1 (the op-by-op
+        path's rule), so the frame yields every op unchanged."""
+        clean, schedule = self._stream()
+        good, _ = self._decode(clean)
+        blob = bytearray(clean)
+        self._stamp(blob, "read_vids", self._position(schedule, OpKind.WRITE, 2), -5)
+        ops, err = self._decode(blob)
+        assert err is None and ops == good
+
+    def test_rmw_of_none_to_none_fails_in_the_constructor(self):
+        """The column check sends a frame with an RMW and an interned
+        None down the op-by-op path, where the public constructor still
+        refuses an RMW of None to None."""
+        import io
+
+        from repro.core.serialize_bin import StreamWriter
+
+        buf = io.BytesIO()
+        w = StreamWriter(buf, 1)
+        w.append(OpKind.WRITE, 0, "x", value_written=None)
+        w.append(OpKind.RMW, 0, "x", value_read=None, value_written=1)
+        w.append(OpKind.RMW, 0, "x", value_read=None, value_written=None)
+        w.finish()
+        ops, err = self._decode(buf.getvalue())
+        assert [op.kind for op in ops] == [OpKind.WRITE, OpKind.RMW]
+        assert type(err) is ValueError
+        assert "an RMW must carry read and written values" in str(err)
+
+    def test_fast_path_builds_the_public_constructors_operations(self):
+        clean, schedule = self._stream()
+        ops, err = self._decode(clean)
+        assert err is None
+        assert ops == schedule
+        assert all(type(op) is Operation for op in ops)

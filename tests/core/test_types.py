@@ -163,6 +163,49 @@ class TestOperationModel:
         )
 
 
+class TestTrustedConstruction:
+    """Decoders build operations through ``_trusted_operation``, which
+    skips the shape checks; what it builds must be indistinguishable
+    from the public constructor's operation."""
+
+    @staticmethod
+    def trusted(op):
+        from repro.core.types import _trusted_operation
+
+        return _trusted_operation(
+            op.kind, op.addr, op.proc, op.index, op.value_read, op.value_written
+        )
+
+    @pytest.mark.parametrize("op", TestOperationModel.OPS, ids=str)
+    def test_same_operation_as_the_public_constructor(self, op):
+        made = self.trusted(op)
+        assert type(made) is Operation
+        assert made == op and op == made and made is not op
+        assert hash(made) == hash(op)
+        assert repr(made) == repr(op) and str(made) == str(op)
+        assert made.uid == op.uid
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.dumps(made, protocol=protocol) == pickle.dumps(
+                op, protocol=protocol
+            )
+            assert pickle.loads(pickle.dumps(made, protocol=protocol)) == op
+
+    def test_every_kind_is_covered(self):
+        assert {op.kind for op in TestOperationModel.OPS} == set(OpKind)
+
+    def test_frozen_and_slotted(self):
+        import dataclasses
+
+        made = self.trusted(read("x", 1))
+        for name in ("value_read", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+                setattr(made, name, 2)
+            with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+                delattr(made, name)
+        assert not hasattr(made, "__dict__")
+        assert dataclasses.replace(made, index=4) == read("x", 1, index=4)
+
+
 class TestInitialSentinel:
     def test_singleton(self):
         from repro.core.types import _InitialValue

@@ -293,6 +293,17 @@ class TestCycleCertificates:
         )
         assert "unique writer" in validate_result(ex, _violated(cert)).reason
 
+    def test_init_requires_the_initial_value_never_rewritten(self):
+        step = ((0, 0), (0, 1), "init", None)
+        cert = Certificate("cycle", ((step,), ()))
+        ok = parse_trace("P0: R(x,0) W(x,1)", initial={"x": 0})
+        # The step holds; only the (empty) cycle is left to fail.
+        assert "too short" in validate_result(ok, _violated(cert)).reason
+        bad = parse_trace("P0: R(x,0) W(x,1)\nP1: W(x,0)", initial={"x": 0})
+        assert "re-written by P1.W(x,0)" in validate_result(
+            bad, _violated(cert)
+        ).reason
+
     def test_closure_must_cite_validated_rf(self):
         ex, _, _ = _cross_reader_cycle()
         a, b, c = (0, 0), (0, 1), (1, 0)

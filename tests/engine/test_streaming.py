@@ -21,6 +21,7 @@ import random
 import pytest
 
 from repro.core import serialize_bin
+from repro.core.checker import check_coherence_witnesses, is_coherent_schedule
 from repro.core.types import Execution, OpKind, Operation
 from repro.engine import CertificationError, validate_result, verify_vmc
 from repro.engine.streaming import (
@@ -379,7 +380,8 @@ INVERSION = [
 
 
 def _count_validations(monkeypatch):
-    """Count every trusted-checker call the engine or the monitor makes."""
+    """Count every trusted-checker call the engine or the monitor makes
+    (the monitor's checkpoints replay their witnesses directly)."""
     from repro.engine import executor, streaming
 
     calls = []
@@ -390,10 +392,11 @@ def _count_validations(monkeypatch):
             return real(*args, **kwargs)
         return validate
 
-    for module in (executor, streaming):
-        monkeypatch.setattr(
-            module, "validate_result", counted(module.validate_result)
-        )
+    for module, name in (
+        (executor, "validate_result"),
+        (streaming, "check_coherence_witnesses"),
+    ):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return calls
 
 
@@ -439,6 +442,277 @@ class TestRefutationCertificate:
         _tamper_certificates(monkeypatch)
         v, _, _ = drive(INVERSION, 2, {}, None, certify="off")
         assert v.kind == "violation" and v.op_index == 3
+
+
+# ---------------------------------------------------------------------
+# One-pass checkpoints: every window witness against one execution
+# ---------------------------------------------------------------------
+def per_address_checkpoint(sv, final=None) -> bool:
+    """The reference replay: one window execution and one gap-placement
+    schedule per monitor, each checked by ``is_coherent_schedule``;
+    True when every address passed."""
+    return all(
+        is_coherent_schedule(
+            mon.window_execution(
+                {addr: final[addr]} if final and addr in final else None
+            ),
+            gap_placement(mon),
+        )
+        for addr, mon in sv.monitors.items()
+    )
+
+
+def gap_placement(mon) -> list:
+    """A monitor's witness, built apart from ``AddressMonitor``: writes
+    at their gap, reads right after the write that serves them, ties in
+    commit order."""
+    base = mon._win_base_gap
+    rows = [
+        (g, 0 if op.kind.writes else 1, op)
+        for g, op in mon._window
+        if op.kind.writes or g >= base
+    ]
+    rows.sort(key=lambda t: (t[0], t[1]))
+    return [op for _, _, op in rows]
+
+
+def one_pass(sv, final=None):
+    ex, witnesses = sv.window_witnesses(final)
+    return check_coherence_witnesses(ex, witnesses)
+
+
+def checkpoints(schedule, n_procs, initial, final, window):
+    """Drive a coherent stream, yielding ``(verifier, final)`` after
+    every operation and once more after ``finalize``."""
+    sv = StreamingVerifier(n_procs, initial=initial, window=window)
+    for op in schedule:
+        assert sv.feed_op(op) is None
+        yield sv, None
+    assert sv.finalize(final).kind == "final"
+    yield sv, sv._final
+
+
+def streaming_corpus():
+    """The coherent streams of this file: the differential corpus (two
+    addresses, RMWs, 2-4 processes) and an evicting one-address stream
+    under ``window=16``."""
+    for seed, nproc in corpus_params(40):
+        ex, sched = make_coherent_execution(
+            30 + (seed % 5) * 8, nproc, seed,
+            addresses=("x", "y"), num_values=3, rmw_fraction=0.15,
+        )
+        yield f"corpus-{seed}", sched, nproc, ex.initial, ex.final, 16
+    sched = TestEviction()._stream(3, 120)
+    yield "evicting", sched, 3, {}, None, 16
+
+
+def tamper(witnesses, rng):
+    """One random single-step tamper of a copy of ``witnesses``: drop,
+    duplicate, swap, re-value, add a foreign op, move across addresses,
+    or swap two ops of one process."""
+    w = {a: list(ops) for a, ops in witnesses.items()}
+    addrs = [a for a in w if w[a]]
+    addr = rng.choice(addrs)
+    ops = w[addr]
+    i = rng.randrange(len(ops))
+    op = ops[i]
+    how = rng.choice(
+        ["drop", "dup", "swap", "value", "foreign", "move", "po"]
+    )
+    if how == "drop":
+        del ops[i]
+    elif how == "dup":
+        ops.insert(rng.randrange(len(ops) + 1), op)
+    elif how == "swap":
+        j = rng.randrange(len(ops))
+        ops[i], ops[j] = ops[j], ops[i]
+    elif how == "value" and op.kind.reads:
+        ops[i] = Operation(
+            op.kind, op.addr, op.proc, op.index, value_read=FRESH,
+            value_written=op.value_written,
+        )
+    elif how == "move" and len(w) > 1:
+        other = rng.choice([a for a in w if a != addr])
+        del ops[i]
+        w[other].insert(rng.randrange(len(w[other]) + 1), op)
+    elif how == "po":
+        same = [j for j, o in enumerate(ops) if o.proc == op.proc and j != i]
+        if same:
+            j = rng.choice(same)
+            ops[i], ops[j] = ops[j], ops[i]
+    else:  # foreign (and the fallbacks of value/move)
+        ops.insert(i, Operation(
+            OpKind.WRITE, addr, op.proc, 10**6, value_written=FRESH
+        ))
+    return w
+
+
+class TestOnePassCheckpoint:
+    """``StreamingVerifier.checkpoint`` replays every address's window
+    witness against one window execution with
+    ``check_coherence_witnesses``; it must decide exactly what the old
+    per-address replay decided."""
+
+    def test_agrees_with_per_address_replay_at_every_checkpoint(self):
+        seen = 0
+        for name, sched, nproc, initial, final, window in streaming_corpus():
+            for sv, fin in checkpoints(sched, nproc, initial, final, window):
+                check = one_pass(sv, fin)
+                assert check, (name, check.reason)
+                assert per_address_checkpoint(sv, fin), name
+                seen += 1
+        assert seen > 2000
+
+    def test_window_execution_is_every_window_in_program_order(self):
+        """The one window execution holds, per process, the kept ops of
+        every address's window execution, in index order."""
+        for name, sched, nproc, initial, final, window in streaming_corpus():
+            *_, (sv, fin) = checkpoints(sched, nproc, initial, final, window)
+            ex, _ = sv.window_witnesses(fin)
+            for h in ex.histories:
+                indices = [op.index for op in h]
+                assert indices == sorted(set(indices)), name
+                assert all(op.proc == h.proc for op in h), name
+            merged = sorted(op.uid for op in ex.all_ops())
+            per_address = sorted(
+                op.uid
+                for mon in sv.monitors.values()
+                for op in mon.window_execution().all_ops()
+            )
+            assert merged == per_address, name
+
+    def test_evicting_stream_checkpoints_cover_evicted_windows(self):
+        *_, (sv, fin) = checkpoints(
+            TestEviction()._stream(3, 120), 3, {}, None, 16
+        )
+        mon = sv.monitors["x"]
+        assert mon.evicted > 0 and mon._win_base_gap > 0
+        ex, witnesses = sv.window_witnesses(fin)
+        assert ex.num_ops == len(witnesses["x"]) < 40
+        assert ex.initial == {"x": mon.base_value}
+
+    def test_agrees_with_per_address_replay_under_tampering(self):
+        """Random single-step tampers at every fifth checkpoint: the
+        one-pass check rejects exactly when some per-address replay of
+        the same tampered witnesses does."""
+        rng = random.Random(2024)
+        rejected = 0
+        for name, sched, nproc, initial, final, window in streaming_corpus():
+            for step, (sv, fin) in enumerate(
+                checkpoints(sched, nproc, initial, final, window)
+            ):
+                if step % 5 or not sv.monitors:
+                    continue
+                ex, witnesses = sv.window_witnesses(fin)
+                if not any(witnesses.values()):
+                    continue
+                bad = tamper(witnesses, rng)
+                new = check_coherence_witnesses(ex, bad)
+                old = all(
+                    is_coherent_schedule(
+                        mon.window_execution(
+                            {a: fin[a]} if fin and a in fin else None
+                        ),
+                        bad[a],
+                    )
+                    for a, mon in sv.monitors.items()
+                )
+                assert bool(new) == old, (name, step, new.reason)
+                rejected += not new
+        assert rejected > 300
+
+    # Commit order: P0 W(x,1); P1 W(y,5); P1 R(x,1); P1 R(x,1);
+    # P0 R(y,5); P0 W(x,2); P1 R(x,2).
+    STREAM = [
+        Operation(OpKind.WRITE, "x", 0, 0, value_written=1),
+        Operation(OpKind.WRITE, "y", 1, 0, value_written=5),
+        Operation(OpKind.READ, "x", 1, 1, value_read=1),
+        Operation(OpKind.READ, "x", 1, 2, value_read=1),
+        Operation(OpKind.READ, "y", 0, 1, value_read=5),
+        Operation(OpKind.WRITE, "x", 0, 2, value_written=2),
+        Operation(OpKind.READ, "x", 1, 3, value_read=2),
+    ]
+
+    def _witnesses(self):
+        sv = StreamingVerifier(2, window=64)
+        for op in self.STREAM:
+            assert sv.feed_op(op) is None
+        ex, w = sv.window_witnesses({"x": 2, "y": 5})
+        assert check_coherence_witnesses(ex, w)
+        wx, wy = w["x"], w["y"]
+        assert [str(op) for op in wx] == [
+            "P0.W(x,1)", "P1.R(x,1)", "P1.R(x,1)", "P0.W(x,2)", "P1.R(x,2)"
+        ]
+        assert [str(op) for op in wy] == ["P1.W(y,5)", "P0.R(y,5)"]
+        return ex, wx, wy
+
+    def _rejects(self, ex, wx, wy, address, reason):
+        check = check_coherence_witnesses(ex, {"x": wx, "y": wy})
+        assert not check
+        assert check.address == address
+        assert reason in check.reason
+        return check
+
+    def test_dropped_op_rejected(self):
+        ex, wx, wy = self._witnesses()
+        self._rejects(ex, wx[:2] + wx[3:], wy, "x", "missing operation P1.R(x,1)")
+
+    def test_duplicated_op_rejected(self):
+        ex, wx, wy = self._witnesses()
+        self._rejects(ex, wx[:1] + wx, wy, "x", "appears twice")
+
+    def test_swapped_op_rejected(self):
+        ex, wx, wy = self._witnesses()
+        check = self._rejects(
+            ex, [wx[1], wx[0]] + wx[2:], wy, "x",
+            "reads 1 but the current value of 'x' is INITIAL",
+        )
+        assert check.position == 0
+
+    def test_changed_read_value_rejected(self):
+        ex, wx, wy = self._witnesses()
+        r = wx[4]
+        forged = Operation(OpKind.READ, "x", r.proc, r.index, value_read=1)
+        self._rejects(ex, wx[:4] + [forged], wy, "x", "differs from")
+
+    def test_foreign_op_rejected(self):
+        ex, wx, wy = self._witnesses()
+        alien = Operation(OpKind.WRITE, "y", 1, 9, value_written=5)
+        self._rejects(ex, wx, wy + [alien], "y", "not part of the execution")
+
+    def test_op_moved_to_another_address_rejected(self):
+        ex, wx, wy = self._witnesses()
+        self._rejects(ex, wx + wy[1:], wy[:1], "x", "not an operation at 'x'")
+
+    def test_broken_program_order_rejected(self):
+        ex, wx, wy = self._witnesses()
+        self._rejects(
+            ex, [wx[0], wx[2], wx[1]] + wx[3:], wy, "x", "program order"
+        )
+
+    def test_wrong_final_value_rejected(self):
+        ex, wx, wy = self._witnesses()
+        ex.final["y"] = 6
+        check = self._rejects(ex, wx, wy, "y", "final value of 'y' is 5")
+        assert check.position == 1
+
+    def test_rejected_witness_is_unknown_under_strict(self, monkeypatch):
+        """A checkpoint whose witnesses fail the one-pass check names the
+        address: UNKNOWN(uncertified) under strict, an error under on."""
+        real = StreamingVerifier.window_witnesses
+
+        def forged(self, final=None):
+            ex, w = real(self, final)
+            w["x"] = w["x"][1:]
+            return ex, w
+
+        monkeypatch.setattr(StreamingVerifier, "window_witnesses", forged)
+        v, _, _ = drive(self.STREAM, 2, {}, None, certify="strict")
+        assert v.kind == "unknown"
+        assert v.result.unknown_reason == "uncertified"
+        assert "final witness rejected for 'x'" in v.result.reason
+        with pytest.raises(CertificationError, match="witness rejected"):
+            drive(self.STREAM, 2, {}, None, certify="on")
 
 
 # ---------------------------------------------------------------------

@@ -53,6 +53,47 @@ class TestDelayModels:
         assert model.delay(CORE0, ("core", 5), None) == 6
         assert model.delay(("home", 0), ("core", 3), None) == 1
 
+    def test_campaign_help_examples_give_distinct_runs(self):
+        """Each delay model ``repro campaign --delay-models`` offers as an
+        example must change the run at one seed under the campaign's
+        defaults (4 processors, 2 homes): a NUMA example whose sockets
+        hold every endpoint runs exactly like ``fixed:1``."""
+        import re
+
+        from repro.cli import build_parser
+        from repro.memsys.directory import DirectorySystem
+        from repro.memsys.system import SystemConfig
+        from repro.memsys.workloads import random_shared_workload
+
+        sub = next(
+            a for a in build_parser()._actions if a.dest == "command"
+        ).choices["campaign"]
+        help_text = next(
+            a.help for a in sub._actions if "--delay-models" in a.option_strings
+        )
+        specs = re.search(r"'([^']+)'", help_text).group(1).split(",")
+        assert {spec.split(":")[0] for spec in specs} == {
+            "fixed", "uniform", "numa"
+        }
+        scripts, init = random_shared_workload(
+            num_processors=4, ops_per_processor=40, num_addresses=3,
+            write_fraction=0.35, seed=5,
+        )
+        runs = set()
+        for spec in specs:
+            cfg = SystemConfig(
+                num_processors=4, protocol="MSI", seed=5, delay_model=spec,
+                num_homes=2,
+            )
+            system = DirectorySystem(cfg, scripts, initial_memory=dict(init))
+            res = system.run()
+            runs.add((
+                res.steps,
+                system.network.stats.sent,
+                tuple(str(op) for op in res.commit_log),
+            ))
+        assert len(runs) == len(specs), specs
+
     @pytest.mark.parametrize(
         "spec",
         ["warp:1", "uniform:1", "uniform", "numa:1", "fixed:x"],
