@@ -55,7 +55,11 @@ process-pool tasks do not ship redundant columns.
 from __future__ import annotations
 
 from array import array
-from typing import Hashable
+from bisect import bisect_left
+from collections import Counter
+from itertools import repeat
+from operator import add, itemgetter, mul
+from typing import Hashable, NamedTuple
 
 from repro.core.types import (
     Address,
@@ -93,6 +97,35 @@ COLUMN_TYPECODES = {
 OP_COLUMNS = tuple(COLUMN_TYPECODES)
 
 
+class RoutingFacts(NamedTuple):
+    """The facts Figure 5.3's router reads off an instance (the longest
+    history is ``Execution.max_ops_per_process``, no column walk)."""
+
+    #: Largest number of writes of one (address, value) pair.
+    max_writes_per_value: int
+    #: Whether some write writes its address's initial value again.
+    rewrites_initial: bool
+    #: The kinds that occur, as :data:`KIND_CODES` codes.
+    kind_codes: frozenset
+
+    @staticmethod
+    def of(view: "ColumnarTrace") -> "RoutingFacts":
+        # One int per (address, written value) pair, negative for ops
+        # that do not write; counted at C speed.
+        n_addrs = len(view.addrs) or 1
+        pairs = Counter(map(
+            add, map(mul, view.write_vids, repeat(n_addrs)), view.addr_ids
+        ))
+        return RoutingFacts(
+            max((c for k, c in pairs.items() if k >= 0), default=0),
+            any(
+                vid * n_addrs + ai in pairs
+                for ai, vid in enumerate(view.initial_ids)
+            ),
+            frozenset(view.kinds),
+        )
+
+
 class ColumnarTrace:
     """Immutable structure-of-arrays view of one :class:`Execution`."""
 
@@ -117,6 +150,7 @@ class ColumnarTrace:
         "_uid_pos",
         "_addr_id_of",
         "_source_ops",
+        "_routing",
     )
 
     def __init__(
@@ -161,6 +195,7 @@ class ColumnarTrace:
         #: binary format); lets op_at/restricted views hand back the
         #: *same* objects the caller already holds.
         self._source_ops: tuple[Operation, ...] | None = None
+        self._routing: RoutingFacts | None = None
 
     # -- construction ---------------------------------------------------
     @staticmethod
@@ -304,6 +339,14 @@ class ColumnarTrace:
         }
         return Execution(histories, initial=initial, final=final)
 
+    @property
+    def operations(self) -> tuple[Operation, ...]:
+        """Every operation in flat order (:meth:`op_at` of each
+        position), kept once materialized."""
+        if self._source_ops is None:
+            self._source_ops = tuple(map(self.op_at, range(self.n_ops)))
+        return self._source_ops
+
     def op_at(self, i: int) -> Operation:
         """The :class:`Operation` at flat position ``i`` — the original
         object when the view came from an Execution, a freshly (and
@@ -324,26 +367,102 @@ class ColumnarTrace:
         )
 
     # -- address-restricted views -----------------------------------------
+    def address_view(self, ai: int) -> "ColumnarTrace":
+        """The view of the single-address sub-execution for ``addrs[ai]``,
+        sliced from this view's columns: the rows at ``addr_ops[ai]``,
+        gathered column by column, with value ids renumbered to the
+        sub-execution's own first-appearance order.  The result equals
+        ``ColumnarTrace.from_execution`` of that sub-execution, column
+        for column, without walking its operations."""
+        positions = self.addr_ops[ai]
+        n = len(positions)
+        if n > 1:
+            take = itemgetter(*positions)
+        else:  # itemgetter of one index returns the item, not a tuple
+
+            def take(col):
+                return tuple(col[i] for i in positions)
+
+        rvs = take(self.read_vids)
+        wvs = take(self.write_vids)
+        procs = take(self.procs)
+        # Local value ids: first appearance over (read, written) per op,
+        # then the initial and the final value — from_execution's order.
+        walk = [-1] * (2 * n)
+        walk[0::2] = rvs
+        walk[1::2] = wvs
+        seen = dict.fromkeys(walk)
+        seen.pop(-1, None)
+        init = self.initial_ids[ai]
+        fin = self.final_ids[ai]
+        seen[init] = None
+        if fin >= 0:
+            seen[fin] = None
+        local = {pv: i for i, pv in enumerate(seen)}
+        values = tuple(map(self.values.__getitem__, local))
+        local[-1] = -1
+        # Rows are process-major, so each process's slice starts where
+        # the first row of a later process would be inserted.
+        offsets = [bisect_left(procs, p) for p in range(self.n_procs)]
+        offsets.append(n)
+        view = ColumnarTrace(
+            kinds=array(COLUMN_TYPECODES["kinds"], bytes(take(self.kinds))),
+            procs=array(COLUMN_TYPECODES["procs"], procs),
+            indices=array(COLUMN_TYPECODES["indices"], take(self.indices)),
+            addr_ids=array(COLUMN_TYPECODES["addr_ids"], bytes(4 * n)),
+            read_vids=array(
+                COLUMN_TYPECODES["read_vids"],
+                list(map(local.__getitem__, rvs)),
+            ),
+            write_vids=array(
+                COLUMN_TYPECODES["write_vids"],
+                list(map(local.__getitem__, wvs)),
+            ),
+            proc_offsets=array("Q", offsets),
+            addrs=(self.addrs[ai],),
+            values=values,
+            n_touched=1 if n else 0,
+            n_constrained=1 if n or fin >= 0 else 0,
+            initial_ids=array("i", (local[init],)),
+            implicit_initial=array("B", (0,)),
+            final_ids=array("i", (local[fin],)),
+        )
+        view._source_ops = take(self.operations)
+        return view
+
     def restrict_to_address_id(self, ai: int) -> Execution:
         """Single-address sub-execution for ``addrs[ai]`` (the engine's
-        per-address VMC task unit), built from the column slices."""
-        addr = self.addrs[ai]
-        positions = self.addr_ops[ai]
-        per_proc: list[list[Operation]] = [[] for _ in range(self.n_procs)]
-        for i in positions:
-            per_proc[self.procs[i]].append(self.op_at(i))
+        per-address VMC task unit), carrying :meth:`address_view` as its
+        cached columnar view."""
+        view = self.address_view(ai)
+        ops = view._source_ops
+        offsets = view.proc_offsets
         histories = []
         for p in range(self.n_procs):
             ph = object.__new__(ProcessHistory)
             object.__setattr__(ph, "proc", p)
-            object.__setattr__(ph, "operations", tuple(per_proc[p]))
+            object.__setattr__(
+                ph, "operations", ops[offsets[p]:offsets[p + 1]]
+            )
             histories.append(ph)
+        addr = self.addrs[ai]
         ex = object.__new__(Execution)
         ex.histories = tuple(histories)
         ex.initial = {addr: self.values[self.initial_ids[ai]]}
         fi = self.final_ids[ai]
         ex.final = {addr: self.values[fi]} if fi >= 0 else {}
+        ex._columnar = view
         return ex
+
+    # -- routing facts ------------------------------------------------------
+    @property
+    def routing(self) -> "RoutingFacts":
+        """What the backend router asks of an instance, read off the
+        columns once (C-level counts) and cached on the view."""
+        facts = self._routing
+        if facts is None:
+            facts = self._routing = RoutingFacts.of(self)
+        return facts
 
     def addr_index(self, addr: Address) -> int:
         """Address → id (cached dict; KeyError for unknown addresses)."""

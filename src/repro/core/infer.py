@@ -275,7 +275,7 @@ class Inference:
         (see :data:`Step`) — the raw material of ``cycle``
         certificates."""
         if self._steps is None:
-            self._steps = _materialize_steps(self._sat, self._ops)
+            self._steps = _materialize_steps(self._sat.steps(), self._ops)
         return self._steps
 
     @steps.setter
@@ -283,7 +283,7 @@ class Inference:
         self._steps = value
 
 
-def _materialize_steps(sat, ops: list[Operation]) -> list[Step]:
+def _materialize_steps(rows, ops: list[Operation]) -> list[Step]:
     return [
         (
             ops[u].uid,
@@ -291,8 +291,68 @@ def _materialize_steps(sat, ops: list[Operation]) -> list[Step]:
             RULE_NAMES[rule],
             (ops[aw].uid, ops[ar].uid) if aw >= 0 else None,
         )
-        for u, v, rule, aw, ar in sat.steps()
+        for u, v, rule, aw, ar in rows
     ]
+
+
+def _cycle_slice(
+    rows: list[tuple[int, int, int, int, int]],
+    first: dict[tuple[int, int], int],
+    cycle: list[int],
+) -> list[int]:
+    """The log positions a ``cycle`` certificate needs: a backward slice
+    of the saturation log from the cycle's edges.
+
+    A cycle edge needs the first step that derived it.  A ``wr``/``fr``
+    closure step needs the ``rf`` step of the pair it cites, and one
+    path of *earlier* steps that the checker's reachability test walks
+    (``wr u -> w`` citing ``(w, r)``: from ``u`` to ``r``; ``fr r -> v``:
+    from ``w`` to ``v``) — the fewest steps, by breadth-first search.
+    Every needed step is added with its own needs, transitively, and
+    the slice keeps log order, so a checker replaying it validates each
+    step from steps it has already validated."""
+    out: dict[int, list[tuple[int, int]]] = {}
+    rf_step: dict[tuple[int, int], int] = {}
+    for k, (u, v, rule, _aw, _ar) in enumerate(rows):
+        out.setdefault(u, []).append((v, k))
+        if rule == RULE_RF:
+            rf_step.setdefault((u, v), k)
+
+    def path(src: int, dst: int, before: int) -> list[int]:
+        parent: dict[int, int] = {src: -1}  # node -> step that reached it
+        frontier = [src]
+        while frontier and dst not in parent:
+            nxt = []
+            for u in frontier:
+                for v, k in out.get(u, ()):
+                    if k < before and v not in parent:
+                        parent[v] = k
+                        nxt.append(v)
+            frontier = nxt
+        if dst not in parent:
+            return []  # the checker will reject the step, as it should
+        ks = []
+        while dst != src:
+            k = parent[dst]
+            ks.append(k)
+            dst = rows[k][0]
+        return ks
+
+    todo = [
+        first[e] for e in zip(cycle, cycle[1:] + cycle[:1]) if e in first
+    ]
+    keep: set[int] = set()
+    while todo:
+        k = todo.pop()
+        if k in keep:
+            continue
+        keep.add(k)
+        u, v, rule, aw, ar = rows[k]
+        if rule == RULE_WR or rule == RULE_FR:
+            if (aw, ar) in rf_step:
+                todo.append(rf_step[(aw, ar)])
+            todo += path(u, ar, k) if rule == RULE_WR else path(aw, v, k)
+    return sorted(keep)
 
 
 def _why(
@@ -460,14 +520,14 @@ def infer_order(execution: Execution) -> Inference:
     cycle = g.saturate(forced_rf, writes)
     inf.rounds = g.rounds
     if cycle is not None:
-        wanted = set(zip(cycle, cycle[1:] + cycle[:1]))
-        rule_of: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for u, v, rule, aw, ar in g.steps():
-            if (u, v) in wanted and (u, v) not in rule_of:
-                rule_of[(u, v)] = (rule, aw, ar)
+        rows = list(g.steps())
+        first: dict[tuple[int, int], int] = {}
+        for k, (u, v, _rule, _aw, _ar) in enumerate(rows):
+            first.setdefault((u, v), k)
         steps = []
         for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            rule, aw, ar = rule_of.get((u, v), (RULE_PO, -1, -1))
+            k = first.get((u, v))
+            rule, aw, ar = rows[k][2:] if k is not None else (RULE_PO, -1, -1)
             steps.append(
                 f"{ops[u]} -> {ops[v]} [{_why(rule, u, v, aw, ar, ops, d_f)}]"
             )
@@ -483,7 +543,10 @@ def infer_order(execution: Execution) -> Inference:
             certificate=Certificate(
                 "cycle",
                 (
-                    tuple(_materialize_steps(g, ops)),
+                    tuple(_materialize_steps(
+                        [rows[k] for k in _cycle_slice(rows, first, cycle)],
+                        ops,
+                    )),
                     tuple(ops[u].uid for u in cycle),
                 ),
             ),

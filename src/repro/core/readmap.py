@@ -27,37 +27,48 @@ The paper quotes O(n) for simple operations and O(n lg n) for RMWs.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from repro.core.types import (
-    Address,
-    Execution,
-    OpKind,
-    Operation,
-    Value,
-)
+from repro.core.columnar import KIND_CODES, ColumnarTrace
 from repro.core.result import VerificationResult
-from repro.util.digraph import CycleError, Digraph
+from repro.core.types import Execution, OpKind
+from repro.util.digraph import CycleError, kahn
+
+_RMW = KIND_CODES[OpKind.RMW]
+_SYNC = frozenset((KIND_CODES[OpKind.ACQUIRE], KIND_CODES[OpKind.RELEASE]))
 
 
-def applicable(execution: Execution, addr: Address | None = None) -> bool:
-    """True when every value is written at most once (per address)."""
-    return execution.max_writes_per_value(addr) <= 1
+def applicable(execution: Execution) -> bool:
+    """True when every value is written at most once (per address) and
+    no operation is a sync operation (the read-map has no block for
+    one)."""
+    facts = execution.columnar().routing
+    return facts.max_writes_per_value <= 1 and not facts.kind_codes & _SYNC
+
+
+def _violated(reason: str) -> VerificationResult:
+    return VerificationResult(holds=False, method="readmap", reason=reason)
 
 
 def readmap_vmc(execution: Execution) -> VerificationResult:
-    """Decide VMC for a single-address, unique-write-values execution."""
-    addrs = execution.constrained_addresses()
+    """Decide VMC for a single-address, unique-write-values execution.
+
+    Runs over the execution's columnar view: blocks, chains and the
+    precedence graph are flat int lists indexed by op position, block
+    and chain; operations are only looked up to phrase a reason and to
+    emit the witness."""
+    view: ColumnarTrace = execution.columnar()
+    addrs = list(view.addrs[: view.n_constrained])
     if len(addrs) > 1:
         raise ValueError(f"readmap VMC is per-address, got {addrs}")
     addr = addrs[0] if addrs else None
-    if not applicable(execution):
+    if view.routing.max_writes_per_value > 1:
         raise ValueError("some value is written more than once")
+    if view.routing.kind_codes & _SYNC:
+        raise ValueError("sync operations have no place in a read-map")
     d_i = execution.initial_value(addr) if addr is not None else None
     d_f = execution.final_value(addr) if addr is not None else None
 
-    ops = [op for h in execution.histories for op in h]
-    if not ops:
+    n = view.n_ops
+    if not n:
         ok = d_f is None or d_f == d_i
         return VerificationResult(
             holds=ok,
@@ -66,180 +77,160 @@ def readmap_vmc(execution: Execution) -> VerificationResult:
             reason="" if ok else f"no operations but final value {d_f!r} "
             f"differs from initial {d_i!r}",
         )
+    ops = view.operations
+    kinds, rvs, wvs = view.kinds, view.read_vids, view.write_vids
+    init_vid = view.initial_ids[0]
 
     # --- 1. map each op to a block ------------------------------------
-    # Block 0 is the initial block.  Block i+1 belongs to writer ops[i].
-    writers: list[Operation] = [op for op in ops if op.kind.writes]
-    block_of_value: dict[Value, int] = {}
-    for b, w in enumerate(writers, start=1):
-        v = w.value_written
-        if v == d_i:
-            # A write re-creating the initial value is still a distinct
-            # block; reads of d_i are only unambiguous if they can be
-            # attributed.  Reads of d_i are assigned to the *initial*
-            # block (they may also read from this write, so the forced
-            # read-map assumption breaks).  Fall back to exact in the
-            # dispatcher for this corner; here we treat it as ambiguous.
-            raise ValueError(
-                "a write re-creates the initial value; read-map is not "
-                "forced — use the exact solver"
-            )
-        block_of_value[v] = b
-
+    # Block 0 is the initial block; block b >= 1 belongs to the b-th
+    # writer (flat order).  ``block_of[i]`` is the block op i opens (a
+    # writer) or joins (a plain read).
+    writers = [i for i, w in enumerate(wvs) if w >= 0]
+    block_of_vid = [-1] * len(view.values)
+    block_of = [0] * n
+    for b, i in enumerate(writers, start=1):
+        block_of_vid[wvs[i]] = b
+        block_of[i] = b
+    if block_of_vid[init_vid] >= 0:
+        # A write re-creating the initial value makes reads of d_i
+        # ambiguous (the initial block or that write): the read-map is
+        # not forced, and the router sends such instances to exact.
+        raise ValueError(
+            "a write re-creates the initial value; read-map is not "
+            "forced — use the exact solver"
+        )
+    block_of_vid[init_vid] = 0  # reads of d_i join the initial block
     num_blocks = len(writers) + 1
-    block_write: list[Operation | None] = [None] + writers
-    block_reads: list[list[Operation]] = [[] for _ in range(num_blocks)]
-    block_of_op: dict[tuple[int, int], int] = {}
-    for b, w in enumerate(writers, start=1):
-        block_of_op[w.uid] = b
-
-    rmw_reading_block: dict[int, Operation] = {}  # block -> the RMW reading it
-    for op in ops:
-        if not op.kind.reads:
+    block_write = [None, *map(ops.__getitem__, writers)]
+    block_reads: list[list] = [[] for _ in range(num_blocks)]
+    rmw_reader = [-1] * num_blocks  # block -> the RMW reading it
+    for i, rv in enumerate(rvs):
+        if rv < 0:
             continue
-        v = op.value_read
-        if v == d_i and v not in block_of_value:
-            b = 0
-        elif v in block_of_value:
-            b = block_of_value[v]
-        else:
-            return VerificationResult(
-                holds=False,
-                method="readmap",
-                reason=f"{op} reads {v!r}, which is never written and is "
-                f"not the initial value {d_i!r}",
+        b = block_of_vid[rv]
+        if b < 0:
+            return _violated(
+                f"{ops[i]} reads {ops[i].value_read!r}, which is never "
+                f"written and is not the initial value {d_i!r}"
             )
-        if op.kind is OpKind.RMW:
-            if b == block_of_op[op.uid]:
-                return VerificationResult(
-                    holds=False,
-                    method="readmap",
-                    reason=f"{op} would have to read its own written value",
+        if kinds[i] == _RMW:
+            if b == block_of[i]:
+                return _violated(
+                    f"{ops[i]} would have to read its own written value"
                 )
-            if b in rmw_reading_block:
-                return VerificationResult(
-                    holds=False,
-                    method="readmap",
-                    reason=(
-                        f"both {rmw_reading_block[b]} and {op} must "
-                        f"immediately follow the unique write of "
-                        f"{v!r}; they cannot both be adjacent to it"
-                    ),
+            if rmw_reader[b] >= 0:
+                return _violated(
+                    f"both {ops[rmw_reader[b]]} and {ops[i]} must "
+                    f"immediately follow the unique write of "
+                    f"{ops[i].value_read!r}; they cannot both be adjacent "
+                    f"to it"
                 )
-            rmw_reading_block[b] = op
+            rmw_reader[b] = i
         else:
-            block_reads[b].append(op)
-            block_of_op[op.uid] = b
+            block_reads[b].append(ops[i])
+            block_of[i] = b
 
     # --- 2. fuse RMW chains -------------------------------------------
-    # chain id = representative block; union along rmw edges b -> block(rmw).
-    next_block: dict[int, int] = {
-        b: block_of_op[op.uid] for b, op in rmw_reading_block.items()
-    }
-    in_chain_pred: dict[int, int] = {v: k for k, v in next_block.items()}
-    if len(in_chain_pred) != len(next_block):
+    # A block read by an RMW is immediately followed by the RMW's block;
+    # ``bpos[b]`` is block b's position in its chain.
+    next_block = [-1 if r < 0 else block_of[r] for r in rmw_reader]
+    links = [b for b in next_block if b >= 0]
+    has_pred = set(links)
+    if len(has_pred) != len(links):
         # Two blocks chain into the same successor — impossible since a
         # block's RMW reader is unique, and an RMW reads one value.
-        return VerificationResult(
-            holds=False,
-            method="readmap",
-            reason="conflicting read-modify-write adjacency requirements",
-        )
-    chain_head: dict[int, int] = {}
-    chain_members: dict[int, list[int]] = {}
-    for b in range(num_blocks):
-        if b in in_chain_pred:
-            continue  # not a head
-        members = [b]
-        cur = b
-        seen = {b}
-        while cur in next_block:
-            cur = next_block[cur]
-            if cur in seen:
-                return VerificationResult(
-                    holds=False,
-                    method="readmap",
-                    reason="read-modify-write adjacency forms a cycle of blocks",
-                )
-            seen.add(cur)
-            members.append(cur)
-        for m in members:
-            chain_head[m] = b
-        chain_members[b] = members
-    if len(chain_head) != num_blocks:
-        # Some blocks only appear inside a cycle of next_block links.
-        return VerificationResult(
-            holds=False,
-            method="readmap",
-            reason="read-modify-write adjacency forms a cycle of blocks",
-        )
-
-    heads = sorted(chain_members)
-    chain_index = {h: i for i, h in enumerate(heads)}
-
-    def chain_of_block(b: int) -> int:
-        return chain_index[chain_head[b]]
-
-    # Position of each op inside its chain, for intra-chain po checks:
-    # (block position in chain, 0 for the write / RMW, 1 for reads).
-    op_pos: dict[tuple[int, int], tuple[int, int]] = {}
-    for head, members in chain_members.items():
-        for bi, b in enumerate(members):
-            w = block_write[b]
-            if w is not None:
-                op_pos[w.uid] = (bi, 0)
-            for r in block_reads[b]:
-                op_pos[r.uid] = (bi, 1)
+        return _violated("conflicting read-modify-write adjacency requirements")
+    bpos = [0] * num_blocks
+    if not links:
+        chain_of = list(range(num_blocks))
+        chains = [[b] for b in chain_of]
+    else:
+        chain_of = [-1] * num_blocks
+        chains = []  # chain id -> its blocks, head first
+        for b in range(num_blocks):
+            if b in has_pred:
+                continue  # not a head
+            c = len(chains)
+            members = [b]
+            chain_of[b] = c
+            cur = b
+            while next_block[cur] >= 0:
+                cur = next_block[cur]
+                if chain_of[cur] == c:
+                    return _violated(
+                        "read-modify-write adjacency forms a cycle of blocks"
+                    )
+                chain_of[cur] = c
+                bpos[cur] = len(members)
+                members.append(cur)
+            chains.append(members)
+        if sum(map(len, chains)) != num_blocks:
+            # Some blocks only appear inside a cycle of next_block links.
+            return _violated(
+                "read-modify-write adjacency forms a cycle of blocks"
+            )
+    chain_at = list(map(chain_of.__getitem__, block_of))
 
     # --- 3. precedence digraph over chains ------------------------------
-    g = Digraph(len(heads))
-    init_chain = chain_of_block(0)
-    for i in range(len(heads)):
-        if i != init_chain:
-            g.add_edge(init_chain, i)
-    for h in execution.histories:
-        for o1, o2 in zip(h.operations, h.operations[1:]):
-            c1, c2 = chain_of_block(block_of_op[o1.uid]), chain_of_block(
-                block_of_op[o2.uid]
-            )
-            if c1 == c2:
-                if op_pos[o1.uid] > op_pos[o2.uid]:
-                    return VerificationResult(
-                        holds=False,
-                        method="readmap",
-                        reason=f"program order {o1} -> {o2} contradicts the "
-                        f"forced order within their write-block chain",
-                    )
-            else:
-                g.add_edge(c1, c2)
+    # Successor lists in insertion order, an edge-key set for dedup and
+    # in-degrees over distinct predecessors: the init chain precedes
+    # every other chain, program order links chains, and the final
+    # value's chain follows every other.
+    nc = len(chains)
+    init_chain = chain_of[0]
+    succ: list[list[int]] = [[] for _ in range(nc)]
+    succ[init_chain] = [*range(init_chain), *range(init_chain + 1, nc)]
+    edges = set(range(init_chain * nc, (init_chain + 1) * nc))
+    indeg = [1] * nc
+    indeg[init_chain] = 0
+    offsets = view.proc_offsets
+    for p in range(view.n_procs):
+        start = offsets[p]
+        run = chain_at[start:offsets[p + 1]]
+        for i, (c1, c2) in enumerate(zip(run, run[1:]), start):
+            if c1 != c2:
+                k = c1 * nc + c2
+                if k not in edges:
+                    edges.add(k)
+                    succ[c1].append(c2)
+                    indeg[c2] += 1
+            # Within one chain, program order must agree with the
+            # chain's order: block position, then write before reads.
+            elif 2 * bpos[block_of[i]] + (wvs[i] < 0) > (
+                2 * bpos[block_of[i + 1]] + (wvs[i + 1] < 0)
+            ):
+                return _violated(
+                    f"program order {ops[i]} -> {ops[i + 1]} contradicts "
+                    f"the forced order within their write-block chain"
+                )
     if d_f is not None:
-        fb = block_of_value.get(d_f)
-        if fb is None:
-            if writers or d_f != d_i:
-                return VerificationResult(
-                    holds=False,
-                    method="readmap",
-                    reason=f"required final value {d_f!r} is never written"
-                    + ("" if writers else f" and initial is {d_i!r}"),
+        fin_vid = view.final_ids[0]
+        fb = block_of_vid[fin_vid] if fin_vid != init_vid else -1
+        if fb < 0:
+            if writers or fin_vid != init_vid:
+                return _violated(
+                    f"required final value {d_f!r} is never written"
+                    + ("" if writers else f" and initial is {d_i!r}")
                 )
         else:
             # The chain containing the final write must come last, and
             # the final write's block must be the last block of its chain.
-            fc = chain_of_block(fb)
-            if chain_members[chain_head[fb]][-1] != fb:
-                return VerificationResult(
-                    holds=False,
-                    method="readmap",
-                    reason=f"the write of final value {d_f!r} is forcibly "
-                    f"followed by a read-modify-write's own write",
+            fc = chain_of[fb]
+            if chains[fc][-1] != fb:
+                return _violated(
+                    f"the write of final value {d_f!r} is forcibly "
+                    f"followed by a read-modify-write's own write"
                 )
-            for i in range(len(heads)):
-                if i != fc:
-                    g.add_edge(i, fc)
+            for c in range(nc):
+                k = c * nc + fc
+                if c != fc and k not in edges:
+                    edges.add(k)
+                    succ[c].append(fc)
+                    indeg[fc] += 1
 
     # --- 4. topological order = witness --------------------------------
     try:
-        order = g.topological_order()
+        order = kahn(succ, indeg)
     except CycleError as e:
         return VerificationResult(
             holds=False,
@@ -247,18 +238,16 @@ def readmap_vmc(execution: Execution) -> VerificationResult:
             reason=f"write-block precedence graph is cyclic (chains {e.cycle})",
             stats={"cycle": e.cycle},
         )
-    schedule: list[Operation] = []
-    for ci in order:
-        head = heads[ci]
-        for b in chain_members[head]:
-            w = block_write[b]
-            if w is not None:
-                schedule.append(w)
-            schedule.extend(sorted(block_reads[b], key=lambda o: o.uid))
+    schedule: list = []
+    for c in order:
+        for b in chains[c]:
+            if b:
+                schedule.append(block_write[b])
+            schedule += block_reads[b]
     return VerificationResult(
         holds=True,
         method="readmap",
         schedule=schedule,
         address=addr,
-        stats={"blocks": num_blocks, "chains": len(heads)},
+        stats={"blocks": num_blocks, "chains": nc},
     )

@@ -22,6 +22,7 @@ a read returning it can only be scheduled before the first write.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import FrozenInstanceError, dataclass, field
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -402,15 +403,22 @@ class Execution:
 
     def max_writes_per_value(self, addr: Address | None = None) -> int:
         """Largest number of writes of any single (addr, value) pair."""
-        counts: dict[tuple[Address, Value], int] = {}
-        for op in self.all_ops():
-            if op.kind.writes and (addr is None or op.addr == addr):
-                key = (op.addr, op.value_written)
-                counts[key] = counts.get(key, 0) + 1
+        view = self.columnar()
+        if addr is None:
+            return view.routing.max_writes_per_value
+        try:
+            positions = view.addr_ops[view.addr_index(addr)]
+        except KeyError:
+            return 0
+        wvs = view.write_vids
+        counts = Counter(wvs[i] for i in positions)
+        counts.pop(-1, None)
         return max(counts.values(), default=0)
 
     def kinds_used(self) -> set[OpKind]:
-        return {op.kind for op in self.all_ops()}
+        from repro.core.columnar import KINDS_BY_CODE
+
+        return {KINDS_BY_CODE[k] for k in self.columnar().routing.kind_codes}
 
     def is_rmw_only(self) -> bool:
         kinds = self.kinds_used()

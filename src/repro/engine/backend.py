@@ -244,15 +244,8 @@ class ReadMapBackend(Backend):
         # The read-map is only *forced* when no write re-creates the
         # initial value (otherwise initial-value reads have two possible
         # sources); the router must fall through to the exact search.
-        if not readmap.applicable(instance.execution):
-            return False
-        sub = instance.execution
-        addrs = sub.addresses()
-        if not addrs:
-            return True
-        d_i = sub.initial_value(addrs[0])
-        return all(
-            op.value_written != d_i for op in sub.all_ops() if op.kind.writes
+        return readmap.applicable(instance.execution) and (
+            not instance.execution.columnar().routing.rewrites_initial
         )
 
     def cost_estimate(self, instance: Instance) -> float:

@@ -46,7 +46,6 @@ from repro.engine.backend import Instance
 from repro.engine.cache import (
     CanonicalInstance,
     ResultCache,
-    canonicalize,
     from_canonical,
     to_canonical,
 )
@@ -57,7 +56,7 @@ from repro.engine.certify import (
     validate_result,
 )
 from repro.engine.executor import ResiliencePolicy, execute_tasks
-from repro.engine.planner import key_method, plan_task
+from repro.engine.planner import address_tasks, key_method, plan_task
 from repro.engine.registry import vmc_registry
 from repro.engine.store import ResultStore
 
@@ -183,10 +182,8 @@ def plan_batch(
         if err is not None or execution is None:
             continue
         wos = write_orders[i] if write_orders is not None else None
-        for addr in execution.constrained_addresses():
-            sub = execution.restrict_to_address(addr)
-            wo = wos.get(addr) if wos else None
-            canon = canonicalize(sub, wo, "vmc", key)
+        for addr, instance, canon in address_tasks(execution, wos, key):
+            sub, wo = instance.execution, instance.write_order
             uidx = by_key.get(canon.key)
             if uidx is None:
                 uidx = by_key[canon.key] = len(uniques)

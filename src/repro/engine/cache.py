@@ -7,7 +7,9 @@ different value names, or with the processes permuted.  Coherence is
 invariant under all three relabelings, so the engine hashes a canonical
 form of every task and serves repeats from a dictionary.
 
-Canonicalization (:func:`canonicalize`):
+Canonicalization (:func:`canonicalize`), over the task's columnar
+view (a per-address task's view is sliced from its parent trace's
+columns, see :func:`repro.engine.planner.address_tasks`):
 
 * empty process histories are dropped (they cannot constrain a
   schedule);
@@ -15,11 +17,13 @@ Canonicalization (:func:`canonicalize`):
 * values (including initial and final values) are renamed to dense ids
   by first appearance — the initial value of the first address always
   becomes id 0;
-* each history becomes a tuple of ``(kind, addr_id, read_id,
-  write_id)`` codes, positions replacing the original program-order
+* each operation becomes three i32 codes ``(kind | addr_id << 3,
+  read_id, write_id)``, positions replacing the original program-order
   indices (sub-executions keep gappy parent indices);
-* histories are sorted lexicographically, making the fingerprint
-  invariant under most process permutations.
+* histories are sorted by their encoded bytes, making the fingerprint
+  invariant under most process permutations;
+* the key is those bytes behind ``problem NUL method NUL`` and the
+  counts that make the encoding injective.
 
 Equal fingerprints imply the two instances are isomorphic (the
 fingerprint is a faithful relabeling), so a cached verdict — and its
@@ -35,12 +39,15 @@ sorted), which only costs a cache miss, never a wrong answer.
 
 from __future__ import annotations
 
+import sys
 import threading
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Sequence
 
 from repro import obs
+from repro.core.columnar import KIND_CODES, ColumnarTrace
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.store import fingerprint_key
@@ -53,21 +60,46 @@ if TYPE_CHECKING:
 class CanonicalInstance:
     """A task's canonical form plus the maps back to the real ops."""
 
-    key: Hashable
-    #: Flat canonical op list: histories in canonical order, program
-    #: order within each; entries are the *original* operations.
-    ops: list[Operation]
-    #: uid -> position in ``ops``.
-    index_of: dict[tuple[int, int], int]
+    #: The canonical key: a flat byte encoding (see :func:`canonicalize`).
+    key: bytes
+    #: The columnar view the form was computed from.
+    view: ColumnarTrace
+    #: Flat positions of ``view`` in canonical order: histories in
+    #: canonical order, program order within each.
+    order: list[int]
     #: Canonical address id -> the original address.
     addrs: list[Address]
     #: The uids of the supplied write-order (None without one).
     write_order_uids: tuple | None = None
 
     @cached_property
+    def ops(self) -> list[Operation]:
+        """The original operations in canonical order."""
+        ops = self.view.operations
+        return [ops[i] for i in self.order]
+
+    @cached_property
+    def index_of(self) -> dict[tuple[int, int], int]:
+        """uid -> canonical position."""
+        procs, indices = self.view.procs, self.view.indices
+        return {(procs[i], indices[i]): k for k, i in enumerate(self.order)}
+
+    @cached_property
     def fingerprint(self) -> bytes:
         """The store's content address of ``key``, hashed once."""
         return fingerprint_key(self.key)
+
+
+def _int32s(ints: Sequence[int]) -> bytes:
+    """Little-endian i32 bytes of ``ints``, on every host."""
+    a = array("i", ints)
+    if sys.byteorder == "big":  # pragma: no cover
+        a.byteswap()
+    return a.tobytes()
+
+
+#: Bytes per encoded operation: three i32 codes.
+_OP_BYTES = 12
 
 
 @obs.timed("canon")
@@ -79,18 +111,23 @@ def canonicalize(
 ) -> CanonicalInstance:
     """Compute the canonical form of one verification task.
 
-    Runs over the columnar view's interned ids — one remap of the
-    already-deduplicated tables instead of re-hashing every operation's
-    objects — and produces keys identical to the original object walk
-    (interning uses the same hash/== semantics).
-    """
-    from repro.core.columnar import KINDS_BY_CODE
+    Runs over the execution's columnar view — for a per-address task,
+    the view sliced from its parent trace's columns
+    (:meth:`~repro.core.columnar.ColumnarTrace.address_view`) — with
+    C-level remaps of whole columns, and encodes the key as flat bytes:
 
+    ``problem NUL method NUL`` then little-endian i32s: the address and
+    history counts, each history's length, every operation as three
+    codes ``(kind | address id << 3, read value id, written value id)``
+    (``-1`` for no value), the ``(initial, final)`` value ids per
+    address, and the write-order — its length and four codes per entry
+    ``(canonical position, kind, read value id, written value id)``, or
+    ``-1`` without one.  The encoding is injective, so two tasks share
+    a key exactly when they share the canonical form.
+    """
     view = execution.columnar()
-    col_kinds = view.kinds
-    col_addr = view.addr_ids
-    col_rv = view.read_vids
-    col_wv = view.write_vids
+    n = view.n_ops
+    rvs, wvs = view.read_vids, view.write_vids
 
     # Canonical address order: touched ids by first appearance (the
     # view's own order), then final-only addresses ordered by repr so
@@ -101,70 +138,77 @@ def canonicalize(
         range(view.n_touched, view.n_constrained),
         key=lambda ai: repr(view.addrs[ai]),
     )
-    canon_aid = {ai: i for i, ai in enumerate(addr_order)}
 
-    # Canonical value ids: remap view vids by first appearance —
-    # initial values (canonical address order) first, then op values in
-    # flat order, then finals.
-    canon_vid: dict[int, int] = {}
-
-    def cvid(vv: int) -> int:
-        i = canon_vid.get(vv)
-        if i is None:
-            i = canon_vid[vv] = len(canon_vid)
-        return i
-
+    # Canonical value ids by first appearance: initial values (in
+    # canonical address order), then op values in flat order (read,
+    # then written), then final values.
+    walk = [-1] * (2 * n)
+    walk[0::2] = rvs
+    walk[1::2] = wvs
+    seen = dict.fromkeys(view.initial_ids[ai] for ai in addr_order)
+    seen.update(dict.fromkeys(walk))
+    seen.pop(-1, None)
     for ai in addr_order:
-        cvid(view.initial_ids[ai])
-    encoded: list[tuple] = []
-    nonempty: list[int] = []
-    for p in range(view.n_procs):
-        s = view.proc_slice(p)
-        if s.start == s.stop:
-            continue  # empty histories cannot constrain a schedule
-        nonempty.append(p)
-        row = []
-        for pos in range(s.start, s.stop):
-            rv = col_rv[pos]
-            wv = col_wv[pos]
-            row.append(
-                (
-                    KINDS_BY_CODE[col_kinds[pos]].value,
-                    canon_aid[col_addr[pos]],
-                    cvid(rv) if rv >= 0 else -1,
-                    cvid(wv) if wv >= 0 else -1,
-                )
-            )
-        encoded.append(tuple(row))
-    constraints = tuple(
-        (
-            canon_vid[view.initial_ids[ai]],
-            cvid(view.final_ids[ai]) if view.final_ids[ai] >= 0 else -1,
-        )
-        for ai in addr_order
+        if view.final_ids[ai] >= 0:
+            seen.setdefault(view.final_ids[ai])
+    cvid = {vv: i for i, vv in enumerate(seen)}
+    cvid[-1] = -1
+
+    codes = [0] * (3 * n)
+    if view.n_touched <= 1:
+        codes[0::3] = view.kinds
+    else:
+        aid_code = [0] * len(view.addrs)
+        for i, ai in enumerate(addr_order):
+            aid_code[ai] = i << 3
+        codes[0::3] = [
+            k | aid_code[a] for k, a in zip(view.kinds, view.addr_ids)
+        ]
+    codes[1::3] = list(map(cvid.__getitem__, rvs))
+    codes[2::3] = list(map(cvid.__getitem__, wvs))
+    blob = _int32s(codes)
+
+    # Histories (empty ones dropped: they cannot constrain a schedule)
+    # sorted by their encoding, which makes the key invariant under
+    # most process permutations.
+    spans = [
+        (view.proc_offsets[p], view.proc_offsets[p + 1])
+        for p in range(view.n_procs)
+        if view.proc_offsets[p] != view.proc_offsets[p + 1]
+    ]
+    rows = [blob[_OP_BYTES * s:_OP_BYTES * e] for s, e in spans]
+    perm = sorted(range(len(rows)), key=rows.__getitem__)
+    order: list[int] = []
+    for h in perm:
+        order.extend(range(*spans[h]))
+    tail = []
+    for ai in addr_order:
+        tail += (cvid[view.initial_ids[ai]], cvid[view.final_ids[ai]])
+    # The key is filled in last: the write-order part names canonical
+    # positions, which the instance maps.
+    canon = CanonicalInstance(
+        key=b"",
+        view=view,
+        order=order,
+        addrs=[view.addrs[ai] for ai in addr_order],
+        write_order_uids=(
+            tuple(op.uid for op in write_order)
+            if write_order is not None else None
+        ),
     )
-
-    perm = sorted(range(len(encoded)), key=lambda p: encoded[p])
-    flat: list[Operation] = []
-    index_of: dict[tuple[int, int], int] = {}
-    for p in perm:
-        s = view.proc_slice(nonempty[p])
-        for pos in range(s.start, s.stop):
-            op = view.op_at(pos)
-            index_of[op.uid] = len(flat)
-            flat.append(op)
-
-    wo_key: tuple | None = None
-    if write_order is not None:
+    if write_order is None:
+        tail.append(-1)
+    else:
         # Encode content as well as identity: a (possibly faulty)
         # memory system may hand back an order containing operations
         # that are missing from, or disagree with, the execution — the
         # write-order backend decides such instances "not coherent
         # under this order", and the fingerprint must distinguish them.
         # Foreign values (absent from the trace) extend the canonical
-        # numbering by value equality, like the old object walk did.
+        # numbering by value equality.
+        index_of = canon.index_of
         value_key: dict[Hashable, int] = {
-            view.values[vv]: cid for vv, cid in canon_vid.items()
+            view.values[vv]: cid for vv, cid in cvid.items() if vv >= 0
         }
 
         def vkey(v: Hashable) -> int:
@@ -173,33 +217,23 @@ def canonicalize(
                 cid = value_key[v] = len(value_key)
             return cid
 
-        wo_key = tuple(
-            (
+        tail.append(len(write_order))
+        for op in write_order:
+            tail += (
                 index_of.get(op.uid, -1),
-                op.kind.value,
+                KIND_CODES[op.kind],
                 vkey(op.value_read) if op.kind.reads else -1,
                 vkey(op.value_written) if op.kind.writes else -1,
             )
-            for op in write_order
-        )
-
-    key = (
-        problem,
-        method,
-        tuple(encoded[p] for p in perm),
-        constraints,
-        wo_key,
-    )
-    return CanonicalInstance(
-        key=key,
-        ops=flat,
-        index_of=index_of,
-        addrs=[view.addrs[ai] for ai in addr_order],
-        write_order_uids=(
-            tuple(op.uid for op in write_order)
-            if write_order is not None else None
-        ),
-    )
+    canon.key = b"".join((
+        f"{problem}\0{method}\0".encode(),
+        _int32s([len(addr_order), len(rows)] + [
+            len(rows[h]) // _OP_BYTES for h in perm
+        ]),
+        *(rows[h] for h in perm),
+        _int32s(tail),
+    ))
+    return canon
 
 
 def _map_certificate(
@@ -256,7 +290,9 @@ def to_canonical(
         return len(payload)
 
     try:
-        schedule = schedule and [canon.index_of[o.uid] for o in schedule]
+        schedule = schedule and [
+            canon.index_of[o.proc, o.index] for o in schedule
+        ]
     except KeyError:
         schedule = None
     return schedule, _map_certificate(
@@ -467,6 +503,6 @@ def fingerprint(
     write_order: Sequence[Operation] | None = None,
     problem: str = "vmc",
     method: str = "auto",
-) -> Hashable:
+) -> bytes:
     """The canonical cache key of a task (mostly for tests/debugging)."""
     return canonicalize(execution, write_order, problem, method).key

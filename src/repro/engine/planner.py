@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
@@ -242,6 +242,26 @@ def plan_task(
     return task
 
 
+def address_tasks(
+    execution: Execution,
+    write_orders: Mapping[Address, Sequence[Operation]] | None,
+    key: str | None,
+) -> Iterator[tuple[Address, Instance, CanonicalInstance | None]]:
+    """Every constrained address's VMC task, in address order, from the
+    execution's one columnar view: the sub-execution carries columns
+    sliced from the view's (never re-derived from its operations), and
+    with a ``key`` method the canonical form is computed over them —
+    ``None`` plans without a cache.  Both the planner and the batch
+    engine decompose through here."""
+    view = execution.columnar()
+    for ai in range(view.n_constrained):
+        addr = view.addrs[ai]
+        sub = view.restrict_to_address_id(ai)
+        wo = write_orders.get(addr) if write_orders else None
+        canon = canonicalize(sub, wo, "vmc", key) if key is not None else None
+        yield addr, Instance(sub, address=addr, write_order=wo), canon
+
+
 def plan_vmc(
     execution: Execution,
     method: str = "auto",
@@ -260,14 +280,9 @@ def plan_vmc(
     )
     tasks: list[PlannedTask] = []
     missed: dict = {}  # canonical key -> the first task that missed
-    for pos, addr in enumerate(execution.constrained_addresses()):
-        sub = execution.restrict_to_address(addr)
-        wo = write_orders.get(addr) if write_orders else None
-        instance = Instance(sub, address=addr, write_order=wo, problem="vmc")
-        canon = (
-            canonicalize(sub, wo, "vmc", key)
-            if cache is not None else None
-        )
+    for pos, (addr, instance, canon) in enumerate(address_tasks(
+        execution, write_orders, key if cache is not None else None
+    )):
         first = missed.get(canon.key) if canon is not None else None
         if first is not None:
             tasks.append(PlannedTask(

@@ -96,7 +96,9 @@ VERSION = 1
 #: The entry format inside a ``RECORD``: version 2 keeps certificates in
 #: canonical form (:func:`repro.engine.cache.to_canonical`); an older
 #: entry names uids, so it is a miss, never decoded as positions.
-RECORD_VERSION = 2
+#: Version 3 keys entries by the flat byte encoding of the canonical
+#: form; a version-2 entry (a nested-tuple key) is a miss, never served.
+RECORD_VERSION = 3
 #: Shard-file header: magic, version, reserved, generation.
 _HEADER = struct.Struct("<8sHHI")
 #: Record header: type, payload length, payload CRC-32.
@@ -125,15 +127,15 @@ PENDING_BYTES = 1 << 20
 PENDING_AGE_S = 1.0
 
 
-def fingerprint_key(key: Hashable) -> bytes:
+def fingerprint_key(key: bytes) -> bytes:
     """The 32-byte content address of a canonical cache key.
 
-    Canonical keys are nested tuples of ints, strings and ``None``
-    (see :func:`repro.engine.cache.canonicalize`), so ``repr`` is a
-    deterministic encoding — independent of ``PYTHONHASHSEED``,
-    process, and platform.
+    Canonical keys are flat byte strings (see
+    :func:`repro.engine.cache.canonicalize`), independent of
+    ``PYTHONHASHSEED``, process, and platform, so the address is their
+    SHA-256.
     """
-    return hashlib.sha256(repr(key).encode("utf-8")).digest()
+    return hashlib.sha256(key).digest()
 
 
 #: The store's lifetime counters (``store.stats.<name>``): LRU

@@ -25,6 +25,61 @@ class CycleError(ValueError):
         self.cycle = cycle
 
 
+def kahn(succ: list[list[int]], indeg: list[int]) -> list[int]:
+    """Kahn's algorithm over plain successor lists: ready nodes leave in
+    FIFO order, starting from the sources in ascending order.
+    ``indeg`` (distinct predecessors per node) is consumed.  Raises
+    :class:`CycleError` on a cycle."""
+    ready = deque(u for u, d in enumerate(indeg) if d == 0)
+    order: list[int] = []
+    while ready:
+        u = ready.popleft()
+        order.append(u)
+        for v in succ[u]:
+            indeg[v] -= 1
+            if indeg[v] == 0:
+                ready.append(v)
+    if len(order) != len(succ):
+        raise CycleError(find_cycle(succ))
+    return order
+
+
+def find_cycle(succ: list[list[int]]) -> list[int]:
+    """One directed cycle of the graph with successor lists ``succ``, as
+    a node list (empty if acyclic): the first one an iterative DFS from
+    the nodes in ascending order closes."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    n = len(succ)
+    color = [WHITE] * n
+    parent = [-1] * n
+    for start in range(n):
+        if color[start] != WHITE:
+            continue
+        stack: list[tuple[int, int]] = [(start, 0)]
+        color[start] = GRAY
+        while stack:
+            u, i = stack[-1]
+            if i < len(succ[u]):
+                stack[-1] = (u, i + 1)
+                v = succ[u][i]
+                if color[v] == WHITE:
+                    color[v] = GRAY
+                    parent[v] = u
+                    stack.append((v, 0))
+                elif color[v] == GRAY:
+                    cycle = [u]
+                    w = u
+                    while w != v:
+                        w = parent[w]
+                        cycle.append(w)
+                    cycle.reverse()
+                    return cycle
+            else:
+                color[u] = BLACK
+                stack.pop()
+    return []
+
+
 class Digraph:
     """Directed graph over dense integer nodes ``0..n-1``.
 
@@ -81,32 +136,19 @@ class Digraph:
         """
         indeg = list(self._pred_count)
         if tie_break is None:
-            ready: deque[int] | list[int] = deque(
-                u for u in range(self.n) if indeg[u] == 0
-            )
-            pop = ready.popleft  # type: ignore[union-attr]
-            push = ready.append
-        else:
-            import heapq
+            return kahn(self._succ, indeg)
+        import heapq
 
-            heap = [(tie_break[u], u) for u in range(self.n) if indeg[u] == 0]
-            heapq.heapify(heap)
-
-            def pop() -> int:
-                return heapq.heappop(heap)[1]
-
-            def push(v: int) -> None:
-                heapq.heappush(heap, (tie_break[v], v))
-
-            ready = heap  # for emptiness checks
+        heap = [(tie_break[u], u) for u in range(self.n) if indeg[u] == 0]
+        heapq.heapify(heap)
         order: list[int] = []
-        while ready:
-            u = pop()
+        while heap:
+            u = heapq.heappop(heap)[1]
             order.append(u)
             for v in self._succ[u]:
                 indeg[v] -= 1
                 if indeg[v] == 0:
-                    push(v)
+                    heapq.heappush(heap, (tie_break[v], v))
         if len(order) != self.n:
             raise CycleError(self.find_cycle())
         return order
@@ -120,35 +162,7 @@ class Digraph:
 
     def find_cycle(self) -> list[int]:
         """Return one directed cycle, as a node list (empty if acyclic)."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color = [WHITE] * self.n
-        parent = [-1] * self.n
-        for start in range(self.n):
-            if color[start] != WHITE:
-                continue
-            stack: list[tuple[int, int]] = [(start, 0)]
-            color[start] = GRAY
-            while stack:
-                u, i = stack[-1]
-                if i < len(self._succ[u]):
-                    stack[-1] = (u, i + 1)
-                    v = self._succ[u][i]
-                    if color[v] == WHITE:
-                        color[v] = GRAY
-                        parent[v] = u
-                        stack.append((v, 0))
-                    elif color[v] == GRAY:
-                        cycle = [u]
-                        w = u
-                        while w != v:
-                            w = parent[w]
-                            cycle.append(w)
-                        cycle.reverse()
-                        return cycle
-                else:
-                    color[u] = BLACK
-                    stack.pop()
-        return []
+        return find_cycle(self._succ)
 
     def reachable_from(self, sources: Iterable[int]) -> set[int]:
         """Set of nodes reachable from any of ``sources`` (inclusive)."""

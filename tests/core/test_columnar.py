@@ -171,6 +171,23 @@ class TestViewInvariants:
                 ex.restrict_to_address(addr), view.restrict_to_address_id(ai)
             )
 
+    def test_restrict_on_a_view_without_source_operations(self):
+        """A view decoded from bytes holds no Operation objects; its
+        sub-executions are built from the columns alone, and match."""
+        from repro.core.serialize_bin import dumps_bin, loads_bin_view
+
+        for seed in range(30):
+            ex = make_arbitrary_execution(
+                seed, addresses=("x", "y"), sync_locks=("l",)
+            )
+            bare = loads_bin_view(dumps_bin(ex))
+            assert bare._source_ops is None
+            for ai, addr in enumerate(bare.addrs):
+                sub = bare.restrict_to_address_id(ai)
+                assert_same_execution(ex.restrict_to_address(addr), sub)
+                built = ColumnarTrace.from_execution(sub)
+                assert sub.columnar().column_bytes() == built.column_bytes()
+
 
 class TestExecutionIntegration:
     def test_addresses_and_constrained_addresses_via_view(self):

@@ -20,6 +20,19 @@ class TestApplicability:
         ex = parse_trace("P0: W(x,1)\nP1: W(x,1)")
         assert not applicable(ex)
 
+    def test_sync_ops_not_applicable(self):
+        """A lock address has no read-map; the router must not pick
+        the read-map for it (it used to, and crashed)."""
+        ex = parse_trace("P0: ACQ(l) W(x,1) REL(l)\nP1: ACQ(l) R(x,1) REL(l)")
+        assert not applicable(ex.restrict_to_address("l"))
+        with pytest.raises(ValueError, match="sync operations"):
+            readmap_vmc(ex.restrict_to_address("l"))
+        from repro.engine import verify_vmc
+
+        result = verify_vmc(ex, certify="on")
+        assert result.holds
+        assert result.per_address["l"].method == "exact"
+
 
 class TestDecisions:
     def test_basic_coherent(self):

@@ -680,3 +680,80 @@ class TestCacheRevalidation:
         assert cache.stats.hits > 0
         assert cache.stats.validation_failures == 0
         _validated(ex, result)
+
+
+# ---------------------------------------------------------------------
+# Sliced cycle certificates
+# ---------------------------------------------------------------------
+def _inversions():
+    """Incoherent single-address executions whose closure proofs cite
+    reads-from pairs: the differential corpus, plus read-read
+    inversions buried in long unique-valued histories."""
+    from tests.engine.test_differential import CORPUS
+
+    out = [
+        ex.restrict_to_address(a)
+        for ex in CORPUS for a in ex.constrained_addresses()
+    ]
+    for n in (3, 12, 40):
+        writer = " ".join(f"W(x,{v})" for v in range(1, n + 1))
+        readers = " ".join(f"R(x,{v})" for v in range(1, n + 1))
+        out.append(parse_trace(
+            f"P0: {writer}\nP1: {readers} R(x,1)\nP2: R(x,{n}) R(x,{n - 1})",
+            initial={"x": 0},
+        ))
+    return out
+
+
+def _cycle_certificates():
+    from repro.core.infer import infer_order
+
+    for ex in _inversions():
+        decided = infer_order(ex).decided
+        if decided is not None and decided.certificate.kind == "cycle":
+            yield ex, decided
+
+
+class TestSlicedCycleCertificates:
+    def test_every_sliced_certificate_validates(self):
+        seen = 0
+        for ex, decided in _cycle_certificates():
+            assert validate_result(ex, decided), decided.reason
+            seen += 1
+        assert seen >= 15
+
+    def test_slice_is_a_fraction_of_the_log(self, monkeypatch):
+        from repro.core import infer
+
+        ex = _inversions()[-1]  # 40 writes, 81 reads
+        sliced = infer.infer_order(ex).decided
+        monkeypatch.setattr(
+            infer, "_cycle_slice",
+            lambda rows, first, cycle: range(len(rows)),
+        )
+        whole = infer.infer_order(ex).decided
+        assert validate_result(ex, sliced) and validate_result(ex, whole)
+        steps, cycle = sliced.certificate.payload
+        assert cycle == whole.certificate.payload[1]
+        assert set(steps) < set(whole.certificate.payload[0])
+        assert 4 * len(steps) < len(whole.certificate.payload[0])
+
+    def test_dropping_a_cited_step_is_rejected(self):
+        dropped = 0
+        for ex, decided in _cycle_certificates():
+            steps, cycle = decided.certificate.payload
+            for u, v, rule, aux in steps:
+                if aux is None:
+                    continue
+                cited = (aux[0], aux[1], "rf", None)
+                assert cited in steps
+                tampered = tuple(s for s in steps if s != cited)
+                result = VerificationResult(
+                    holds=False, method="prepass",
+                    certificate=Certificate("cycle", (tampered, cycle)),
+                )
+                check = validate_result(ex, result)
+                assert not check
+                assert "never validated" in check.reason
+                dropped += 1
+        assert dropped >= 15

@@ -46,19 +46,21 @@ def _put(store, canon, holds=True, reason="ok", schedule_idx=None):
 
 class TestFingerprintKey:
     def test_deterministic_and_sized(self):
-        key = ("vmc", "auto", ((("R", 0, 1, -1),),), ((0, -1),), None)
+        key = _canon("P0: R(x,1)\nP1: W(x,1)").key
+        assert isinstance(key, bytes)
         assert fingerprint_key(key) == fingerprint_key(key)
         assert len(fingerprint_key(key)) == 32
 
     def test_process_independent(self):
-        # repr-of-tuples hashing must not depend on PYTHONHASHSEED.
+        # Key bytes and their hash must not depend on PYTHONHASHSEED.
         import subprocess
         import sys
 
-        key = ("vmc", "auto", (("W", 0, -1, 1),), ((0, 2),), None)
+        text = "P0: W(x,1) R(x,2)\nP1: W(x,2) R(x,1)"
         code = (
+            "from tests.engine.test_store import _canon;"
             "from repro.engine.store import fingerprint_key;"
-            f"print(fingerprint_key({key!r}).hex())"
+            f"print(fingerprint_key(_canon({text!r}).key).hex())"
         )
         env = dict(os.environ, PYTHONHASHSEED="12345")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -68,7 +70,7 @@ class TestFingerprintKey:
             [sys.executable, "-c", code],
             capture_output=True, text=True, env=env, check=True,
         ).stdout.strip()
-        assert out == fingerprint_key(key).hex()
+        assert out == fingerprint_key(_canon(text).key).hex()
 
 
 class TestRoundTrip:
@@ -307,7 +309,7 @@ def _hammer(store_path: str, worker: int, n: int) -> int:
     after every put to maximize lock interleaving."""
     store = ResultStore(store_path)
     for i in range(n):
-        key = ("concurrent", worker, i)
+        key = b"concurrent/%d/%d" % (worker, i)
         store.put(
             key,
             holds=True,
@@ -336,7 +338,7 @@ class TestConcurrentWriters:
         assert reader.stats.torn_records == 0
         for worker in (0, 1):
             for i in range(n):
-                entry = reader.lookup(("concurrent", worker, i))
+                entry = reader.lookup(b"concurrent/%d/%d" % (worker, i))
                 assert entry is not None
                 assert entry["reason"] == f"w{worker}/{i}"
 
@@ -462,7 +464,7 @@ def _race_appender(store_path: str, n: int) -> int:
     store = ResultStore(store_path)
     for i in range(n):
         store.put(
-            ("race", i), holds=True, method="exact", reason=f"r{i}",
+            b"race/%d" % i, holds=True, method="exact", reason=f"r{i}",
             schedule_idx=None, stats={},
         )
         store.flush()
@@ -504,7 +506,7 @@ class TestCompactionRacesWriter:
         assert reader.stats.torn_records == 0
         assert len(reader) == n
         for i in range(n):
-            entry = reader.lookup(("race", i))
+            entry = reader.lookup(b"race/%d" % i)
             assert entry is not None, f"record {i} lost to compaction"
             assert entry["reason"] == f"r{i}", f"record {i} torn"
 
@@ -514,7 +516,7 @@ class TestQuotaReport:
         store = ResultStore(tmp_path / "store", max_mb=1.0, n_shards=1)
         for i in range(3):
             store.put(
-                ("qr", i), holds=True, method="exact", reason=f"q{i}",
+                b"qr/%d" % i, holds=True, method="exact", reason=f"q{i}",
                 schedule_idx=None, stats={},
             )
         store.flush()
@@ -538,13 +540,13 @@ class TestQuotaReport:
 
         store = ResultStore(tmp_path / "store", n_shards=1)
         store.put(
-            ("qr", "old"), holds=True, method="exact", reason="old",
+            b"qr/old", holds=True, method="exact", reason="old",
             schedule_idx=None, stats={},
         )
         store.flush()
         _time.sleep(0.05)
         store.put(
-            ("qr", "new"), holds=True, method="exact", reason="new",
+            b"qr/new", holds=True, method="exact", reason="new",
             schedule_idx=None, stats={},
         )
         store.flush()
@@ -552,14 +554,14 @@ class TestQuotaReport:
         (row,) = report["shards"]
         assert row["lru_age_s"] > row["mru_age_s"]
         # Touch the old entry: it becomes the MRU, shrinking the gap.
-        assert store.lookup(("qr", "old")) is not None
+        assert store.lookup(b"qr/old") is not None
         after = store.quota_report()["shards"][0]
         assert after["mru_age_s"] <= row["mru_age_s"] + 0.05
 
     def test_no_budget_reports_none(self, tmp_path):
         store = ResultStore(tmp_path / "store", n_shards=1)
         store.put(
-            ("qr", 0), holds=True, method="exact", reason="q",
+            b"qr/0", holds=True, method="exact", reason="q",
             schedule_idx=None, stats={},
         )
         store.flush()
@@ -573,11 +575,72 @@ class TestQuotaReport:
         TOUCH records), so a fresh handle can still age entries."""
         with ResultStore(tmp_path / "store", n_shards=1) as store:
             store.put(
-                ("qr", "persist"), holds=True, method="exact",
+                b"qr/persist", holds=True, method="exact",
                 reason="p", schedule_idx=None, stats={},
             )
         reopened = ResultStore(tmp_path / "store")
-        assert reopened.lookup(("qr", "persist")) is not None
+        assert reopened.lookup(b"qr/persist") is not None
         (row,) = reopened.quota_report()["shards"]
         assert row["untimed"] == 0
         assert row["lru_age_s"] is not None
+
+
+class TestVersion2Records:
+    def test_v2_store_is_all_misses_then_rewritten(self, tmp_path, monkeypatch):
+        """A store filled at RECORD_VERSION 2 — nested-tuple keys
+        addressed by ``sha256(repr(key))``, and for good measure the
+        same records under the byte keys' own addresses — serves
+        nothing to the new code: every lookup misses, the re-solved
+        verdicts are the true ones, and they are written at the new
+        version."""
+        import hashlib
+        from types import SimpleNamespace
+
+        from repro.engine import store as store_mod
+        from repro.engine import verify_vmc
+        from tests.engine.test_canonical_keys import _tuple_key
+        from tests.engine.test_differential import CORPUS
+
+        corpus = CORPUS[::4]
+        truth = [bool(verify_vmc(ex, cache=False)) for ex in corpus]
+        path = tmp_path / "store"
+        monkeypatch.setattr(store_mod, "RECORD_VERSION", 2)
+        with ResultStore(path) as old:
+            for ex, holds in zip(corpus, truth):
+                for addr in ex.constrained_addresses():
+                    sub = ex.restrict_to_address(addr)
+                    key = _tuple_key(sub)
+                    new = canonicalize(sub)
+                    for fp in (
+                        hashlib.sha256(repr(key).encode()).digest(),
+                        new.fingerprint,
+                    ):
+                        old.put(
+                            SimpleNamespace(key=key, fingerprint=fp),
+                            holds=not holds, method="exact", reason="v2",
+                            schedule_idx=None, stats={},
+                        )
+                    old.put(
+                        new, holds=not holds, method="exact", reason="v2",
+                        schedule_idx=None, stats={},
+                    )
+        monkeypatch.undo()
+        assert store_mod.RECORD_VERSION == 3
+
+        store = ResultStore(path)
+        cache = ResultCache(store=store)
+        got = [bool(verify_vmc(ex, cache=cache)) for ex in corpus]
+        assert got == truth
+        assert cache.stats.store_hits == 0
+        assert store.stats.hits == 0 and store.stats.misses > 0
+        cache.flush_store()
+
+        fresh = ResultStore(path)
+        live = [e for e in fresh.entries() if e["reason"] != "v2"]
+        assert live and all(e["v"] == 3 for e in live)
+        assert all(isinstance(e["key"], bytes) for e in live)
+        warm = ResultCache(store=fresh)
+        again = [bool(verify_vmc(ex, cache=warm)) for ex in corpus]
+        assert again == truth
+        assert warm.stats.store_hits > 0
+        assert warm.stats.store_revalidation_failures == 0

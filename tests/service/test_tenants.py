@@ -21,7 +21,7 @@ def _canon(text, method="auto"):
 def _fill(store, n, tag):
     for i in range(n):
         store.put(
-            ("svc", tag, i), holds=True, method="exact",
+            f"svc/{tag}/{i}".encode(), holds=True, method="exact",
             reason=f"{tag}/{i}", schedule_idx=None, stats={},
         )
     store.flush()
@@ -76,8 +76,8 @@ class TestStoreBacked:
         sa = ts.store_of("alpha")
         sb = ts.store_of("beta")
         _fill(sa, 3, "a")
-        assert sa.lookup(("svc", "a", 0)) is not None
-        assert sb.lookup(("svc", "a", 0)) is None
+        assert sa.lookup(b"svc/a/0") is not None
+        assert sb.lookup(b"svc/a/0") is None
 
     def test_flush_all_persists(self, tmp_path):
         ts = TenantStores(tmp_path)
@@ -86,7 +86,7 @@ class TestStoreBacked:
         ts.close_all()
         fresh = TenantStores(tmp_path)
         fresh.get("alpha")
-        assert fresh.store_of("alpha").lookup(("svc", "a", 1)) is not None
+        assert fresh.store_of("alpha").lookup(b"svc/a/1") is not None
 
     def test_quota_report_per_tenant(self, tmp_path):
         ts = TenantStores(tmp_path, quota_mb=1.0)
