@@ -11,7 +11,7 @@ both:
   needs no broadcast (invalidations counted explicitly).
 """
 
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.memsys.directory import DirectorySystem
 from repro.memsys.processor import load, store
 from repro.memsys.system import MultiprocessorSystem, SystemConfig

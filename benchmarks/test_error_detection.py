@@ -10,7 +10,7 @@ multiprocessor, verify the observed execution.  Regenerates
   checker on large traces).
 """
 
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.memsys import (
     FaultConfig,
     FaultKind,

@@ -11,6 +11,8 @@ printed as '?'.
 The final test assembles the whole table next to the paper's entries.
 """
 
+from collections import Counter
+
 import pytest
 
 from repro.core.checker import is_coherent_schedule
@@ -19,10 +21,9 @@ from repro.core.readmap import readmap_vmc
 from repro.core.single_op import single_op_vmc
 from repro.core.types import Execution, read, rmw, write
 from repro.core.writeorder import writeorder_vmc
-from repro.reductions.sat_to_vmc import SatToVmc
 from repro.reductions.tsat_to_vmc_restricted import TsatToVmcRestricted
 from repro.reductions.tsat_to_vmc_rmw import TsatToVmcRmw
-from repro.sat.random_sat import random_ksat
+from repro.sat.cnf import CNF
 from repro.util.rng import make_rng
 from repro.util.timing import RepeatTimer
 
@@ -85,44 +86,59 @@ def test_row1_single_op_rmw(benchmark):
 
 # ---------------------------------------------------------------------
 # Rows 2-3: few operations per process — the NP-complete cells.
+#
+# The rows claim worst-case blow-up, so they are measured on an
+# unsatisfiable family: a satisfiable image can be decided by the first
+# truth assignment the search tries, an unsatisfiable one only after
+# every assignment was refuted.
 # ---------------------------------------------------------------------
-def _states_for(reduction_cls, m: int, n: int, budget: int) -> int:
-    cnf = random_ksat(m, n, k=3, seed=m * 100 + n)
-    red = reduction_cls(cnf)
-    try:
-        return exact_vmc(red.execution, max_states=budget).stats["states"]
-    except SearchBudgetExceeded as e:
-        return e.states
-
-
-def test_row3_three_ops_np_complete(benchmark):
-    # Figure 5.1 instances: exact search state counts blow up with m.
-    budget = 400_000
-    rows = ["   m    n    explored states"]
-    counts = []
-    for m, n in [(3, 1), (3, 2), (4, 2), (5, 2)]:
-        states = _states_for(TsatToVmcRestricted, m, n, budget)
-        counts.append(states)
-        rows.append(f"{m:>4} {n:>4} {states:>18}")
-    assert counts[-1] > 20 * counts[0]  # super-polynomial blow-up
-    report(
-        "Fig 5.3 row '3+ Operations/Process': NP-Complete "
-        "(exact-search blow-up on Figure 5.1 instances)",
-        "\n".join(rows),
-    )
-    benchmark(lambda: _states_for(TsatToVmcRestricted, 3, 1, budget))
-
-
-def _padded_unsat(m: int):
+def _padded_unsat(m: int) -> CNF:
     """(x∨x∨x) ∧ (¬x∨¬x∨¬x) plus m-1 free variables: the exact search
-    must explore every wave-1 truth choice (≈2^m states) before
-    concluding the image is incoherent."""
-    from repro.sat.cnf import CNF
-
+    must explore every truth choice of the free variables (≈2^m states)
+    before concluding the image is incoherent."""
     cnf = CNF(num_vars=m)
     cnf.clauses.append([1, 1, 1])
     cnf.clauses.append([-1, -1, -1])
     return cnf
+
+
+def _states(reduction, budget: int) -> int:
+    """Exact-search states explored on a reduction's image (a lower
+    bound when the budget runs out)."""
+    try:
+        return exact_vmc(reduction.execution, max_states=budget).stats["states"]
+    except SearchBudgetExceeded as e:
+        return e.states
+
+
+def _restricted_unsat_states(ms, budget: int = 400_000) -> list[int]:
+    """States on padded-UNSAT Figure 5.1 images, each checked to have at
+    most 3 operations per process and every value written at most
+    twice."""
+    counts = []
+    for m in ms:
+        red = TsatToVmcRestricted(_padded_unsat(m))
+        ops = list(red.execution.all_ops())
+        written = Counter(op.value_written for op in ops if op.kind.writes)
+        assert max(len(h.operations) for h in red.execution.histories) <= 3
+        assert max(written.values()) <= 2
+        counts.append(_states(red, budget))
+    return counts
+
+
+def test_row3_three_ops_np_complete(benchmark):
+    ms = (2, 3, 4, 5, 6)
+    counts = _restricted_unsat_states(ms)
+    rows = ["   m    explored states   (UNSAT family)"]
+    rows += [f"{m:>4} {states:>18}" for m, states in zip(ms, counts)]
+    assert counts[-1] > 20 * counts[0]  # super-polynomial blow-up
+    report(
+        "Fig 5.3 row '3+ Operations/Process': NP-Complete "
+        "(exact-search growth on padded-UNSAT Figure 5.1 instances)",
+        "\n".join(rows),
+    )
+    red = TsatToVmcRestricted(_padded_unsat(3))
+    benchmark(lambda: exact_vmc(red.execution))
 
 
 def test_row2_two_rmws_np_complete(benchmark):
@@ -130,11 +146,7 @@ def test_row2_two_rmws_np_complete(benchmark):
     rows = ["   m    explored states   (UNSAT family)"]
     counts = []
     for m in (2, 4, 6, 8, 10):
-        red = TsatToVmcRmw(_padded_unsat(m))
-        try:
-            states = exact_vmc(red.execution, max_states=budget).stats["states"]
-        except SearchBudgetExceeded as e:
-            states = e.states
+        states = _states(TsatToVmcRmw(_padded_unsat(m)), budget)
         counts.append(states)
         rows.append(f"{m:>4} {states:>18}")
     # Exponential in the number of free variables.
@@ -200,18 +212,15 @@ def test_row5_readmap(benchmark):
 # ---------------------------------------------------------------------
 def test_row6_two_writes_per_value_np_complete(benchmark):
     # The Figure 5.1 family *is* the 2-writes-per-value family.
-    budget = 400_000
-    counts = [
-        _states_for(TsatToVmcRestricted, m, n, budget)
-        for m, n in [(3, 1), (4, 2), (5, 2)]
-    ]
+    counts = _restricted_unsat_states((2, 4, 6))
     assert counts[-1] > 10 * counts[0]
     report(
-        "Fig 5.3 row '2 Writes/Value': NP-Complete (same witness family "
-        "as the 3-ops row; every value written at most twice)",
-        f"explored states: {counts}",
+        "Fig 5.3 row '2 Writes/Value': NP-Complete (same padded-UNSAT "
+        "family as the 3-ops row; every value written at most twice)",
+        f"explored states at m = 2, 4, 6: {counts}",
     )
-    benchmark(lambda: _states_for(TsatToVmcRestricted, 3, 1, budget))
+    red = TsatToVmcRestricted(_padded_unsat(3))
+    benchmark(lambda: exact_vmc(red.execution))
 
 
 def test_row7_rmw_two_writes_open_problem():

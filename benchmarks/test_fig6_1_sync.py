@@ -7,7 +7,7 @@ original, hence SAT of the source formula.
 """
 
 from repro.consistency.lrc import lrc_holds
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.reductions.sat_to_vmc import SatToVmc, fig_4_2_example
 from repro.reductions.sync_wrap import critical_sections, wrap_with_sync
 from repro.sat.enumerate_models import brute_force_satisfiable

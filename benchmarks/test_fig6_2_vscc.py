@@ -9,7 +9,7 @@ time — and re-proves that deciding sequential consistency of these
 
 from repro.core.checker import is_coherent_schedule, is_sc_schedule
 from repro.core.exact import exact_vsc
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.reductions.sat_to_vscc import SatToVscc
 from repro.sat.enumerate_models import brute_force_satisfiable
 from repro.sat.random_sat import random_ksat

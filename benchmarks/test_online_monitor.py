@@ -9,8 +9,8 @@ is that information.  This file measures what the online monitor buys:
   first violation is reported.
 """
 
-from repro.core.online import CoherenceMonitor, monitor_run
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
+from repro.engine.streaming import AddressMonitor, monitor_run
 from repro.memsys import (
     FaultConfig,
     FaultKind,
@@ -39,7 +39,7 @@ def _event_stream(n: int):
 
 
 def _feed(events):
-    mon = CoherenceMonitor("x", initial=0)
+    mon = AddressMonitor("x", initial=0)
     for kind, proc, value in events:
         if kind == "w":
             mon.commit_write(proc, value)
@@ -71,10 +71,10 @@ def test_monitor_agrees_with_offline_at_lower_cost(benchmark):
     cfg = SystemConfig(num_processors=4, seed=3)
     res = MultiprocessorSystem(cfg, scripts, initial_memory=init).run()
 
-    online = benchmark(lambda: monitor_run(res))
-    assert online.ok
+    violations = benchmark(lambda: monitor_run(res))
+    assert not violations
     offline = verify_coherence(res.execution, write_orders=res.write_orders)
-    assert bool(offline) == online.ok
+    assert offline
     report(
         "Online monitor — 1600-op healthy run",
         "online replay and offline write-order verification agree (clean)",
@@ -98,11 +98,11 @@ def test_detection_latency(benchmark):
             ).run()
             if not res.faults_injected:
                 continue
-            online = monitor_run(res)
-            if online.ok:
+            violations = monitor_run(res)
+            if not violations:
                 continue  # latent fault
             fault_step = res.fault_events[0].step
-            latencies.append((seed, fault_step, len(online.violations)))
+            latencies.append((seed, fault_step, len(violations)))
         return latencies
 
     latencies = benchmark.pedantic(campaign, rounds=1, iterations=1)

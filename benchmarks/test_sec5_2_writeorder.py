@@ -10,7 +10,7 @@ write-order path stays flat.
 
 from repro.core.encode import sat_vmc
 from repro.core.exact import exact_vmc
-from repro.core.vmc import verify_coherence_at
+from repro import verify_coherence_at
 from repro.memsys import MultiprocessorSystem, SystemConfig, random_shared_workload
 from repro.util.timing import RepeatTimer, time_callable
 

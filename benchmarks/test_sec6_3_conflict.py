@@ -14,7 +14,7 @@ Regenerates both halves of the paper's closing argument:
 from repro.core.builder import parse_trace
 from repro.core.conflict import vsc_conflict
 from repro.core.exact import exact_vsc
-from repro.core.vscc import vsc_via_conflict
+from repro import vsc_via_conflict
 from repro.util.timing import RepeatTimer
 
 from benchmarks.conftest import coherent_trace, report

@@ -9,7 +9,7 @@ laziness — the empirical gap between the models of Section 6.2.
 """
 
 from repro.consistency.tso import tso_holds
-from repro.core.vsc import verify_sequential_consistency
+from repro import verify_sequential_consistency
 from repro.memsys.processor import load, store
 from repro.memsys.tso_system import TsoConfig, TsoSystem
 

@@ -16,7 +16,7 @@ import time
 from repro.core.checker import execution_from_schedule, is_coherent_schedule
 from repro.core.exact import SearchBudgetExceeded, exact_vmc
 from repro.core.types import Operation, OpKind
-from repro.core.vmc import verify_coherence_at
+from repro import verify_coherence_at
 from repro.memsys import MultiprocessorSystem, SystemConfig, random_shared_workload
 from repro.reductions.sat_to_vmc import SatToVmc
 from repro.sat.random_sat import random_ksat

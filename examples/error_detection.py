@@ -10,7 +10,7 @@ dropped writes) produce the incoherent histories the verifier catches.
 Run:  python examples/error_detection.py
 """
 
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.memsys import (
     FaultConfig,
     FaultKind,

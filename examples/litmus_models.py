@@ -13,7 +13,7 @@ from repro.consistency.litmus import LITMUS_TESTS, check_litmus, litmus_table
 from repro.consistency.lrc import lrc_holds
 from repro.consistency.restrict import restriction_agrees_with_coherence
 from repro.core.builder import parse_trace
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.reductions.sat_to_vmc import fig_4_2_example
 from repro.reductions.sync_wrap import wrap_with_sync
 

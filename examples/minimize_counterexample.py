@@ -10,7 +10,7 @@ Run:  python examples/minimize_counterexample.py
 """
 
 from repro.core.explain import minimize_violation
-from repro.core.vmc import verify_coherence, verify_coherence_at
+from repro import verify_coherence
 from repro.memsys import (
     FaultConfig,
     FaultKind,

@@ -4,13 +4,14 @@
 The offline verifiers need the whole trace; a deployed checker wants to
 flag the *first* incoherent event.  With the memory system announcing
 its write serialization (Section 5.2's augmentation — the bus provides
-it naturally), the :mod:`repro.core.online` monitor checks each commit
-in amortized O(1).
+it naturally), the :mod:`repro.engine.streaming` monitor checks each
+commit in amortized O(log g) (g = live write-order gaps).
 
 Run:  python examples/online_monitor.py
 """
 
-from repro.core.online import CoherenceMonitor, SystemMonitor, monitor_run
+from repro.core.types import read, rmw, write
+from repro.engine.streaming import AddressMonitor, StreamingVerifier, monitor_run
 from repro.memsys import (
     FaultConfig,
     FaultKind,
@@ -25,7 +26,7 @@ def main() -> None:
     # 1. Hand-fed events: the monitor as a protocol watchdog.
     # ------------------------------------------------------------------
     print("== 1. hand-fed commit stream ==")
-    mon = CoherenceMonitor("x", initial=0)
+    mon = AddressMonitor("x", initial=0)
     mon.commit_write(proc=0, value=1)
     print("P1 reads 1:", mon.commit_read(proc=1, value=1) or "ok")
     print("P1 reads 0:", mon.commit_read(proc=1, value=0) or "ok")
@@ -41,9 +42,9 @@ def main() -> None:
     healthy = MultiprocessorSystem(
         SystemConfig(num_processors=4, seed=5), scripts, initial_memory=init
     ).run()
-    sm = monitor_run(healthy)
+    violations = monitor_run(healthy)
     print(f"healthy run: {healthy.num_ops} ops -> "
-          f"{'clean' if sm.ok else 'VIOLATION'}")
+          f"{'VIOLATION' if violations else 'clean'}")
 
     detected = injected = 0
     first_message = None
@@ -61,11 +62,11 @@ def main() -> None:
         if not res.faults_injected:
             continue
         injected += 1
-        sm = monitor_run(res)
-        if not sm.ok:
+        violations = monitor_run(res)
+        if violations:
             detected += 1
             if first_message is None:
-                first_message = sm.violations[0]
+                first_message = violations[0]
     print(f"corrupted-value campaign: {detected}/{injected} detected online")
     if first_message:
         print(f"example violation report:\n  {first_message}")
@@ -73,14 +74,21 @@ def main() -> None:
     # ------------------------------------------------------------------
     # 3. Monitoring several addresses at once.
     # ------------------------------------------------------------------
-    print("\n== 3. a multi-address SystemMonitor ==")
-    sm = SystemMonitor(initial={"x": 0, "y": 0})
-    sm.write(0, "x", 1)
-    sm.write(1, "y", 1)
-    sm.rmw(0, "y", 1, 2)
-    sm.read(1, "x", 1)
-    print(f"verdict: {'clean' if sm.ok else 'VIOLATION'} "
-          f"({len(sm.monitors)} monitored addresses)")
+    # Each operation names its process and its program-order index.
+    print("\n== 3. a multi-address StreamingVerifier ==")
+    sv = StreamingVerifier(2, initial={"x": 0, "y": 0})
+    for op in (
+        write("x", 1, proc=0, index=0),
+        write("y", 1, proc=1, index=0),
+        rmw("y", 1, 2, proc=0, index=1),
+        read("x", 1, proc=1, index=1),
+    ):
+        verdict = sv.feed_op(op)
+        if verdict is not None:
+            print(f"violation: {verdict.result.reason}")
+    verdict = sv.finalize()
+    print(f"verdict: {'clean' if verdict.kind == 'final' else 'VIOLATION'} "
+          f"({len(sv.monitors)} monitored addresses)")
 
 
 if __name__ == "__main__":

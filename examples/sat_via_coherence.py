@@ -10,7 +10,7 @@ Run:  python examples/sat_via_coherence.py
 """
 
 from repro.core.types import schedule_str
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.reductions.decode import solve_sat_via_vmc, solve_sat_via_vscc
 from repro.reductions.sat_to_vmc import SatToVmc, fig_4_2_example
 from repro.sat.cnf import CNF

@@ -78,8 +78,6 @@ from pathlib import Path
 from repro import obs
 from repro.core.serialize import save as save_json
 from repro.core.types import Execution, schedule_str
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
 from repro.engine import (
     CERTIFY_MODES,
     CHAOS_ENV,
@@ -87,6 +85,8 @@ from repro.engine import (
     CertificationError,
     ChaosSpec,
     ResiliencePolicy,
+    verify_vmc,
+    verify_vsc,
 )
 
 #: Exit status for a verification abandoned without a verdict.
@@ -251,7 +251,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
                 result, label = verifier_for(name)(execution), args.model
             elif args.sc:
-                result = verify_sequential_consistency(
+                result = verify_vsc(
                     execution,
                     method=args.method,
                     resilience=resilience,
@@ -259,7 +259,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
                 label = "sequential consistency"
             else:
-                result = verify_coherence(
+                result = verify_vmc(
                     execution,
                     method=args.method,
                     jobs=args.jobs,
@@ -713,7 +713,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{len(o.latent_events)} latent injections"
         )
     with obs.opened(rec):
-        result = verify_coherence(
+        result = verify_vmc(
             run.execution,
             write_orders=run.write_orders,
             jobs=args.jobs,

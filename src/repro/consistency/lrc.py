@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from repro.core.types import Address, Execution, OpKind
 from repro.core.result import VerificationResult
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
+from repro.engine import verify_vmc, verify_vsc
 from repro.reductions.sync_wrap import critical_sections
 
 
@@ -49,8 +48,8 @@ def lrc_holds(
         )
     stripped = execution.drop_sync_ops()
     if stripped.is_single_address():
-        result = verify_coherence(stripped, method=method)
+        result = verify_vmc(stripped, method=method)
     else:
-        result = verify_sequential_consistency(stripped, method=method)
+        result = verify_vsc(stripped, method=method)
     result.method = f"lrc/{result.method}"
     return result

@@ -26,7 +26,7 @@ from typing import Callable
 
 from repro.core.result import VerificationResult
 from repro.core.types import Execution
-from repro.core.vmc import verify_coherence
+from repro.engine import verify_vmc, verify_vsc
 from repro.consistency.axiomatic import relaxed_schedule_exists
 from repro.consistency.models import MODELS, MemoryModel
 from repro.consistency.tso import tso_holds
@@ -43,13 +43,9 @@ def verifier_for(model_name: str) -> Callable[[Execution], VerificationResult]:
     ``verify`` path.
     """
     if model_name in ("coherence", "COHERENCE"):
-        from repro.engine import verify_vmc
-
         return verify_vmc
     if model_name == "SC":
-        from repro.core.vsc import verify_sequential_consistency
-
-        return verify_sequential_consistency
+        return verify_vsc
     if model_name == "TSO":
         return tso_holds
     if model_name == "PSO":
@@ -74,5 +70,5 @@ def restriction_agrees_with_coherence(
     if not execution.is_single_address():
         raise ValueError("the restriction argument is about one location")
     model_ok = checker_for(model_name)(execution)
-    coh_ok = bool(verify_coherence(execution))
+    coh_ok = bool(verify_vmc(execution))
     return model_ok, coh_ok

@@ -1,4 +1,5 @@
-"""The paper's contribution: verifiers for memory coherence/consistency.
+"""The paper's contribution: the data model, the certificate checker,
+and the deciders for memory coherence/consistency.
 
 Public surface:
 
@@ -7,85 +8,49 @@ Public surface:
 * construction — :class:`ExecutionBuilder`, :func:`parse_trace`;
 * certificate checking — :func:`is_coherent_schedule`,
   :func:`check_coherence_witnesses`, :func:`is_sc_schedule`;
-* decision procedures — :func:`verify_coherence`,
-  :func:`verify_coherence_at`, :func:`verify_sequential_consistency`,
-  :func:`verify_vscc`, :func:`vsc_via_conflict`, :func:`vsc_conflict`.
+* deciders — :func:`exact_vmc`, :func:`exact_vsc`, :func:`sat_vmc`,
+  :func:`sat_vsc`, :func:`vsc_conflict`.
+
+This package imports nothing above it.  The public verifiers that
+route between the deciders (Definitions 4.1, 6.1 and 6.2) are the
+engine's: ``from repro import verify_coherence``, or
+:func:`repro.engine.verify_vmc`.  Names load on first use.
 """
 
-from repro.core.types import (
-    INITIAL,
-    Address,
-    Execution,
-    OpKind,
-    Operation,
-    ProcessHistory,
-    Value,
-    read,
-    rmw,
-    schedule_str,
-    write,
-)
-from repro.core.builder import ExecutionBuilder, ProcessBuilder, parse_trace
-from repro.core.checker import (
-    CheckOutcome,
-    check_coherence_witnesses,
-    execution_from_schedule,
-    is_coherent_schedule,
-    is_sc_schedule,
-    schedule_respects_program_order,
-    value_trace_ok,
-)
-from repro.core.result import VerificationResult
-from repro.core.exact import SearchBudgetExceeded, exact_vmc, exact_vsc
-from repro.core.vmc import verify_coherence, verify_coherence_at
-from repro.core.vsc import verify_sequential_consistency
-from repro.core.vscc import verify_vscc, vsc_via_conflict
-from repro.core.conflict import vsc_conflict
-from repro.core.encode import encode_legal_schedule, sat_vmc, sat_vsc
-from repro.core.explain import MinimalViolation, minimize_violation
-from repro.core.online import CoherenceMonitor, SystemMonitor, monitor_run
-from repro.core.serialize import dumps as execution_dumps, loads as execution_loads
+from repro import _lazy
 
-__all__ = [
-    "INITIAL",
-    "Address",
-    "Execution",
-    "OpKind",
-    "Operation",
-    "ProcessHistory",
-    "Value",
-    "read",
-    "rmw",
-    "write",
-    "schedule_str",
-    "ExecutionBuilder",
-    "ProcessBuilder",
-    "parse_trace",
-    "CheckOutcome",
-    "check_coherence_witnesses",
-    "execution_from_schedule",
-    "is_coherent_schedule",
-    "is_sc_schedule",
-    "schedule_respects_program_order",
-    "value_trace_ok",
-    "VerificationResult",
-    "SearchBudgetExceeded",
-    "exact_vmc",
-    "exact_vsc",
-    "verify_coherence",
-    "verify_coherence_at",
-    "verify_sequential_consistency",
-    "verify_vscc",
-    "vsc_via_conflict",
-    "vsc_conflict",
-    "encode_legal_schedule",
-    "sat_vmc",
-    "sat_vsc",
-    "MinimalViolation",
-    "minimize_violation",
-    "CoherenceMonitor",
-    "SystemMonitor",
-    "monitor_run",
-    "execution_dumps",
-    "execution_loads",
-]
+__all__ = _lazy(globals(), {
+    "INITIAL": "repro.core.types",
+    "Address": "repro.core.types",
+    "Execution": "repro.core.types",
+    "OpKind": "repro.core.types",
+    "Operation": "repro.core.types",
+    "ProcessHistory": "repro.core.types",
+    "Value": "repro.core.types",
+    "read": "repro.core.types",
+    "rmw": "repro.core.types",
+    "write": "repro.core.types",
+    "schedule_str": "repro.core.types",
+    "ExecutionBuilder": "repro.core.builder",
+    "ProcessBuilder": "repro.core.builder",
+    "parse_trace": "repro.core.builder",
+    "CheckOutcome": "repro.core.checker",
+    "check_coherence_witnesses": "repro.core.checker",
+    "execution_from_schedule": "repro.core.checker",
+    "is_coherent_schedule": "repro.core.checker",
+    "is_sc_schedule": "repro.core.checker",
+    "schedule_respects_program_order": "repro.core.checker",
+    "value_trace_ok": "repro.core.checker",
+    "VerificationResult": "repro.core.result",
+    "SearchBudgetExceeded": "repro.core.exact",
+    "exact_vmc": "repro.core.exact",
+    "exact_vsc": "repro.core.exact",
+    "vsc_conflict": "repro.core.conflict",
+    "encode_legal_schedule": "repro.core.encode",
+    "sat_vmc": "repro.core.encode",
+    "sat_vsc": "repro.core.encode",
+    "MinimalViolation": "repro.core.explain",
+    "minimize_violation": "repro.core.explain",
+    "execution_dumps": "repro.core.serialize:dumps",
+    "execution_loads": "repro.core.serialize:loads",
+})

@@ -34,7 +34,7 @@ from repro.core.types import (
     Operation,
 )
 from repro.core.result import Certificate, VerificationResult
-from repro.sat import solve
+from repro.sat.cdcl import solve_cdcl
 from repro.sat.cnf import CNF
 from repro.util.control import Cancelled, StopCheck
 
@@ -334,8 +334,6 @@ def _solve_encoding(
         )
     proof = None
     if use_cdcl:
-        from repro.sat.cdcl import solve_cdcl
-
         if certify:
             from repro.sat.drat import ProofLog
 
@@ -377,6 +375,8 @@ def _solve_encoding(
                 assumptions=enc.hint_lits,
             )
     else:
+        from repro.sat import solve
+
         model = solve(enc.cnf, solver=solver)
     if model is None:
         certificate = None

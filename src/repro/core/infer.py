@@ -282,6 +282,22 @@ class Inference:
     def steps(self, value) -> None:
         self._steps = value
 
+    def sliced_steps(self, edges: list[tuple[Uid, Uid]]) -> list[Step]:
+        """The proof steps that derive ``edges`` (uid pairs, each an
+        inferred edge): the backward slice of the log
+        (:func:`_cycle_slice`), in log order."""
+        if self._sat is None:
+            return []
+        rows = list(self._sat.steps())
+        first: dict[tuple[int, int], int] = {}
+        for k, (u, v, _rule, _aw, _ar) in enumerate(rows):
+            first.setdefault((u, v), k)
+        node = {op.uid: i for i, op in enumerate(self._ops)}
+        wanted = [(node[u], node[v]) for u, v in edges]
+        return _materialize_steps(
+            [rows[k] for k in _cycle_slice(rows, first, wanted)], self._ops
+        )
+
 
 def _materialize_steps(rows, ops: list[Operation]) -> list[Step]:
     return [
@@ -298,12 +314,12 @@ def _materialize_steps(rows, ops: list[Operation]) -> list[Step]:
 def _cycle_slice(
     rows: list[tuple[int, int, int, int, int]],
     first: dict[tuple[int, int], int],
-    cycle: list[int],
+    edges: list[tuple[int, int]],
 ) -> list[int]:
     """The log positions a ``cycle`` certificate needs: a backward slice
-    of the saturation log from the cycle's edges.
+    of the saturation log from the ``edges`` it cites.
 
-    A cycle edge needs the first step that derived it.  A ``wr``/``fr``
+    An edge needs the first step that derived it.  A ``wr``/``fr``
     closure step needs the ``rf`` step of the pair it cites, and one
     path of *earlier* steps that the checker's reachability test walks
     (``wr u -> w`` citing ``(w, r)``: from ``u`` to ``r``; ``fr r -> v``:
@@ -338,9 +354,7 @@ def _cycle_slice(
             dst = rows[k][0]
         return ks
 
-    todo = [
-        first[e] for e in zip(cycle, cycle[1:] + cycle[:1]) if e in first
-    ]
+    todo = [first[e] for e in edges if e in first]
     keep: set[int] = set()
     while todo:
         k = todo.pop()
@@ -524,8 +538,9 @@ def infer_order(execution: Execution) -> Inference:
         first: dict[tuple[int, int], int] = {}
         for k, (u, v, _rule, _aw, _ar) in enumerate(rows):
             first.setdefault((u, v), k)
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
         steps = []
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+        for u, v in edges:
             k = first.get((u, v))
             rule, aw, ar = rows[k][2:] if k is not None else (RULE_PO, -1, -1)
             steps.append(
@@ -544,7 +559,7 @@ def infer_order(execution: Execution) -> Inference:
                 "cycle",
                 (
                     tuple(_materialize_steps(
-                        [rows[k] for k in _cycle_slice(rows, first, cycle)],
+                        [rows[k] for k in _cycle_slice(rows, first, edges)],
                         ops,
                     )),
                     tuple(ops[u].uid for u in cycle),

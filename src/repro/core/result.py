@@ -23,6 +23,12 @@ from repro.core.types import Address, Operation, schedule_str
 UNKNOWN_REASONS = ("timeout", "budget", "crashed", "uncertified", "shutdown")
 
 
+class CertificationError(RuntimeError):
+    """A verdict failed certification under ``--certify on`` — either
+    the producing solver or the checker is wrong, and the run must not
+    quietly pick a side."""
+
+
 #: The certificate kinds a result may carry (see :class:`Certificate`).
 CERTIFICATE_KINDS = ("witness", "cycle", "infeasible", "rup", "order")
 

@@ -13,298 +13,78 @@ extensible pipeline:
   the one place a task is served from the cache;
 * :mod:`repro.engine.executor` — runs the plan serially, or on the
   process pool of :mod:`repro.engine.pool` when ``jobs=N`` meets heavy
-  tasks, early-exiting on the first violation;
+  tasks, early-exiting on the first violation; its
+  :func:`verify_vmc`, :func:`verify_vmc_at` and :func:`verify_vsc` are
+  the public verifiers;
 * :mod:`repro.engine.cache` — canonical-fingerprint result cache so
   isomorphic sub-executions are decided once;
+* :mod:`repro.engine.vscc` — VSCC (Definition 6.2) and the §6.3
+  conflict pipeline, on top of the verifiers;
+* :mod:`repro.engine.streaming` — the online monitor.
 
 Every run keeps its accounting in one :class:`repro.obs.Record`
 (``result.report``): spans, counters and the per-task rows the CLI's
 ``--stats`` prints.
 
-The public verifiers in :mod:`repro.core.vmc` / :mod:`repro.core.vsc`
-are re-exports of :func:`verify_vmc` / :func:`verify_vsc`.  See
-``docs/engine.md``.
+``repro`` exports the verifiers under their paper names
+(``verify_coherence``, ``verify_sequential_consistency``, ...).  Names
+load on first use, so ``import repro.engine.streaming`` loads no
+offline engine.  See ``docs/engine.md``.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
-from typing import Mapping, Sequence
-
-from repro import obs
-from repro.core.result import Certificate, VerificationResult
-from repro.core.types import Address, Execution, Operation
-from repro.engine.backend import (
-    EXACT_STATE_BUDGET,
-    Backend,
-    BackendInapplicableError,
-    Instance,
-    estimated_states,
-)
-from repro.engine.cache import ResultCache, canonicalize, fingerprint
-from repro.engine.certify import (
-    CERTIFY_MODES,
-    CertCheck,
-    CertificationError,
-    ensure_certificate,
-    validate_result,
-)
-from repro.engine.chaos import CHAOS_ENV, ChaosCrash, ChaosSpec
-from repro.engine.executor import ResiliencePolicy, execute_plan, execute_tasks
-from repro.engine.planner import PlannedTask, plan_task, plan_vmc, plan_vsc
-from repro.engine.portfolio import (
-    PORTFOLIO_MIN_STATES,
-    RACE_STATE_BUDGET,
-    PortfolioBackend,
-)
-from repro.engine.prepass import (
-    EXPONENTIAL_TIER,
-    PrepassInfo,
-    prepass_vmc,
-    prepass_vsc,
-)
-from repro.engine.registry import (
-    BackendRegistry,
-    build_vmc_registry,
-    build_vsc_registry,
-    vmc_registry,
-    vsc_registry,
-)
-from repro.engine.batch import (
-    BatchPlan,
-    SourceOutcome,
-    batch_exit_code,
-    plan_batch,
-    run_batch,
-    verify_many,
-)
-from repro.engine.store import ResultStore, fingerprint_key
-from repro.engine.streaming import (
-    DEFAULT_WINDOW,
-    AddressMonitor,
-    StreamingVerifier,
-    StreamVerdict,
-    monitor_execution,
-)
-
-__all__ = [
-    "CERTIFY_MODES",
-    "CHAOS_ENV",
-    "DEFAULT_WINDOW",
-    "EXACT_STATE_BUDGET",
-    "EXPONENTIAL_TIER",
-    "PORTFOLIO_MIN_STATES",
-    "RACE_STATE_BUDGET",
-    "AddressMonitor",
-    "Backend",
-    "BackendInapplicableError",
-    "BackendRegistry",
-    "BatchPlan",
-    "CertCheck",
-    "Certificate",
-    "CertificationError",
-    "ChaosCrash",
-    "ChaosSpec",
-    "Instance",
-    "PlannedTask",
-    "PortfolioBackend",
-    "PrepassInfo",
-    "ResiliencePolicy",
-    "ResultCache",
-    "ResultStore",
-    "SourceOutcome",
-    "StreamVerdict",
-    "StreamingVerifier",
-    "batch_exit_code",
-    "build_vmc_registry",
-    "build_vsc_registry",
-    "canonicalize",
-    "ensure_certificate",
-    "estimated_states",
-    "execute_plan",
-    "execute_tasks",
-    "fingerprint",
-    "fingerprint_key",
-    "monitor_execution",
-    "plan_batch",
-    "plan_task",
-    "plan_vmc",
-    "plan_vsc",
-    "run_batch",
-    "verify_many",
-    "prepass_vmc",
-    "prepass_vsc",
-    "validate_result",
-    "verify_vmc",
-    "verify_vmc_at",
-    "verify_vsc",
-    "vmc_registry",
-    "vsc_registry",
-]
-
-
-def _resolve_cache(cache: "ResultCache | bool | None") -> ResultCache | None:
-    """``None`` → fresh per-call cache (dedupes identical sub-executions
-    within one verification); ``False`` → caching disabled; a
-    :class:`ResultCache` → shared across calls (campaigns, sweeps)."""
-    if cache is None:
-        return ResultCache()
-    if cache is False:
-        return None
-    return cache
-
-
-def _run(plan, cache, answer, **kwargs) -> VerificationResult:
-    """One engine run in its own record: ``plan(cache)`` under the
-    ``plan`` span (lookups and pre-pass included), :func:`execute_plan`,
-    then ``answer(results)``, which carries the record and counts once
-    if UNKNOWN."""
-    with obs.opened(obs.Record(rows=True)) as rec:
-        with obs.span("plan"):
-            tasks = plan(cache)
-        result = answer(execute_plan(tasks, cache=cache, **kwargs)[0])
-        obs.count_unknown(result)
-    result.report = rec
-    return result
-
-
-def verify_vmc(
-    execution: Execution,
-    method: str = "auto",
-    write_orders: Mapping[Address, Sequence[Operation]] | None = None,
-    jobs: int = 1,
-    cache: "ResultCache | bool | None" = None,
-    registry: BackendRegistry | None = None,
-    early_exit: bool = True,
-    resilience: ResiliencePolicy | None = None,
-    certify: str = "off",
-) -> VerificationResult:
-    """Decide whether the execution is coherent (Section 3): a coherent
-    schedule exists for *every* address.
-
-    Plans one task per constrained address, runs them (in parallel on
-    worker processes when ``jobs > 1`` and the plan still contains
-    heavy exponential-tier work), and aggregates.  Under
-    ``method="auto"`` the planner decides from each instance whether
-    the polynomial pre-pass runs and whether exact search races SAT;
-    a forced ``method`` runs that backend alone, with neither.
-    Per-address results (with witnesses) are in ``result.per_address``;
-    execution statistics are in ``result.report``.
-
-    ``resilience`` (a :class:`ResiliencePolicy`) adds deadlines, crash
-    retries and fault injection; tasks abandoned under it yield sound
-    UNKNOWN per-address results, and the aggregate is UNKNOWN exactly
-    when no violation was found but some address went undecided.
-
-    ``certify`` (``"off"``/``"on"``/``"strict"``) makes every verdict
-    carry a certificate validated by the independent trusted checker
-    (:mod:`repro.engine.certify`) before it is cached or returned:
-    ``on`` raises :class:`CertificationError` on any failure, ``strict``
-    downgrades the offending verdict to a sound UNKNOWN(uncertified).
-    """
-    addrs = execution.constrained_addresses()
-    if not addrs:
-        result = VerificationResult(holds=True, method="trivial", schedule=[])
-        if certify != "off":
-            result.certificate = Certificate("witness")
-            result.stats["certified"] = True
-        result.report = obs.Record(rows=True)
-        result.report.info.update(problem="vmc", jobs=max(1, jobs))
-        return result
-    return _run(
-        lambda c: plan_vmc(
-            execution, method=method, write_orders=write_orders,
-            registry=registry, cache=c, certify=certify,
-        ),
-        _resolve_cache(cache),
-        lambda results: _aggregate_vmc(addrs, results),
-        jobs=jobs, early_exit=early_exit, problem="vmc",
-        resilience=resilience, certify=certify,
-    )
-
-
-def _aggregate_vmc(
-    addrs: list[Address], results: dict[Address, VerificationResult]
-) -> VerificationResult:
-    """Per-address results -> the execution's answer: VIOLATED >
-    UNKNOWN > holds."""
-    per: dict[Address, VerificationResult] = {
-        a: results[a] for a in addrs if a in results
-    }
-    bad = [a for a in addrs if a in per and per[a].violated]
-    undecided = [a for a in addrs if a in per and per[a].unknown]
-    if bad:
-        # A violation is a verdict even if other addresses went
-        # undecided: incoherence at one address is incoherence.
-        first = per[bad[0]]
-        agg = VerificationResult(
-            holds=False,
-            method=first.method,
-            reason=f"address {bad[0]!r} has no coherent schedule: "
-            f"{first.reason}",
-            certificate=first.certificate,
-        )
-    elif undecided:
-        first = per[undecided[0]]
-        agg = VerificationResult.make_unknown(
-            method=first.method,
-            reason=first.unknown_reason,
-            detail=f"{len(undecided)}/{len(addrs)} addresses undecided; "
-            f"first: {first.reason}",
-            stage=first.stats.get("stage"),
-        )
-    else:
-        only = per[addrs[0]]
-        agg = VerificationResult(
-            holds=True,
-            method=only.method if len(addrs) == 1 else "per-address",
-            schedule=only.schedule if len(addrs) == 1 else None,
-            certificate=only.certificate if len(addrs) == 1 else None,
-        )
-    agg.per_address = per
-    if len(addrs) == 1:
-        agg.address = addrs[0]
-    return agg
-
-
-def verify_vmc_at(
-    execution: Execution,
-    addr: Address,
-    method: str = "auto",
-    write_order: Sequence[Operation] | None = None,
-    cache: "ResultCache | bool | None" = False,
-    registry: BackendRegistry | None = None,
-    resilience: ResiliencePolicy | None = None,
-    certify: str = "off",
-) -> VerificationResult:
-    """Decide VMC at one address of a (possibly multi-address)
-    execution."""
-    instance = Instance(
-        execution.restrict_to_address(addr), address=addr,
-        write_order=write_order, problem="vmc",
-    )
-    return _run(
-        lambda c: [plan_task(0, addr, instance, method, registry, c, certify)],
-        _resolve_cache(cache), lambda results: results[addr],
-        problem="vmc", resilience=resilience, certify=certify,
-    )
-
-
-def verify_vsc(
-    execution: Execution,
-    method: str = "auto",
-    cache: "ResultCache | bool | None" = False,
-    registry: BackendRegistry | None = None,
-    resilience: ResiliencePolicy | None = None,
-    certify: str = "off",
-) -> VerificationResult:
-    """Decide whether a sequentially consistent schedule exists
-    (Definition 6.1).  VSC needs one schedule over all addresses at
-    once, so there is a single task — no per-address parallelism."""
-    return _run(
-        lambda c: plan_vsc(
-            execution, method=method, registry=registry, cache=c,
-            certify=certify,
-        ),
-        _resolve_cache(cache), lambda results: results[None],
-        problem="vsc", resilience=resilience, certify=certify,
-    )
+__all__ = _lazy(globals(), {
+    "EXACT_STATE_BUDGET": "repro.engine.backend",
+    "Backend": "repro.engine.backend",
+    "BackendInapplicableError": "repro.engine.backend",
+    "Instance": "repro.engine.backend",
+    "estimated_states": "repro.engine.backend",
+    "ResultCache": "repro.engine.cache",
+    "canonicalize": "repro.engine.cache",
+    "fingerprint": "repro.engine.cache",
+    "Certificate": "repro.core.result",
+    "CertificationError": "repro.core.result",
+    "CERTIFY_MODES": "repro.engine.certify",
+    "CertCheck": "repro.engine.certify",
+    "ensure_certificate": "repro.engine.certify",
+    "validate_result": "repro.engine.certify",
+    "CHAOS_ENV": "repro.engine.chaos",
+    "ChaosCrash": "repro.engine.chaos",
+    "ChaosSpec": "repro.engine.chaos",
+    "ResiliencePolicy": "repro.engine.executor",
+    "execute_plan": "repro.engine.executor",
+    "execute_tasks": "repro.engine.executor",
+    "verify_vmc": "repro.engine.executor",
+    "verify_vmc_at": "repro.engine.executor",
+    "verify_vsc": "repro.engine.executor",
+    "PlannedTask": "repro.engine.planner",
+    "plan_task": "repro.engine.planner",
+    "plan_vmc": "repro.engine.planner",
+    "plan_vsc": "repro.engine.planner",
+    "PORTFOLIO_MIN_STATES": "repro.engine.portfolio",
+    "RACE_STATE_BUDGET": "repro.engine.portfolio",
+    "PortfolioBackend": "repro.engine.portfolio",
+    "EXPONENTIAL_TIER": "repro.engine.prepass",
+    "PrepassInfo": "repro.engine.prepass",
+    "prepass_vmc": "repro.engine.prepass",
+    "prepass_vsc": "repro.engine.prepass",
+    "BackendRegistry": "repro.engine.registry",
+    "build_vmc_registry": "repro.engine.registry",
+    "build_vsc_registry": "repro.engine.registry",
+    "vmc_registry": "repro.engine.registry",
+    "vsc_registry": "repro.engine.registry",
+    "BatchPlan": "repro.engine.batch",
+    "SourceOutcome": "repro.engine.batch",
+    "batch_exit_code": "repro.engine.batch",
+    "plan_batch": "repro.engine.batch",
+    "run_batch": "repro.engine.batch",
+    "verify_many": "repro.engine.batch",
+    "ResultStore": "repro.engine.store",
+    "fingerprint_key": "repro.engine.store",
+    "DEFAULT_WINDOW": "repro.engine.streaming",
+    "AddressMonitor": "repro.engine.streaming",
+    "StreamingVerifier": "repro.engine.streaming",
+    "StreamVerdict": "repro.engine.streaming",
+    "monitor_execution": "repro.engine.streaming",
+})

@@ -40,7 +40,7 @@ from time import perf_counter
 from typing import Any, Mapping, Sequence
 
 from repro import obs
-from repro.core.result import VerificationResult
+from repro.core.result import CertificationError, VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import Instance
 from repro.engine.cache import (
@@ -49,12 +49,7 @@ from repro.engine.cache import (
     from_canonical,
     to_canonical,
 )
-from repro.engine.certify import (
-    CertificationError,
-    recertify,
-    refuse,
-    validate_result,
-)
+from repro.engine.certify import recertify, refuse, validate_result
 from repro.engine.executor import ResiliencePolicy, execute_tasks
 from repro.engine.planner import address_tasks, key_method, plan_task
 from repro.engine.registry import vmc_registry

@@ -53,19 +53,13 @@ from dataclasses import dataclass
 from repro.core.checker import is_coherent_schedule, is_sc_schedule
 from repro.core.encode import encode_legal_schedule
 from repro.core.infer import infer_order
-from repro.core.result import Certificate, VerificationResult
+from repro.core.result import Certificate, CertificationError, VerificationResult
 from repro.core.types import Execution, Operation
 from repro.sat.drat import check_rup
 from repro.util.control import StopCheck
 
 #: Certify modes accepted by the engine and the CLI.
 CERTIFY_MODES = ("off", "on", "strict")
-
-
-class CertificationError(RuntimeError):
-    """A verdict failed certification under ``--certify on`` — either
-    the producing solver or the checker is wrong, and the run must not
-    quietly pick a side."""
 
 
 @dataclass(frozen=True)

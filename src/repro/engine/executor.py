@@ -37,6 +37,12 @@ Verdicts are identical in both modes — every backend is deterministic
 and tasks share no state — though with ``early_exit`` the modes may
 *report* different subsets of per-address results for an incoherent
 execution (whichever tasks finished before the exit fired).
+
+The public verifiers :func:`verify_vmc`, :func:`verify_vmc_at` and
+:func:`verify_vsc` (the paper's Definitions 4.1 and 6.1; ``repro``
+exports them as ``verify_coherence``, ``verify_coherence_at`` and
+``verify_sequential_consistency``) live here: each plans its tasks,
+runs them through :func:`execute_plan` and aggregates the verdict.
 """
 
 from __future__ import annotations
@@ -45,9 +51,12 @@ from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from time import perf_counter
+from typing import Mapping, Sequence
 
 from repro import obs
-from repro.core.result import VerificationResult
+from repro.core.result import Certificate, VerificationResult
+from repro.core.types import Address, Execution, Operation
+from repro.engine.backend import Instance
 from repro.engine.cache import ResultCache
 from repro.engine.certify import (
     CERTIFY_MODES,
@@ -56,10 +65,11 @@ from repro.engine.certify import (
     validate_result,
 )
 from repro.engine.chaos import ChaosCrash, ChaosSpec, tamper_result
-from repro.engine.planner import PlannedTask
+from repro.engine.planner import PlannedTask, plan_task, plan_vmc, plan_vsc
 from repro.engine.pool import LostResult, backoff, run_pool
 from repro.engine.portfolio import PORTFOLIO_MIN_STATES, PortfolioBackend
 from repro.engine.prepass import EXPONENTIAL_TIER
+from repro.engine.registry import BackendRegistry
 from repro.util.control import Cancelled
 from repro.util.deadline import Deadline
 
@@ -641,3 +651,174 @@ def _run_pooled(
                 f"the task could run", "queue",
             )
     return run.stopped
+
+
+# ---------------------------------------------------------------------
+# The public verifiers: plan, execute, aggregate
+# ---------------------------------------------------------------------
+def _resolve_cache(cache: "ResultCache | bool | None") -> ResultCache | None:
+    """``None`` → fresh per-call cache (dedupes identical sub-executions
+    within one verification); ``False`` → caching disabled; a
+    :class:`ResultCache` → shared across calls (campaigns, sweeps)."""
+    if cache is None:
+        return ResultCache()
+    if cache is False:
+        return None
+    return cache
+
+
+def _verify(plan, cache, answer, **kwargs) -> VerificationResult:
+    """One engine run in its own record: ``plan(cache)`` under the
+    ``plan`` span (lookups and pre-pass included), :func:`execute_plan`,
+    then ``answer(results)``, which carries the record and counts once
+    if UNKNOWN."""
+    with obs.opened(obs.Record(rows=True)) as rec:
+        with obs.span("plan"):
+            tasks = plan(cache)
+        result = answer(execute_plan(tasks, cache=cache, **kwargs)[0])
+        obs.count_unknown(result)
+    result.report = rec
+    return result
+
+
+def verify_vmc(
+    execution: Execution,
+    method: str = "auto",
+    write_orders: Mapping[Address, Sequence[Operation]] | None = None,
+    jobs: int = 1,
+    cache: "ResultCache | bool | None" = None,
+    registry: BackendRegistry | None = None,
+    early_exit: bool = True,
+    resilience: ResiliencePolicy | None = None,
+    certify: str = "off",
+) -> VerificationResult:
+    """Decide whether the execution is coherent (Section 3): a coherent
+    schedule exists for *every* address.
+
+    Plans one task per constrained address, runs them (in parallel on
+    worker processes when ``jobs > 1`` and the plan still contains
+    heavy exponential-tier work), and aggregates.  Under
+    ``method="auto"`` the planner decides from each instance whether
+    the polynomial pre-pass runs and whether exact search races SAT;
+    a forced ``method`` runs that backend alone, with neither.
+    Per-address results (with witnesses) are in ``result.per_address``;
+    execution statistics are in ``result.report``.
+
+    ``resilience`` (a :class:`ResiliencePolicy`) adds deadlines, crash
+    retries and fault injection; tasks abandoned under it yield sound
+    UNKNOWN per-address results, and the aggregate is UNKNOWN exactly
+    when no violation was found but some address went undecided.
+
+    ``certify`` (``"off"``/``"on"``/``"strict"``) makes every verdict
+    carry a certificate validated by the independent trusted checker
+    (:mod:`repro.engine.certify`) before it is cached or returned:
+    ``on`` raises :class:`CertificationError` on any failure, ``strict``
+    downgrades the offending verdict to a sound UNKNOWN(uncertified).
+    """
+    addrs = execution.constrained_addresses()
+    if not addrs:
+        result = VerificationResult(holds=True, method="trivial", schedule=[])
+        if certify != "off":
+            result.certificate = Certificate("witness")
+            result.stats["certified"] = True
+        result.report = obs.Record(rows=True)
+        result.report.info.update(problem="vmc", jobs=max(1, jobs))
+        return result
+    return _verify(
+        lambda c: plan_vmc(
+            execution, method=method, write_orders=write_orders,
+            registry=registry, cache=c, certify=certify,
+        ),
+        _resolve_cache(cache),
+        lambda results: _aggregate_vmc(addrs, results),
+        jobs=jobs, early_exit=early_exit, problem="vmc",
+        resilience=resilience, certify=certify,
+    )
+
+
+def _aggregate_vmc(
+    addrs: list[Address], results: dict[Address, VerificationResult]
+) -> VerificationResult:
+    """Per-address results -> the execution's answer: VIOLATED >
+    UNKNOWN > holds."""
+    per: dict[Address, VerificationResult] = {
+        a: results[a] for a in addrs if a in results
+    }
+    bad = [a for a in addrs if a in per and per[a].violated]
+    undecided = [a for a in addrs if a in per and per[a].unknown]
+    if bad:
+        # A violation is a verdict even if other addresses went
+        # undecided: incoherence at one address is incoherence.
+        first = per[bad[0]]
+        agg = VerificationResult(
+            holds=False,
+            method=first.method,
+            reason=f"address {bad[0]!r} has no coherent schedule: "
+            f"{first.reason}",
+            certificate=first.certificate,
+        )
+    elif undecided:
+        first = per[undecided[0]]
+        agg = VerificationResult.make_unknown(
+            method=first.method,
+            reason=first.unknown_reason,
+            detail=f"{len(undecided)}/{len(addrs)} addresses undecided; "
+            f"first: {first.reason}",
+            stage=first.stats.get("stage"),
+        )
+    else:
+        only = per[addrs[0]]
+        agg = VerificationResult(
+            holds=True,
+            method=only.method if len(addrs) == 1 else "per-address",
+            schedule=only.schedule if len(addrs) == 1 else None,
+            certificate=only.certificate if len(addrs) == 1 else None,
+        )
+    agg.per_address = per
+    if len(addrs) == 1:
+        agg.address = addrs[0]
+    return agg
+
+
+def verify_vmc_at(
+    execution: Execution,
+    addr: Address,
+    method: str = "auto",
+    write_order: Sequence[Operation] | None = None,
+    cache: "ResultCache | bool | None" = False,
+    registry: BackendRegistry | None = None,
+    resilience: ResiliencePolicy | None = None,
+    certify: str = "off",
+) -> VerificationResult:
+    """Decide VMC at one address of a (possibly multi-address)
+    execution."""
+    instance = Instance(
+        execution.restrict_to_address(addr), address=addr,
+        write_order=write_order, problem="vmc",
+    )
+    return _verify(
+        lambda c: [plan_task(0, addr, instance, method, registry, c, certify)],
+        _resolve_cache(cache), lambda results: results[addr],
+        problem="vmc", resilience=resilience, certify=certify,
+    )
+
+
+def verify_vsc(
+    execution: Execution,
+    method: str = "auto",
+    cache: "ResultCache | bool | None" = False,
+    registry: BackendRegistry | None = None,
+    resilience: ResiliencePolicy | None = None,
+    certify: str = "off",
+) -> VerificationResult:
+    """Decide whether a sequentially consistent schedule exists
+    (Definition 6.1).  VSC needs one schedule over all addresses at
+    once, so there is a single task — no per-address parallelism."""
+    return _verify(
+        lambda c: plan_vsc(
+            execution, method=method, registry=registry, cache=c,
+            certify=certify,
+        ),
+        _resolve_cache(cache), lambda results: results[None],
+        problem="vsc", resilience=resilience, certify=certify,
+    )

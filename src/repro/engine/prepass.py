@@ -244,23 +244,25 @@ def prepass_vsc(instance: Instance) -> PrepassInfo | None:
         g.topological_order()
     except CycleError as e:
         steps = []
+        # Certificate step log: the cycle's program-order edges, then
+        # per address the slice of its derivation log that derives the
+        # cycle's edges there.  Each slice only cites edges earlier in
+        # itself, and prepending more edges can only make the checker's
+        # reachability test more permissive, never less, so the
+        # concatenation stays replayable.
+        cert_steps = []
+        inferred: dict[Any, list] = {}
         for u, v in zip(e.cycle, e.cycle[1:] + e.cycle[:1]):
-            steps.append(
-                f"{ops[u]} -> {ops[v]} "
-                f"[{reasons.get((u, v), 'program order')}]"
-            )
-        # Certificate step log: global program order first, then every
-        # per-address derivation verbatim — each address's closure steps
-        # only ever cite edges earlier in its own log, and prepending
-        # more edges can only make the checker's reachability test more
-        # permissive, never less, so the concatenation stays replayable.
-        cert_steps = [
-            (o1.uid, o2.uid, "po", None)
-            for h in residual_ex.histories
-            for o1, o2 in zip(h.operations, h.operations[1:])
-        ]
-        for inf in per_addr.values():
-            cert_steps.extend(inf.steps)
+            why = reasons.get((u, v), "program order")
+            steps.append(f"{ops[u]} -> {ops[v]} [{why}]")
+            if (u, v) not in reasons:
+                cert_steps.append((ops[u].uid, ops[v].uid, "po", None))
+            else:
+                inferred.setdefault(ops[u].addr, []).append(
+                    (ops[u].uid, ops[v].uid)
+                )
+        for addr, edges in inferred.items():
+            cert_steps.extend(per_addr[addr].sliced_steps(edges))
         return _decide(
             info,
             VerificationResult(

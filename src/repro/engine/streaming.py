@@ -40,12 +40,22 @@ exactly like the offline write-order backend.  Clean windows emit
 periodic HOLDS-so-far heartbeats whose witness schedule is the gap
 placement itself.
 
-:class:`AddressMonitor` is the per-address engine (and the
-implementation behind the :class:`repro.core.online.CoherenceMonitor`
-compatibility shim); :class:`StreamingVerifier` routes a multi-address
-commit stream, enforces per-process program order, and emits
-:class:`StreamVerdict` objects.  ``repro monitor`` drives it over the
-framed REPROSTM format of :mod:`repro.core.serialize_bin`.
+:class:`AddressMonitor` is the per-address engine;
+:class:`StreamingVerifier` routes a multi-address commit stream,
+enforces per-process program order, and emits :class:`StreamVerdict`
+objects.  ``repro monitor`` drives it over the framed REPROSTM format
+of :mod:`repro.core.serialize_bin`.  :func:`monitor_run` replays a
+recorded simulator run through plain monitors: a second implementation
+of §5.2 that the tests check :mod:`repro.core.writeorder` against.
+
+The monitor is *eager-greedy*: it places each read at the earliest
+legal gap, which is complete for the same exchange-argument reason the
+offline Section 5.2 algorithm is, given that the memory system commits
+a read after the write that sourced it (true of real hardware and of
+the simulator).
+
+The offline engine is imported on the first refutation only, so a
+clean stream never loads it.
 """
 
 from __future__ import annotations
@@ -60,9 +70,8 @@ from typing import Iterable, Iterator, Mapping
 from repro import obs
 from repro.core.checker import check_coherence_witnesses
 from repro.core.infer import _gappy_execution
-from repro.core.result import VerificationResult
+from repro.core.result import CertificationError, VerificationResult
 from repro.core.types import INITIAL, Address, Execution, Operation, Value
-from repro.engine.certify import CertificationError
 
 __all__ = [
     "DEFAULT_WINDOW",
@@ -71,6 +80,7 @@ __all__ = [
     "StreamVerdict",
     "StreamingVerifier",
     "monitor_execution",
+    "monitor_run",
 ]
 
 #: Default certificate-window size (retained ops per address).
@@ -99,7 +109,7 @@ class AddressMonitor:
     certificate window with sound prefix eviction and can build
     checkable refutations (:meth:`refute`) and HOLDS witnesses (the
     gap placement, :meth:`StreamingVerifier.window_witnesses`).  Without
-    a window (the compatibility shim) it is a pure value-level frontier.
+    a window it is a pure value-level frontier.
 
     ``writes``, ``reads``, ``rmws`` and ``violations`` count the events
     committed so far (plain ints: the hot path records nothing else).
@@ -385,7 +395,7 @@ class AddressMonitor:
         under ``certify on|strict``.
         """
         ex = self.window_execution(final)
-        from repro.engine import verify_vmc_at
+        from repro.engine.executor import verify_vmc_at
 
         # Certification is always *attempted* (violations are rare and
         # windows small); ``certify`` only controls how the caller
@@ -734,7 +744,7 @@ def _escalate(
 ) -> StreamVerdict:
     """Hand the whole execution to the offline engine and wrap its
     (certified where possible) verdict as a stream verdict."""
-    from repro.engine import verify_vmc
+    from repro.engine.executor import verify_vmc
 
     try:
         deep = verify_vmc(
@@ -864,3 +874,77 @@ def monitor_execution(
         # the trace; let the offline engine decide.
         return _escalate(execution, certify, sv, "greedy final mismatch")
     return verdict
+
+
+# ---------------------------------------------------------------------
+# Replaying a recorded simulator run
+# ---------------------------------------------------------------------
+def monitor_run(run_result) -> list[str]:
+    """Replay a :class:`repro.memsys.recorder.RunResult` through
+    per-address monitors; return the violation messages (none: clean).
+
+    Events are reconstructed per address: writes in the announced
+    write-order, each process's reads flushed before its next write —
+    the most permissive placement consistent with program order, which
+    is what the offline write-order verifier also allows (so the two
+    agree even when ``write_orders`` were corrupted post-run by a
+    fault).  The simulator's live ``monitor=`` hook is the strictly
+    faithful replay of *when* each read committed.
+    """
+    execution = run_result.execution
+    monitors: dict[Address, AddressMonitor] = {}
+    violations: list[str] = []
+
+    def monitor(addr: Address) -> AddressMonitor:
+        mon = monitors.get(addr)
+        if mon is None:
+            mon = monitors[addr] = AddressMonitor(
+                addr, execution.initial.get(addr, INITIAL)
+            )
+        return mon
+
+    def note(message: str | None) -> None:
+        if message is not None:
+            violations.append(message)
+
+    # Walk each address's write order as the clock; between write
+    # commits, flush each process's pending reads that precede its next
+    # write in program order.
+    for addr, order in sorted(
+        run_result.write_orders.items(), key=lambda kv: str(kv[0])
+    ):
+        mon = monitor(addr)
+        sub = execution.restrict_to_address(addr)
+        pending = {h.proc: deque(h.operations) for h in sub.histories}
+
+        def flush_reads_before(proc: int, stop_index: int | None) -> None:
+            ops = pending[proc]
+            while ops and ops[0].kind.reads and not ops[0].kind.writes:
+                if stop_index is not None and ops[0].index >= stop_index:
+                    break
+                note(mon.commit_read(proc, ops.popleft().value_read))
+
+        for w in order:
+            flush_reads_before(w.proc, w.index)
+            ops = pending[w.proc]
+            assert ops and ops[0].uid == w.uid, "write order out of sync"
+            ops.popleft()
+            if w.kind.reads:
+                note(mon.commit_rmw(w.proc, w.value_read, w.value_written))
+            else:
+                note(mon.commit_write(w.proc, w.value_written))
+        for proc in pending:
+            flush_reads_before(proc, None)
+    # Addresses with reads but no writes at all:
+    for addr in execution.addresses():
+        if addr in run_result.write_orders:
+            continue
+        for h in execution.restrict_to_address(addr).histories:
+            for op in h:
+                if op.kind.reads:
+                    note(monitor(addr).commit_read(op.proc, op.value_read))
+    # End-of-run check against the machine's reported final values —
+    # this is what catches silently dropped writes online.
+    for addr, expected in execution.final.items():
+        note(monitor(addr).final(expected))
+    return violations

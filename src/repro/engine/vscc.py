@@ -27,8 +27,7 @@ from typing import Mapping, Sequence
 from repro.core.conflict import vsc_conflict
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
+from repro.engine.executor import verify_vmc, verify_vsc
 
 
 def verify_vscc(
@@ -44,7 +43,7 @@ def verify_vscc(
     ``jobs``/``cache`` are forwarded to the engine for the per-address
     coherence-promise check (the SC decision itself is one task).
     """
-    coherence = verify_coherence(
+    coherence = verify_vmc(
         execution, write_orders=write_orders, jobs=jobs, cache=cache
     )
     if not coherence:
@@ -54,7 +53,7 @@ def verify_vscc(
             reason=f"the coherence promise is broken: {coherence.reason}",
             per_address=coherence.per_address,
         )
-    result = verify_sequential_consistency(execution, method=method)
+    result = verify_vsc(execution, method=method)
     result.per_address = coherence.per_address
     result.method = f"vscc/{result.method}"
     return result
@@ -74,7 +73,7 @@ def vsc_via_conflict(
     O(n log n)).  A ``holds`` answer is always correct; a negative
     answer only means *these* schedules don't merge.
     """
-    coherence = verify_coherence(
+    coherence = verify_vmc(
         execution, write_orders=write_orders, jobs=jobs, cache=cache
     )
     if not coherence:

@@ -15,7 +15,7 @@ so fault-free runs are **TSO-consistent by construction** and, with
 adversarial drain scheduling, frequently *not* sequentially consistent
 (store-buffering outcomes appear).  The recorder output feeds
 :func:`repro.consistency.tso.tso_holds` (must always accept) and
-:func:`repro.core.vsc.verify_sequential_consistency` (may reject) —
+:func:`repro.engine.verify_vsc` (may reject) —
 the empirical counterpart of the model hierarchy.
 
 Caches are omitted: the store buffer is the phenomenon under study, and

@@ -9,8 +9,7 @@ an end-to-end proof that the reductions are faithful.
 
 from __future__ import annotations
 
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
+from repro.engine import verify_vmc, verify_vsc
 from repro.reductions.sat_to_vmc import SatToVmc
 from repro.reductions.sat_to_vscc import SatToVscc
 from repro.sat.cnf import CNF, Assignment
@@ -24,7 +23,7 @@ def solve_sat_via_vmc(cnf: CNF, method: str = "auto") -> Assignment | None:
     no coherent schedule).
     """
     reduction = SatToVmc(cnf)
-    result = verify_coherence(reduction.execution, method=method)
+    result = verify_vmc(reduction.execution, method=method)
     if not result:
         return None
     if result.schedule is None:
@@ -48,7 +47,7 @@ def solve_sat_via_vscc(cnf: CNF, method: str = "auto") -> Assignment | None:
     the coherence promise.
     """
     reduction = SatToVscc(cnf)
-    result = verify_sequential_consistency(reduction.execution, method=method)
+    result = verify_vsc(reduction.execution, method=method)
     if not result:
         return None
     if result.schedule is None:

@@ -20,43 +20,40 @@ scratch:
 * :mod:`repro.sat.simplify` — cheap preprocessing.
 """
 
-from repro.sat.cnf import CNF, Assignment, Lit, neg, var_of, is_pos
-from repro.sat.dpll import solve_dpll
-from repro.sat.cdcl import CDCLSolver, solve_cdcl
-from repro.sat.random_sat import random_ksat, planted_ksat, to_3sat
-from repro.sat.enumerate_models import brute_force_satisfiable, enumerate_models
-from repro.sat.dimacs import parse_dimacs, write_dimacs
+from repro import _lazy
 
-__all__ = [
-    "CNF",
-    "Assignment",
-    "Lit",
-    "neg",
-    "var_of",
-    "is_pos",
-    "solve_dpll",
-    "CDCLSolver",
-    "solve_cdcl",
-    "random_ksat",
-    "planted_ksat",
-    "to_3sat",
-    "brute_force_satisfiable",
-    "enumerate_models",
-    "parse_dimacs",
-    "write_dimacs",
-]
+__all__ = _lazy(globals(), {
+    "CNF": "repro.sat.cnf",
+    "Assignment": "repro.sat.cnf",
+    "Lit": "repro.sat.cnf",
+    "neg": "repro.sat.cnf",
+    "var_of": "repro.sat.cnf",
+    "is_pos": "repro.sat.cnf",
+    "solve_dpll": "repro.sat.dpll",
+    "CDCLSolver": "repro.sat.cdcl",
+    "solve_cdcl": "repro.sat.cdcl",
+    "random_ksat": "repro.sat.random_sat",
+    "planted_ksat": "repro.sat.random_sat",
+    "to_3sat": "repro.sat.random_sat",
+    "brute_force_satisfiable": "repro.sat.enumerate_models",
+    "enumerate_models": "repro.sat.enumerate_models",
+    "parse_dimacs": "repro.sat.dimacs",
+    "write_dimacs": "repro.sat.dimacs",
+})
 
 
-def solve(cnf: CNF, solver: str = "cdcl") -> Assignment | None:
+def solve(cnf, solver: str = "cdcl"):
     """Solve ``cnf``; return a satisfying assignment or ``None`` (UNSAT).
 
     ``solver`` selects the backend: ``"cdcl"`` (default), ``"dpll"``, or
     ``"brute"`` (exponential enumeration, only for tiny formulas).
     """
     if solver == "cdcl":
-        return solve_cdcl(cnf)
-    if solver == "dpll":
-        return solve_dpll(cnf)
-    if solver == "brute":
-        return brute_force_satisfiable(cnf)
-    raise ValueError(f"unknown SAT backend {solver!r}")
+        from repro.sat.cdcl import solve_cdcl as run
+    elif solver == "dpll":
+        from repro.sat.dpll import solve_dpll as run
+    elif solver == "brute":
+        from repro.sat.enumerate_models import brute_force_satisfiable as run
+    else:
+        raise ValueError(f"unknown SAT backend {solver!r}")
+    return run(cnf)

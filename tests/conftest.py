@@ -8,7 +8,10 @@ truth; CNF strategies stay small enough for the brute-force oracle.
 from __future__ import annotations
 
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -17,6 +20,21 @@ from repro.core.checker import execution_from_schedule
 from repro.core.kernels import NumpyKernel
 from repro.core.types import Execution, OpKind, Operation
 from repro.sat.cnf import CNF
+
+
+def run_in_fresh_interpreter(*args: str, cwd=None) -> str:
+    """Run ``python *args`` in a new interpreter on this test run's
+    import path; assert it exits 0 and return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        os.path.abspath(p) for p in sys.path if p
+    )
+    proc = subprocess.run(
+        [sys.executable, *args], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-4000:]
+    return proc.stdout
 
 
 # ---------------------------------------------------------------------

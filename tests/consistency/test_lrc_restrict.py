@@ -9,7 +9,6 @@ from repro.consistency.restrict import (
     restriction_agrees_with_coherence,
 )
 from repro.core.builder import parse_trace
-from repro.core.vmc import verify_coherence
 from repro.reductions.sat_to_vmc import SatToVmc
 from repro.reductions.sync_wrap import wrap_with_sync
 from repro.sat.enumerate_models import brute_force_satisfiable

@@ -5,8 +5,7 @@ import pytest
 from repro.core.builder import parse_trace
 from repro.core.checker import is_sc_schedule
 from repro.core.conflict import vsc_conflict
-from repro.core.vmc import verify_coherence
-from repro.core.vscc import verify_vscc, vsc_via_conflict
+from repro import verify_vscc, vsc_via_conflict
 
 from tests.conftest import make_coherent_execution
 
@@ -60,7 +59,7 @@ class TestVscConflict:
             "P0: W(x,1) W(x,2)\nP1: R(x,1) W(y,1)\nP2: R(y,1) R(x,2)",
             initial={"x": 0, "y": 0},
         )
-        from repro.core.vsc import verify_sequential_consistency
+        from repro import verify_sequential_consistency
 
         assert verify_sequential_consistency(ex)
         # A perverse (but coherent) x-schedule: P2's R(x,2) squeezed

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from repro.core.builder import ExecutionBuilder, parse_trace
 from repro.core.checker import is_coherent_schedule
 from repro.core.types import Execution
-from repro.core.vmc import verify_coherence, verify_coherence_at
-from repro.core.vsc import verify_sequential_consistency
+from repro import (
+    verify_coherence,
+    verify_coherence_at,
+    verify_sequential_consistency,
+)
 
 from repro.engine import Instance, vmc_registry
 

@@ -8,7 +8,7 @@ from repro.core.checker import is_coherent_schedule
 from repro.core.exact import exact_vmc
 from repro.core.encode import sat_vmc
 from repro.core.infer import eliminate_reads, infer_order
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 
 from tests.conftest import coherent_executions
 

@@ -13,10 +13,7 @@ Everything numpy-specific is guarded so the suite passes on a bare
 install (``pip install repro`` without ``[fast]``).
 """
 
-import os
 import random
-import subprocess
-import sys
 
 import pytest
 
@@ -24,24 +21,20 @@ from repro import obs
 from repro.core import infer, kernels
 from repro.core.infer import eliminate_reads, infer_order
 from repro.core.types import Execution, OpKind, Operation
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.engine import validate_result, verify_vmc
 
-from tests.conftest import KERNELS, make_arbitrary_execution, make_coherent_execution
+from tests.conftest import (
+    KERNELS,
+    make_arbitrary_execution,
+    make_coherent_execution,
+    run_in_fresh_interpreter,
+)
 
 HAVE_NUMPY = "numpy" in KERNELS
 needs_numpy = pytest.mark.skipif(
     not HAVE_NUMPY, reason="numpy not installed"
 )
-
-
-def run_in_fresh_interpreter(code: str) -> None:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
-    subprocess.run(
-        [sys.executable, "-c", code], env=env, check=True,
-        capture_output=True, text=True, timeout=120,
-    )
 
 
 # ---------------------------------------------------------------------
@@ -135,6 +128,7 @@ class TestSelection:
         """Pre-pass and closure certificate both run, on the python
         kernel, and numpy is never imported (installed or not)."""
         run_in_fresh_interpreter(
+            "-c",
             "import sys\n"
             "from repro.core.builder import parse_trace\n"
             "from repro.engine import verify_vmc\n"
@@ -358,6 +352,7 @@ class TestKernelLabel:
 
     def test_first_run_without_a_kernel_imports_no_numpy(self):
         run_in_fresh_interpreter(
+            "-c",
             "import sys\n"
             "from repro.core.builder import parse_trace\n"
             "from repro.engine import verify_vmc\n"

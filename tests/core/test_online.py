@@ -1,14 +1,16 @@
-"""The online coherence monitor."""
+"""The online coherence monitor, and its write-order replay checked
+against the offline Section 5.2 verifier."""
 
 import pytest
 
-from repro.core.online import (
-    CoherenceMonitor,
+from repro import verify_coherence
+from repro.core.types import read, rmw, write
+from repro.engine.streaming import (
+    AddressMonitor,
     CoherenceViolation,
-    SystemMonitor,
+    StreamingVerifier,
     monitor_run,
 )
-from repro.core.vmc import verify_coherence
 from repro.memsys import (
     FaultConfig,
     FaultKind,
@@ -20,18 +22,18 @@ from repro.memsys import (
 
 class TestMonitorBasics:
     def test_initial_value_read(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         assert mon.commit_read(0, 0) is None
         assert mon.ok
 
     def test_unknown_value_read(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         msg = mon.commit_read(0, 42)
         assert msg and "no committed write" in msg
         assert not mon.ok
 
     def test_write_then_read(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         mon.commit_write(0, 5)
         assert mon.commit_read(1, 5) is None
         assert mon.commit_read(1, 0) is not None  # stale after advancing
@@ -39,37 +41,37 @@ class TestMonitorBasics:
     def test_read_before_write_window(self):
         # Another process may still read the initial value as long as
         # its own cursor hasn't passed the write.
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         mon.commit_write(0, 5)
         assert mon.commit_read(1, 0) is None  # P1 lags: schedulable
         assert mon.commit_read(1, 5) is None  # then catches up
         assert mon.commit_read(1, 0) is not None  # but cannot go back
 
     def test_writer_own_reads_see_own_write(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         mon.commit_write(0, 1)
         # The writer itself can no longer read the initial value.
         assert mon.commit_read(0, 0) is not None
 
     def test_strict_mode_raises(self):
-        mon = CoherenceMonitor("x", initial=0, strict=True)
+        mon = AddressMonitor("x", initial=0, strict=True)
         with pytest.raises(CoherenceViolation):
             mon.commit_read(0, 99)
 
     def test_rmw_chain(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         assert mon.commit_rmw(0, 0, 1) is None
         assert mon.commit_rmw(1, 1, 2) is None
         assert mon.commit_rmw(0, 1, 3) is not None  # must read 2
 
     def test_final_check(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         mon.commit_write(0, 7)
         assert mon.final(7) is None
         assert mon.final(0) is not None
 
     def test_stats(self):
-        mon = CoherenceMonitor("x", initial=0)
+        mon = AddressMonitor("x", initial=0)
         mon.commit_write(0, 1)
         mon.commit_read(1, 1)
         mon.commit_rmw(1, 1, 2)
@@ -78,20 +80,31 @@ class TestMonitorBasics:
         assert mon.rmws == 1
 
 
-class TestSystemMonitor:
+class TestStreamingVerifierBank:
+    """``StreamingVerifier.monitors`` is the per-address bank."""
+
     def test_independent_addresses(self):
-        sm = SystemMonitor(initial={"x": 0, "y": 0})
-        sm.write(0, "x", 1)
-        assert sm.read(1, "y", 0) is None
-        assert sm.read(1, "x", 1) is None
-        assert sm.ok
+        sv = StreamingVerifier(2, initial={"x": 0, "y": 0})
+        for op in (
+            write("x", 1, proc=0, index=0),
+            read("y", 0, proc=1, index=0),
+            read("x", 1, proc=1, index=1),
+            rmw("y", 0, 2, proc=0, index=1),
+        ):
+            assert sv.feed_op(op) is None
+        assert sorted(sv.monitors) == ["x", "y"]
+        assert all(mon.ok for mon in sv.monitors.values())
+        assert sv.finalize({"x": 1, "y": 2}).kind == "final"
 
     def test_violations_collected(self):
-        sm = SystemMonitor(initial={"x": 0})
-        sm.read(0, "x", 9)
-        sm.read(0, "x", 8)
-        assert len(sm.violations) == 2
-        assert not sm.ok
+        sv = StreamingVerifier(1, initial={"x": 0}, stop_on_violation=False)
+        verdicts = [
+            sv.feed_op(read("x", 9, proc=0, index=0)),
+            sv.feed_op(read("x", 8, proc=0, index=1)),
+        ]
+        assert [v.kind for v in verdicts] == ["violation", "violation"]
+        assert sv.monitors["x"].violations == 2
+        assert sv.tripped is None
 
 
 class TestMonitorRun:
@@ -103,8 +116,8 @@ class TestMonitorRun:
             )
             cfg = SystemConfig(num_processors=4, seed=seed)
             res = MultiprocessorSystem(cfg, scripts, initial_memory=init).run()
-            sm = monitor_run(res)
-            assert sm.ok, (seed, sm.violations[:1])
+            violations = monitor_run(res)
+            assert not violations, (seed, violations[:1])
 
     def test_agrees_with_offline_on_faulty_runs(self):
         """Monitor verdicts must match the offline write-order verifier."""
@@ -128,7 +141,7 @@ class TestMonitorRun:
             )
             online = monitor_run(res)
             checked += 1
-            if bool(offline) == online.ok:
+            if bool(offline) == (not online):
                 agree += 1
         assert agree == checked
 
@@ -146,6 +159,6 @@ class TestMonitorRun:
                     FaultKind.CORRUPTED_VALUE, seed=seed, rate=0.2
                 ),
             ).run()
-            if res.faults_injected and not monitor_run(res).ok:
+            if res.faults_injected and monitor_run(res):
                 detected += 1
         assert detected >= 3

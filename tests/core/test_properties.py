@@ -19,7 +19,7 @@ from repro.core.encode import sat_vmc
 from repro.core.exact import exact_vmc, exact_vsc
 from repro.core.readmap import applicable as readmap_applicable, readmap_vmc
 from repro.core.types import Execution, OpKind, Operation
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.core.writeorder import writeorder_vmc
 
 from tests.conftest import coherent_executions, make_coherent_execution

@@ -738,6 +738,41 @@ class TestSlicedCycleCertificates:
         assert set(steps) < set(whole.certificate.payload[0])
         assert 4 * len(steps) < len(whole.certificate.payload[0])
 
+    def test_vsc_cycle_is_sliced_per_address(self):
+        """A store-buffering cycle beside a long unrelated history: the
+        VSC certificate cites the cycle's steps, not every address's
+        whole derivation log."""
+        from repro.core.infer import infer_order
+
+        n = 29
+        ex = parse_trace(
+            SB_NOT_SC
+            + "\nP2: " + " ".join(f"W(z,{v})" for v in range(1, n + 1))
+            + "\nP3: " + " ".join(f"R(z,{v})" for v in range(1, n + 1)),
+            initial={"x": 0, "y": 0, "z": 0},
+        )
+        result = verify_vsc(ex, certify="on")
+        assert result.violated and result.certificate.kind == "cycle"
+        assert validate_result(ex, result)
+        steps, cycle = result.certificate.payload
+        whole = {
+            (o1.uid, o2.uid, "po", None)
+            for h in ex.histories
+            for o1, o2 in zip(h.operations, h.operations[1:])
+        }
+        for addr in ex.constrained_addresses():
+            whole.update(infer_order(ex.restrict_to_address(addr)).steps)
+        assert set(steps) < whole
+        assert len(steps) <= 2 * len(cycle)
+        for dropped in steps:
+            tampered = tuple(s for s in steps if s != dropped)
+            check = validate_result(ex, VerificationResult(
+                holds=False, method="prepass",
+                certificate=Certificate("cycle", (tampered, cycle)),
+            ))
+            assert not check
+            assert "never established" in check.reason
+
     def test_dropping_a_cited_step_is_rejected(self):
         dropped = 0
         for ex, decided in _cycle_certificates():

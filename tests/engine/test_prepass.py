@@ -16,8 +16,7 @@ import pytest
 from repro.core.builder import parse_trace
 from repro.core.checker import is_coherent_schedule, is_sc_schedule
 from repro.core.types import Execution
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
+from repro import verify_coherence, verify_sequential_consistency
 from repro.engine import (
     Instance,
     ResultCache,

@@ -3,7 +3,7 @@ sharding, liveness under faults, and coherence guarantees."""
 
 import pytest
 
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.memsys.directory import DirectorySystem, DirState
 from repro.memsys.faults import FaultConfig, FaultKind
 from repro.memsys.processor import load, store

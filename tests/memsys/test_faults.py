@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.memsys.faults import (
     BUS_ONLY_FAULTS,
     MESSAGE_FAULTS,

@@ -3,7 +3,7 @@ visible/latent dichotomy, and certified agreement with the verifier."""
 
 import pytest
 
-from repro.core.vmc import verify_coherence, verify_coherence_at
+from repro import verify_coherence, verify_coherence_at
 from repro.engine.certify import validate_result
 from repro.memsys.directory import DirectorySystem
 from repro.memsys.faults import FaultConfig, FaultKind, supported_faults

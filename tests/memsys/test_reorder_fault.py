@@ -1,7 +1,7 @@
 """The reporting-path fault: a lying write-order (Section 5.2's helper
 itself failing) must be caught by the write-order verifier."""
 
-from repro.core.vmc import verify_coherence, verify_coherence_at
+from repro import verify_coherence, verify_coherence_at
 from repro.memsys.faults import FaultConfig, FaultKind
 from repro.memsys.processor import load, store
 from repro.memsys.system import MultiprocessorSystem, SystemConfig

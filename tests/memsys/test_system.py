@@ -5,8 +5,7 @@ import pytest
 
 from repro.core.checker import is_sc_schedule
 from repro.core.types import INITIAL, OpKind
-from repro.core.vmc import verify_coherence
-from repro.core.vsc import verify_sequential_consistency
+from repro import verify_coherence, verify_sequential_consistency
 from repro.memsys.processor import load, rmw, store
 from repro.memsys.system import MultiprocessorSystem, SystemConfig
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.consistency.pso import pso_holds
 from repro.consistency.tso import tso_holds
-from repro.core.vsc import verify_sequential_consistency
+from repro import verify_sequential_consistency
 from repro.memsys.processor import load, rmw, store
 from repro.memsys.tso_system import TsoConfig, TsoSystem
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.core.checker import is_coherent_schedule, is_sc_schedule
 from repro.core.exact import exact_vsc
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 from repro.reductions.sat_to_vscc import SatToVscc
 from repro.sat.cnf import CNF
 from repro.sat.enumerate_models import brute_force_satisfiable, enumerate_models

@@ -12,7 +12,7 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.sat.cdcl import solve_cdcl
+from repro.sat.cdcl import CDCLSolver, solve_cdcl
 from repro.sat.enumerate_models import brute_force_satisfiable
 from repro.sat.cnf import CNF
 from repro.sat.drat import ProofLog, check_rup
@@ -126,14 +126,27 @@ class TestCheckRup:
 
 
 class TestSolverProofs:
-    def test_pigeonhole_proof_checks(self):
-        for holes in (2, 3, 4):
+    def test_pigeonhole_proof_checks(self, monkeypatch):
+        """PHP with 5 holes learns enough clauses for the solver to
+        halve its learned-clause database: the proof then logs
+        deletions, and it must still check."""
+        reductions = []
+        reduce_db = CDCLSolver._reduce_db
+
+        def spy(solver):
+            reductions.append(len(solver.learned))
+            reduce_db(solver)
+
+        monkeypatch.setattr(CDCLSolver, "_reduce_db", spy)
+        for holes in (2, 3, 4, 5):
             cnf = _pigeonhole(holes)
             proof = ProofLog()
             assert solve_cdcl(cnf, proof=proof) is None
             verdict = check_rup(cnf, proof)
             assert verdict, verdict.reason
             assert proof.lines[-1] == ("a", ())
+        assert reductions
+        assert any(kind == "d" for kind, _lits in proof.lines)
 
     def test_sat_answers_log_nothing_misleading(self):
         """A satisfiable formula yields a model; whatever partial proof

@@ -22,7 +22,7 @@ from repro.core.encode import sat_vmc, sat_vsc
 from repro.core.exact import exact_vmc, exact_vsc
 from repro.core.single_op import applicable as single_op_applicable, single_op_vmc
 from repro.core.types import Execution, OpKind, Operation
-from repro.core.vmc import verify_coherence
+from repro import verify_coherence
 
 
 @st.composite
