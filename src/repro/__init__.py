@@ -10,8 +10,8 @@ Subpackages:
   paper's deciders: polynomial special cases and NP-complete
   general-case backends;
 * :mod:`repro.engine` — the unified verification engine behind the
-  public verifiers (VMC, VSC, VSCC): pluggable backend registry
-  (Figure 5.3 as data), per-address planner, parallel executor, and
+  public verifiers (VMC, VSC, VSCC): the fixed Figure 5.3 backend ladder
+  as data, per-address planner, parallel executor, and
   canonical-fingerprint result cache;
 * :mod:`repro.sat` — a from-scratch SAT toolkit (DPLL + CDCL);
 * :mod:`repro.reductions` — the paper's reductions (Figures 4.1, 5.1,

@@ -1,13 +1,14 @@
 """The unified verification engine.
 
-This package turns the paper's Figure 5.3 dispatch ladder into an
-extensible pipeline:
+This package runs the paper's Figure 5.3 dispatch ladder as a
+pipeline:
 
-* :mod:`repro.engine.backend` — the :class:`Backend` interface and the
-  built-in deciders (write-order, single-op, readmap, exact, CNF+SAT);
-* :mod:`repro.engine.registry` — named, tier-ordered backend
-  registries; routing is data, and new deciders register without
-  touching any dispatch code;
+* :mod:`repro.engine.backend` — the :class:`Backend` interface (one
+  entry point, ``run(instance, should_stop=None)``) and the deciders
+  (write-order, single-op, readmap, exact, CNF+SAT) with their state
+  budgets;
+* :mod:`repro.engine.registry` — Figure 5.3's ladder as data: one
+  fixed, named backend ladder per problem;
 * :mod:`repro.engine.planner` — decomposes a multi-address execution
   into independent per-address tasks, ordered cheapest-first, and is
   the one place a task is served from the cache;
@@ -36,6 +37,8 @@ from repro import _lazy
 
 __all__ = _lazy(globals(), {
     "EXACT_STATE_BUDGET": "repro.engine.backend",
+    "PORTFOLIO_MIN_STATES": "repro.engine.backend",
+    "RACE_STATE_BUDGET": "repro.engine.backend",
     "Backend": "repro.engine.backend",
     "BackendInapplicableError": "repro.engine.backend",
     "Instance": "repro.engine.backend",
@@ -62,16 +65,12 @@ __all__ = _lazy(globals(), {
     "plan_task": "repro.engine.planner",
     "plan_vmc": "repro.engine.planner",
     "plan_vsc": "repro.engine.planner",
-    "PORTFOLIO_MIN_STATES": "repro.engine.portfolio",
-    "RACE_STATE_BUDGET": "repro.engine.portfolio",
     "PortfolioBackend": "repro.engine.portfolio",
-    "EXPONENTIAL_TIER": "repro.engine.prepass",
     "PrepassInfo": "repro.engine.prepass",
     "prepass_vmc": "repro.engine.prepass",
     "prepass_vsc": "repro.engine.prepass",
     "BackendRegistry": "repro.engine.registry",
-    "build_vmc_registry": "repro.engine.registry",
-    "build_vsc_registry": "repro.engine.registry",
+    "LADDERS": "repro.engine.registry",
     "vmc_registry": "repro.engine.registry",
     "vsc_registry": "repro.engine.registry",
     "BatchPlan": "repro.engine.batch",

@@ -12,13 +12,14 @@ instance" — and this module turns each row into an object with
   router only picks it while the estimated state count is modest);
 * ``cost_estimate(instance)`` — a unitless work estimate, used by the
   planner to order per-address tasks cheapest-first;
-* ``tier`` — the Figure 5.3 routing priority: among auto-applicable
-  backends the registry selects the lowest tier, reproducing the
-  paper's ladder top to bottom.
+* ``search`` — whether the algorithm is a worst-case exponential
+  search (the exact search and CNF + SAT), which the planner pre-passes
+  and races;
+* ``run(instance, should_stop=None)`` — the one entry point.
 
-New deciders plug in by subclassing :class:`Backend` and registering an
-instance with a :class:`~repro.engine.registry.BackendRegistry` — the
-router never needs to change (see ``docs/engine.md``).
+The ladder that orders them, one fixed table per problem, is
+:mod:`repro.engine.registry`; the searches' state budgets live here,
+beside the backends they cost.
 """
 
 from __future__ import annotations
@@ -34,9 +35,22 @@ from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.util.control import StopCheck
 
-# With k processes the frontier search visits O(n^k) states; keep exact
-# search for instances whose worst-case state count is modest.
+# The searches' costs, in estimated frontier states (``estimated_states``).
+# With k processes the frontier search visits O(n^k) states; the router
+# picks exact search for instances whose worst-case state count is
+# modest.
 EXACT_STATE_BUDGET = 2_000_000
+
+#: Instances whose estimated state count is below this are decided by
+#: the exact search alone — it wins the race so fast that spinning up a
+#: second leg (thread + CNF encoding) costs more than it can save — and
+#: stay off the process pool.
+PORTFOLIO_MIN_STATES = 20_000
+
+#: State budget for the exact leg *inside a race*.  Past this the leg
+#: retires and lets the SAT leg finish; deliberately smaller than the
+#: router's EXACT_STATE_BUDGET since here retiring is cheap.
+RACE_STATE_BUDGET = 250_000
 
 
 def estimated_states(execution: Execution) -> float:
@@ -128,8 +142,10 @@ class Backend(abc.ABC):
     aliases: tuple[str, ...] = ()
     #: "vmc" or "vsc".
     problem: str = "vmc"
-    #: Figure 5.3 routing priority — lower wins among auto-applicable.
-    tier: int = 100
+    #: Whether the algorithm is a search, exponential in the worst case
+    #: (the NP-complete rows of Figure 5.3): only these tasks are worth
+    #: the pre-pass, the exact-vs-SAT race and a pool worker.
+    search: bool = False
 
     @abc.abstractmethod
     def applicable(self, instance: Instance) -> bool:
@@ -144,45 +160,20 @@ class Backend(abc.ABC):
         """Unitless work estimate, for cheapest-first task ordering."""
 
     @abc.abstractmethod
-    def run(self, instance: Instance) -> VerificationResult:
-        """Decide the instance.  Must be thread-safe and side-effect
-        free — the executor may call it from worker threads."""
-
-    def run_cancellable(
+    def run(
         self, instance: Instance, should_stop: StopCheck = None
     ) -> VerificationResult:
-        """Decide the instance, polling ``should_stop`` when supported.
+        """Decide the instance; side-effect free, so a pool worker or a
+        race thread may call it.
 
-        Backends whose algorithm supports cooperative cancellation (the
-        exact search, CDCL) override this; the default ignores the stop
-        check and runs to completion, which is always correct — the
-        portfolio executor just cannot abort such a leg early.  Unlike
-        :meth:`run`, budget exhaustion (``SearchBudgetExceeded``) is
-        allowed to propagate so the racing caller can let the other leg
-        finish instead of silently escalating inside the losing leg.
+        The searches poll ``should_stop`` and raise
+        :class:`~repro.util.control.Cancelled` when it fires (the
+        executor records a sound UNKNOWN; a race retires the leg); the
+        polynomial deciders run to completion.  ``None`` polls nothing.
         """
-        return self.run(instance)
-
-    def run_resilient(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        """The executor's deadline-aware entry point: :meth:`run`'s full
-        semantics (budget exhaustion escalates inline, never a task
-        error) *plus* cooperative cancellation.
-
-        When ``should_stop`` fires, :class:`~repro.util.control.
-        Cancelled` propagates to the executor, which records a sound
-        UNKNOWN — the abandoned work proves nothing either way.
-        """
-        if should_stop is None:
-            return self.run(instance)
-        try:
-            return self.run_cancellable(instance, should_stop)
-        except exact.SearchBudgetExceeded:
-            return self.run(instance)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<{type(self).__name__} {self.name!r} tier={self.tier}>"
+        return f"<{type(self).__name__} {self.problem}:{self.name}>"
 
 
 def _nlogn(n: int) -> float:
@@ -190,14 +181,12 @@ def _nlogn(n: int) -> float:
 
 
 # ---------------------------------------------------------------------
-# Built-in VMC backends (Figure 5.3, top to bottom)
+# VMC's polynomial deciders (Figure 5.3, top to bottom)
 # ---------------------------------------------------------------------
 class WriteOrderBackend(Backend):
     """Section 5.2: the write serialization is supplied — polynomial."""
 
     name = "write-order"
-    problem = "vmc"
-    tier = 0
 
     def applicable(self, instance: Instance) -> bool:
         return instance.write_order is not None
@@ -205,7 +194,9 @@ class WriteOrderBackend(Backend):
     def cost_estimate(self, instance: Instance) -> float:
         return _nlogn(instance.num_ops)
 
-    def run(self, instance: Instance) -> VerificationResult:
+    def run(
+        self, instance: Instance, should_stop: StopCheck = None
+    ) -> VerificationResult:
         if instance.write_order is None:
             raise BackendInapplicableError(
                 self, instance, [], "no write-order was supplied"
@@ -217,8 +208,6 @@ class SingleOpBackend(Backend):
     """Figure 5.3 row 1: at most one operation per process."""
 
     name = "single-op"
-    problem = "vmc"
-    tier = 1
 
     def applicable(self, instance: Instance) -> bool:
         return single_op.applicable(instance.execution)
@@ -226,7 +215,9 @@ class SingleOpBackend(Backend):
     def cost_estimate(self, instance: Instance) -> float:
         return float(instance.num_ops) + 1.0
 
-    def run(self, instance: Instance) -> VerificationResult:
+    def run(
+        self, instance: Instance, should_stop: StopCheck = None
+    ) -> VerificationResult:
         return single_op.single_op_vmc(instance.execution)
 
 
@@ -234,8 +225,6 @@ class ReadMapBackend(Backend):
     """Figure 5.3 row 5: every value written at most once."""
 
     name = "readmap"
-    problem = "vmc"
-    tier = 2
 
     def applicable(self, instance: Instance) -> bool:
         return readmap.applicable(instance.execution)
@@ -251,28 +240,30 @@ class ReadMapBackend(Backend):
     def cost_estimate(self, instance: Instance) -> float:
         return 2.0 * instance.num_ops + 1.0
 
-    def run(self, instance: Instance) -> VerificationResult:
+    def run(
+        self, instance: Instance, should_stop: StopCheck = None
+    ) -> VerificationResult:
         return readmap.readmap_vmc(instance.execution)
 
 
+# ---------------------------------------------------------------------
+# The searches, for either problem
+# ---------------------------------------------------------------------
 class ExactBackend(Backend):
     """Memoized frontier search — polynomial for constant processes.
 
-    ``max_states`` caps the search; when the cap is hit, :meth:`run`
-    escalates to the ``fallback_solver`` SAT route instead of raising
-    (budget exhaustion is a routing event, never a task error), while
-    :meth:`run_cancellable` lets :class:`SearchBudgetExceeded` propagate
-    so a racing portfolio can simply retire this leg.
+    ``problem`` picks the per-address (VMC) or whole-execution (VSC,
+    the Gibbons–Korach cell) search.  ``max_states`` caps it: past the
+    cap :meth:`run` raises :class:`~repro.core.exact.SearchBudgetExceeded`,
+    which only the race's capped leg is given, and on which it retires.
     """
 
     name = "exact"
-    problem = "vmc"
-    tier = 3
+    search = True
 
-    def __init__(self, max_states: int | None = None,
-                 fallback_solver: str = "cdcl"):
+    def __init__(self, problem: str = "vmc", max_states: int | None = None):
+        self.problem = problem
         self.max_states = max_states
-        self.fallback_solver = fallback_solver
 
     def applicable(self, instance: Instance) -> bool:
         return True
@@ -283,67 +274,28 @@ class ExactBackend(Backend):
     def cost_estimate(self, instance: Instance) -> float:
         return min(instance.states, 1e18)
 
-    def run(self, instance: Instance) -> VerificationResult:
-        try:
-            return exact.exact_vmc(
-                instance.execution,
-                max_states=self.max_states,
-                order_hints=instance.order_hints,
-            )
-        except exact.SearchBudgetExceeded as e:
-            result = sat_vmc(
-                instance.execution,
-                solver=self.fallback_solver,
-                order_hints=instance.order_hints,
-                certify=instance.certify,
-            )
-            result.stats["fallback_from"] = "exact"
-            result.stats["exact_states"] = e.states
-            return result
-
-    def run_cancellable(
+    def run(
         self, instance: Instance, should_stop: StopCheck = None
     ) -> VerificationResult:
-        return exact.exact_vmc(
+        search = exact.exact_vmc if self.problem == "vmc" else exact.exact_vsc
+        return search(
             instance.execution,
             max_states=self.max_states,
             order_hints=instance.order_hints,
             should_stop=should_stop,
         )
 
-    def run_resilient(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        if should_stop is None:
-            return self.run(instance)
-        try:
-            return self.run_cancellable(instance, should_stop)
-        except exact.SearchBudgetExceeded as e:
-            # Same escalation as run(), but the SAT route inherits the
-            # deadline — an exhausted budget must not shed the clock.
-            result = sat_vmc(
-                instance.execution,
-                solver=self.fallback_solver,
-                order_hints=instance.order_hints,
-                should_stop=should_stop,
-                certify=instance.certify,
-            )
-            result.stats["fallback_from"] = "exact"
-            result.stats["exact_states"] = e.states
-            return result
-
 
 class SatBackend(Backend):
-    """CNF + SAT for the NP-complete general case."""
+    """CNF + CDCL for the NP-complete general case, for either problem."""
 
-    problem = "vmc"
+    name = "sat-cdcl"
+    aliases = ("sat",)
+    solver = "cdcl"
+    search = True
 
-    def __init__(self, solver: str = "cdcl", tier: int = 4,
-                 aliases: tuple[str, ...] = ()):
-        self.solver = solver
-        self.name = f"sat-{solver}"
-        self.tier = tier
-        self.aliases = aliases
+    def __init__(self, problem: str = "vmc"):
+        self.problem = problem
 
     def applicable(self, instance: Instance) -> bool:
         return True
@@ -355,129 +307,11 @@ class SatBackend(Backend):
         # ladder is preserved, and monotone in n for task ordering.
         return float(EXACT_STATE_BUDGET) + n**3
 
-    def run(self, instance: Instance) -> VerificationResult:
-        return sat_vmc(
-            instance.execution,
-            solver=self.solver,
-            order_hints=instance.order_hints,
-            certify=instance.certify,
-        )
-
-    def run_cancellable(
+    def run(
         self, instance: Instance, should_stop: StopCheck = None
     ) -> VerificationResult:
-        return sat_vmc(
-            instance.execution,
-            solver=self.solver,
-            order_hints=instance.order_hints,
-            should_stop=should_stop,
-            certify=instance.certify,
-        )
-
-
-# ---------------------------------------------------------------------
-# Built-in VSC backends
-# ---------------------------------------------------------------------
-class ExactVscBackend(Backend):
-    """Frontier search over all addresses (Gibbons–Korach cell)."""
-
-    name = "exact"
-    problem = "vsc"
-    tier = 0
-
-    def __init__(self, max_states: int | None = None,
-                 fallback_solver: str = "cdcl"):
-        self.max_states = max_states
-        self.fallback_solver = fallback_solver
-
-    def applicable(self, instance: Instance) -> bool:
-        return True
-
-    def auto_applicable(self, instance: Instance) -> bool:
-        return instance.states <= EXACT_STATE_BUDGET
-
-    def cost_estimate(self, instance: Instance) -> float:
-        return min(instance.states, 1e18)
-
-    def run(self, instance: Instance) -> VerificationResult:
-        try:
-            return exact.exact_vsc(
-                instance.execution,
-                max_states=self.max_states,
-                order_hints=instance.order_hints,
-            )
-        except exact.SearchBudgetExceeded as e:
-            result = sat_vsc(
-                instance.execution,
-                solver=self.fallback_solver,
-                order_hints=instance.order_hints,
-                certify=instance.certify,
-            )
-            result.stats["fallback_from"] = "exact"
-            result.stats["exact_states"] = e.states
-            return result
-
-    def run_cancellable(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        return exact.exact_vsc(
-            instance.execution,
-            max_states=self.max_states,
-            order_hints=instance.order_hints,
-            should_stop=should_stop,
-        )
-
-    def run_resilient(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        if should_stop is None:
-            return self.run(instance)
-        try:
-            return self.run_cancellable(instance, should_stop)
-        except exact.SearchBudgetExceeded as e:
-            result = sat_vsc(
-                instance.execution,
-                solver=self.fallback_solver,
-                order_hints=instance.order_hints,
-                should_stop=should_stop,
-                certify=instance.certify,
-            )
-            result.stats["fallback_from"] = "exact"
-            result.stats["exact_states"] = e.states
-            return result
-
-
-class SatVscBackend(Backend):
-    """CNF + SAT over all addresses."""
-
-    problem = "vsc"
-
-    def __init__(self, solver: str = "cdcl", tier: int = 1,
-                 aliases: tuple[str, ...] = ()):
-        self.solver = solver
-        self.name = f"sat-{solver}"
-        self.tier = tier
-        self.aliases = aliases
-
-    def applicable(self, instance: Instance) -> bool:
-        return True
-
-    def cost_estimate(self, instance: Instance) -> float:
-        n = instance.num_ops
-        return float(EXACT_STATE_BUDGET) + n**3
-
-    def run(self, instance: Instance) -> VerificationResult:
-        return sat_vsc(
-            instance.execution,
-            solver=self.solver,
-            order_hints=instance.order_hints,
-            certify=instance.certify,
-        )
-
-    def run_cancellable(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        return sat_vsc(
+        solve = sat_vmc if self.problem == "vmc" else sat_vsc
+        return solve(
             instance.execution,
             solver=self.solver,
             order_hints=instance.order_hints,

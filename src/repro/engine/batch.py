@@ -51,8 +51,8 @@ from repro.engine.cache import (
 )
 from repro.engine.certify import recertify, refuse, validate_result
 from repro.engine.executor import ResiliencePolicy, execute_tasks
-from repro.engine.planner import address_tasks, key_method, plan_task
-from repro.engine.registry import vmc_registry
+from repro.engine.planner import address_tasks, plan_task
+from repro.engine.registry import LADDERS
 from repro.engine.store import ResultStore
 
 
@@ -165,7 +165,7 @@ def plan_batch(
     a failed load arrives as ``(label, None, message)`` and is carried
     through to the report without sinking the batch.
     """
-    key = key_method(method, vmc_registry())
+    key = LADDERS["vmc"].key(method)
     labels = [label for label, _, _ in sources]
     errors = {
         i: err for i, (_, ex, err) in enumerate(sources) if err is not None

@@ -5,7 +5,7 @@ resilient.
 deterministic, the right mode for debugging and the default.  With
 ``jobs>1`` the plan runs on the process pool of
 :mod:`repro.engine.pool` exactly when some task carries heavy
-exponential-tier work (:func:`_is_heavy`), exploiting the per-address
+search work (:func:`_is_heavy`), exploiting the per-address
 independence of coherence (paper Section 3); lighter plans run the
 serial loop, which a pool cannot beat.  Cache lookups happen in the
 planner (:func:`repro.engine.planner.plan_task`); the executor serves
@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 from repro import obs
 from repro.core.result import Certificate, VerificationResult
 from repro.core.types import Address, Execution, Operation
-from repro.engine.backend import Instance
+from repro.engine.backend import PORTFOLIO_MIN_STATES, Instance
 from repro.engine.cache import ResultCache
 from repro.engine.certify import (
     CERTIFY_MODES,
@@ -67,9 +67,7 @@ from repro.engine.certify import (
 from repro.engine.chaos import ChaosCrash, ChaosSpec, tamper_result
 from repro.engine.planner import PlannedTask, plan_task, plan_vmc, plan_vsc
 from repro.engine.pool import LostResult, backoff, run_pool
-from repro.engine.portfolio import PORTFOLIO_MIN_STATES, PortfolioBackend
-from repro.engine.prepass import EXPONENTIAL_TIER
-from repro.engine.registry import BackendRegistry
+from repro.engine.portfolio import PortfolioBackend
 from repro.util.control import Cancelled
 from repro.util.deadline import Deadline
 
@@ -127,19 +125,15 @@ def _runs_backend(task: PlannedTask) -> bool:
 
 
 def _is_heavy(task: PlannedTask) -> bool:
-    """Whether a task carries exponential-tier work worth a process.
+    """Whether a task carries search work worth a process.
 
     Decided tasks cost nothing; small exact searches finish in
-    microseconds.  Only surviving exponential-tier tasks with a
-    non-trivial state space justify paying process-pool pickling.
+    microseconds.  Only surviving searches with a non-trivial state
+    space (every race has one) justify paying process-pool pickling.
     """
-    if not _runs_backend(task):
-        return False
-    if isinstance(task.backend, PortfolioBackend):
-        return True
-    threshold = EXPONENTIAL_TIER if task.instance.problem == "vmc" else 0
     return (
-        task.backend.tier >= threshold
+        _runs_backend(task)
+        and task.backend.search
         and task.run_instance.states > PORTFOLIO_MIN_STATES
     )
 
@@ -188,7 +182,7 @@ def _decide_task(
     else:
         with obs.span("search"):
             try:
-                result = task.backend.run_resilient(task.run_instance, stop)
+                result = task.backend.run(task.run_instance, stop)
             except Cancelled as e:
                 result = VerificationResult.make_unknown(
                     method=task.backend.name,
@@ -687,7 +681,6 @@ def verify_vmc(
     write_orders: Mapping[Address, Sequence[Operation]] | None = None,
     jobs: int = 1,
     cache: "ResultCache | bool | None" = None,
-    registry: BackendRegistry | None = None,
     early_exit: bool = True,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
@@ -697,7 +690,7 @@ def verify_vmc(
 
     Plans one task per constrained address, runs them (in parallel on
     worker processes when ``jobs > 1`` and the plan still contains
-    heavy exponential-tier work), and aggregates.  Under
+    heavy search work), and aggregates.  Under
     ``method="auto"`` the planner decides from each instance whether
     the polynomial pre-pass runs and whether exact search races SAT;
     a forced ``method`` runs that backend alone, with neither.
@@ -727,7 +720,7 @@ def verify_vmc(
     return _verify(
         lambda c: plan_vmc(
             execution, method=method, write_orders=write_orders,
-            registry=registry, cache=c, certify=certify,
+            cache=c, certify=certify,
         ),
         _resolve_cache(cache),
         lambda results: _aggregate_vmc(addrs, results),
@@ -786,7 +779,6 @@ def verify_vmc_at(
     method: str = "auto",
     write_order: Sequence[Operation] | None = None,
     cache: "ResultCache | bool | None" = False,
-    registry: BackendRegistry | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> VerificationResult:
@@ -797,7 +789,7 @@ def verify_vmc_at(
         write_order=write_order, problem="vmc",
     )
     return _verify(
-        lambda c: [plan_task(0, addr, instance, method, registry, c, certify)],
+        lambda c: [plan_task(0, addr, instance, method, c, certify)],
         _resolve_cache(cache), lambda results: results[addr],
         problem="vmc", resilience=resilience, certify=certify,
     )
@@ -807,7 +799,6 @@ def verify_vsc(
     execution: Execution,
     method: str = "auto",
     cache: "ResultCache | bool | None" = False,
-    registry: BackendRegistry | None = None,
     resilience: ResiliencePolicy | None = None,
     certify: str = "off",
 ) -> VerificationResult:
@@ -815,10 +806,7 @@ def verify_vsc(
     (Definition 6.1).  VSC needs one schedule over all addresses at
     once, so there is a single task — no per-address parallelism."""
     return _verify(
-        lambda c: plan_vsc(
-            execution, method=method, registry=registry, cache=c,
-            certify=certify,
-        ),
+        lambda c: plan_vsc(execution, method=method, cache=c, certify=certify),
         _resolve_cache(cache), lambda results: results[None],
         problem="vsc", resilience=resilience, certify=certify,
     )

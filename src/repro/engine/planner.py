@@ -8,19 +8,18 @@ address.  For each task, :func:`plan_task`
 1. with a result cache, keys the task by ``(problem, requested method,
    canonical form)`` and serves a validated memory or store hit as a
    *decided* task — nothing further runs for it,
-2. otherwise resolves the backend — the registry's tier ladder for
-   ``method="auto"``, or the forced backend (validated for
-   applicability),
+2. otherwise resolves the backend — the problem's Figure 5.3 ladder
+   (:mod:`repro.engine.registry`) for ``method="auto"``, or the forced
+   backend (validated for applicability),
 3. runs the polynomial pre-pass (:mod:`repro.engine.prepass`) on
-   auto-routed tasks that landed on the exponential tail of the
-   ladder: the pre-pass may decide the task outright, downgrade it to
+   auto-routed tasks that landed on a search: the pre-pass may decide the task outright, downgrade it to
    the Section 5.2 ``write-order`` backend, or shrink it to a kernel
    with ordering hints — the task's ``run_instance`` is what the
    backend executes, while ``instance`` (the original) is what the
    verdict is about,
 4. races exact search against SAT (:mod:`repro.engine.portfolio`) on
-   a residue that stays on the exponential tier, unless it is a small
-   exact search.
+   a residue that still needs a search, unless it is a small exact
+   search.
 
 A forced ``method`` skips steps 3 and 4: that backend runs alone.
 
@@ -43,21 +42,18 @@ from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
-from repro.engine.backend import Backend, Instance
-from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
-from repro.engine.certify import recertify, validate_result
-from repro.engine.portfolio import (
+from repro.engine.backend import (
     PORTFOLIO_MIN_STATES,
     RACE_STATE_BUDGET,
-    PortfolioBackend,
+    Backend,
+    ExactBackend,
+    Instance,
 )
-from repro.engine.prepass import (
-    EXPONENTIAL_TIER,
-    PrepassInfo,
-    prepass_vmc,
-    prepass_vsc,
-)
-from repro.engine.registry import BackendRegistry, vmc_registry, vsc_registry
+from repro.engine.cache import CanonicalInstance, ResultCache, canonicalize
+from repro.engine.certify import recertify, validate_result
+from repro.engine.portfolio import PortfolioBackend
+from repro.engine.prepass import PrepassInfo, prepass_vmc, prepass_vsc
+from repro.engine.registry import LADDERS
 
 
 @dataclass
@@ -94,25 +90,19 @@ class PlannedTask:
             self.run_instance = self.instance
 
 
-def _portfolio_legs(
-    registry: BackendRegistry,
-) -> tuple[Backend, Backend] | None:
-    """The (budgeted exact, SAT) leg pair, or None for registries that
-    lack either algorithm (custom registries opt out of racing)."""
-    try:
-        exact_leg = registry.get("exact")
-        sat_leg = registry.get("sat-cdcl")
-    except ValueError:
-        return None
-    try:
-        capped = type(exact_leg)(max_states=RACE_STATE_BUDGET)
-    except TypeError:
-        capped = exact_leg  # custom exact without a budget knob
-    return capped, sat_leg
+#: The race's legs per problem: the capped exact search, then SAT (the
+#: leg that always terminates goes last).
+_RACE_LEGS = {
+    problem: (
+        ExactBackend(problem, max_states=RACE_STATE_BUDGET),
+        ladder.get("sat-cdcl"),
+    )
+    for problem, ladder in LADDERS.items()
+}
 
 
-def _apply_portfolio(task: PlannedTask, registry: BackendRegistry) -> None:
-    """Rebind a surviving exponential-tier task to the exact-vs-SAT race.
+def _apply_portfolio(task: PlannedTask) -> None:
+    """Rebind a surviving search task to the exact-vs-SAT race.
 
     Small instances skip the race when the router already picked the
     exact search: it wins so fast that the second leg is pure overhead.
@@ -123,17 +113,8 @@ def _apply_portfolio(task: PlannedTask, registry: BackendRegistry) -> None:
         and run.states <= PORTFOLIO_MIN_STATES
     ):
         return
-    legs = _portfolio_legs(registry)
-    if legs is None:
-        return
-    task.backend = PortfolioBackend(legs, problem=run.problem)
+    task.backend = PortfolioBackend(_RACE_LEGS[run.problem], problem=run.problem)
     task.estimate = task.backend.cost_estimate(run)
-
-
-def key_method(method: str, registry: BackendRegistry) -> str:
-    """The method part of the cache key: ``"auto"``, or the forced
-    backend's name (aliases share entries; unknown names raise)."""
-    return method if method == "auto" else registry.get(method).name
 
 
 def _serve(
@@ -178,7 +159,6 @@ def plan_task(
     address: Address | None,
     instance: Instance,
     method: str = "auto",
-    registry: BackendRegistry | None = None,
     cache: ResultCache | None = None,
     certify: str = "off",
     canon: CanonicalInstance | None = None,
@@ -189,20 +169,18 @@ def plan_task(
     already computed by the caller) a validated hit comes back as a
     decided task.  On a miss the backend is selected, then the
     pre-pass may shrink, decide or downgrade the task.  The pre-pass
-    only runs for auto-routed tasks that landed on the exponential
-    tiers — it cannot beat an already-polynomial backend, and a forced
+    only runs for auto-routed tasks that landed on a search — it
+    cannot beat an already-polynomial backend, and a forced
     ``method=`` is a contract with the caller: it runs alone, with no
-    pre-pass and no race.  Surviving exponential-tier tasks race exact
-    search against SAT (see :func:`_apply_portfolio`).
+    pre-pass and no race.  Surviving search tasks race exact search
+    against SAT (see :func:`_apply_portfolio`).
     """
-    if registry is None:
-        vmc = instance.problem == "vmc"
-        registry = vmc_registry() if vmc else vsc_registry()
+    ladder = LADDERS[instance.problem]
     if cache is not None:
         if canon is None:
             canon = canonicalize(
                 instance.execution, instance.write_order, instance.problem,
-                key_method(method, registry),
+                ladder.key(method),
             )
         hit = _serve(canon, instance, cache, certify)
         if hit is not None:
@@ -210,9 +188,9 @@ def plan_task(
                 order, address, instance, None, 0.0, canon=canon, hit=hit
             )
     if method == "auto":
-        backend = registry.select(instance)
+        backend = ladder.select(instance)
     else:
-        backend = registry.resolve(method, instance)
+        backend = ladder.resolve(method, instance)
     task = PlannedTask(
         order=order,
         address=address,
@@ -221,10 +199,7 @@ def plan_task(
         estimate=backend.cost_estimate(instance),
         canon=canon,
     )
-    # Every built-in VSC backend is a search; for VMC the polynomial
-    # tiers start below EXPONENTIAL_TIER.
-    threshold = EXPONENTIAL_TIER if instance.problem == "vmc" else 0
-    if not (method == "auto" and backend.tier >= threshold):
+    if method != "auto" or not backend.search:
         return task
     run = prepass_vmc if instance.problem == "vmc" else prepass_vsc
     info = run(instance)
@@ -234,11 +209,11 @@ def plan_task(
             task.estimate = 0.0
             return task
         task.run_instance = info.residual
-        task.backend = registry.select(info.residual)
+        task.backend = ladder.select(info.residual)
         task.estimate = task.backend.cost_estimate(info.residual)
-        if task.backend.tier < threshold:
-            return task  # downgraded to a polynomial tier
-    _apply_portfolio(task, registry)
+        if not task.backend.search:
+            return task  # downgraded to a polynomial decider
+    _apply_portfolio(task)
     return task
 
 
@@ -266,18 +241,13 @@ def plan_vmc(
     execution: Execution,
     method: str = "auto",
     write_orders: Mapping[Address, Sequence[Operation]] | None = None,
-    registry: BackendRegistry | None = None,
     cache: ResultCache | None = None,
     certify: str = "off",
 ) -> list[PlannedTask]:
     """Decompose a (possibly multi-address) execution into per-address
     tasks, served or bound by :func:`plan_task`, cheapest first."""
-    registry = registry or vmc_registry()
-    key = key_method(method, registry)  # unknown -> ValueError
-    plan = partial(
-        plan_task, method=method, registry=registry, cache=cache,
-        certify=certify,
-    )
+    key = LADDERS["vmc"].key(method)  # unknown -> ValueError
+    plan = partial(plan_task, method=method, cache=cache, certify=certify)
     tasks: list[PlannedTask] = []
     missed: dict = {}  # canonical key -> the first task that missed
     for pos, (addr, instance, canon) in enumerate(address_tasks(
@@ -308,10 +278,9 @@ def plan_vmc(
 def plan_vsc(
     execution: Execution,
     method: str = "auto",
-    registry: BackendRegistry | None = None,
     cache: ResultCache | None = None,
     certify: str = "off",
 ) -> list[PlannedTask]:
     """The single whole-execution VSC task."""
     instance = Instance(execution, address=None, problem="vsc")
-    return [plan_task(0, None, instance, method, registry, cache, certify)]
+    return [plan_task(0, None, instance, method, cache, certify)]

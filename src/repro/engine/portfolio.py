@@ -1,4 +1,4 @@
-"""Intra-task portfolio racing for the exponential tier.
+"""Intra-task portfolio racing for the searches.
 
 The paper gives two exact procedures for the NP-complete general case:
 the memoized frontier search of Section 5.1 and the SAT reduction of
@@ -11,21 +11,22 @@ loser cooperatively (via :mod:`repro.util.control` stop checks).
 Race protocol
 -------------
 
-* Each leg runs ``run_cancellable(instance, stop.is_set)`` in its own
-  thread.  The first leg to produce a verdict sets the shared stop
+* Each leg runs ``run(instance, stop)`` in its own thread, where
+  ``stop`` fires on the race's stop event or the caller's stop check.  The first leg to produce a verdict sets the shared stop
   event; the losing leg observes it at its next
   :data:`~repro.util.control.CHECK_INTERVAL` poll and raises
   :class:`~repro.util.control.Cancelled`, which the race records and
   swallows.
 * A leg hitting its state budget (:class:`SearchBudgetExceeded`) bows
   out *without* setting the stop event — the other leg keeps running.
-  This is how "budget exhaustion escalates to the SAT leg" works inside
-  a race: the exact leg is given :data:`RACE_STATE_BUDGET` and simply
-  retires if the instance is too big for it.
+  This is how "budget exhaustion escalates to the SAT leg" works: the
+  exact leg is given :data:`~repro.engine.backend.RACE_STATE_BUDGET` and
+  simply retires if the instance is too big for it.  The race's capped
+  leg is the only capped search in the engine.
 * A leg error is recorded; it is re-raised only if no other leg wins.
 * If every leg bows out (all budgets exceeded), the race falls back to
-  running the last leg (the SAT route, which always terminates)
-  uncapped and uncancelled.
+  running the last leg (the SAT route, which always terminates) once
+  more, outside the race: only the caller's stop check can end it.
 
 With one CPU (or under the GIL) the race still pays off whenever the
 legs' costs are lopsided: the cheap leg finishes after ~2x its solo
@@ -43,16 +44,6 @@ from repro.core.result import VerificationResult
 from repro.engine.backend import Backend, Instance
 from repro.engine.chaos import ChaosSpec
 from repro.util.control import Cancelled, StopCheck, any_stop
-
-#: Instances whose estimated state count is below this are decided by
-#: the exact search alone — it wins the race so fast that spinning up a
-#: second leg (thread + CNF encoding) costs more than it can save.
-PORTFOLIO_MIN_STATES = 20_000
-
-#: State budget for the exact leg *inside a race*.  Past this the leg
-#: retires and lets the SAT leg finish; deliberately smaller than the
-#: router's EXACT_STATE_BUDGET since here retiring is cheap.
-RACE_STATE_BUDGET = 250_000
 
 #: After a race is decided the losers get this long to observe the stop
 #: event and exit; a leg still alive past it is *abandoned* — left to
@@ -114,21 +105,20 @@ def _dump_disagreement(
 class PortfolioBackend(Backend):
     """Race several backends on one instance; first sound verdict wins.
 
-    The planner builds these around exponential-tier tasks; ``legs``
-    are complete :class:`Backend` instances (typically a budgeted exact
-    search and a SAT route).  The portfolio reports the *winner's*
+    The planner builds these around search tasks; ``legs`` are complete
+    :class:`Backend` instances (the capped exact search, then the SAT
+    route).  The portfolio reports the *winner's*
     result, augmented with a ``stats["portfolio"]`` record of the race.
     """
 
-    problem = "vmc"
+    name = "portfolio"
+    search = True
 
     def __init__(self, legs: Sequence[Backend], problem: str = "vmc"):
         if not legs:
             raise ValueError("portfolio needs at least one leg")
         self.legs = list(legs)
         self.problem = problem
-        self.name = "portfolio"
-        self.tier = min(leg.tier for leg in self.legs)
         #: Fault-injection context, set per task by the executor when a
         #: chaos spec is active (pickles with the task into workers).
         self.chaos: ChaosSpec | None = None
@@ -140,15 +130,7 @@ class PortfolioBackend(Backend):
     def cost_estimate(self, instance: Instance) -> float:
         return min(leg.cost_estimate(instance) for leg in self.legs)
 
-    def run(self, instance: Instance) -> VerificationResult:
-        return self.run_resilient(instance, None)
-
-    def run_cancellable(
-        self, instance: Instance, should_stop: StopCheck = None
-    ) -> VerificationResult:
-        return self.run_resilient(instance, should_stop)
-
-    def run_resilient(
+    def run(
         self, instance: Instance, should_stop: StopCheck = None
     ) -> VerificationResult:
         """Race the legs; ``should_stop`` (a task deadline or the run
@@ -157,7 +139,7 @@ class PortfolioBackend(Backend):
         if not legs:
             legs = [self.legs[-1]]
         if len(legs) == 1:
-            return legs[0].run_resilient(instance, should_stop)
+            return legs[0].run(instance, should_stop)
         return self._race(legs, instance, should_stop)
 
     def _race(
@@ -179,7 +161,7 @@ class PortfolioBackend(Backend):
             try:
                 if self.chaos is not None:
                     self.chaos.stall_leg(self.chaos_key, leg.name, leg_stop)
-                result = leg.run_cancellable(instance, leg_stop)
+                result = leg.run(instance, leg_stop)
             except Cancelled:
                 with cond:
                     cancelled.append(leg.name)
@@ -234,7 +216,7 @@ class PortfolioBackend(Backend):
                 raise errors_now[0][1]
             # Every leg retired on budget: run the terminating leg
             # (by convention the SAT route is last) to completion.
-            result = legs[-1].run_resilient(instance, external_stop)
+            result = legs[-1].run(instance, external_stop)
             winner = legs[-1].name
         else:
             winner, result = done_now[0]
@@ -260,10 +242,8 @@ class PortfolioBackend(Backend):
                         f"{winner}={result.holds} vs "
                         f"{other_name}={other.holds}{where}"
                     )
-            if errors_now:
-                # A losing leg crashed but the winner is sound; surface
-                # the crash in stats rather than failing the task.
-                pass
+        # A losing leg's crash is surfaced in stats, not as a failure:
+        # the winner is sound.
         result.stats["portfolio"] = {
             "winner": winner,
             "raced": [leg.name for leg in legs],

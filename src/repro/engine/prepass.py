@@ -42,11 +42,6 @@ from repro.core.types import Execution
 from repro.engine.backend import Instance
 from repro.util.digraph import CycleError, Digraph
 
-#: Built-in registry tier at which the exponential backends start; the
-#: planner only spends pre-pass time on tasks routed at or above it.
-EXPONENTIAL_TIER = 3
-
-
 @dataclass
 class PrepassInfo:
     """What the pre-pass did to one task (picklable; rides inside the

@@ -328,7 +328,6 @@ class TestCrashRecovery:
         class _Buggy(Backend):
             name = "buggy"
             problem = "vmc"
-            tier = 0
 
             def applicable(self, instance):
                 return True
@@ -336,7 +335,7 @@ class TestCrashRecovery:
             def cost_estimate(self, instance):
                 return 1.0
 
-            def run(self, instance):
+            def run(self, instance, should_stop=None):
                 raise ValueError("backend bug")
 
         ex, _ = make_coherent_execution(6, 2, 7)
@@ -356,7 +355,6 @@ class _SlowCoopLeg(Backend):
 
     name = "slowcoop"
     problem = "vmc"
-    tier = 9
 
     def applicable(self, instance):
         return True
@@ -364,10 +362,7 @@ class _SlowCoopLeg(Backend):
     def cost_estimate(self, instance):
         return 1e18
 
-    def run(self, instance):  # pragma: no cover - must be cancelled
-        raise AssertionError("slowcoop must run under a stop check")
-
-    def run_cancellable(self, instance, should_stop=None):
+    def run(self, instance, should_stop=None):
         while not (should_stop is not None and should_stop()):
             time.sleep(0.001)
         raise Cancelled("slowcoop", 0)
@@ -473,7 +468,7 @@ class TestPortfolioChaos:
         backend.chaos = ChaosSpec(leg_stall=1.0, stall_s=0.05, seed=0)
         backend.chaos_key = "'x'#0"
         t0 = time.monotonic()
-        result = backend.run_resilient(Instance(ex, address="x", problem="vmc"))
+        result = backend.run(Instance(ex, address="x", problem="vmc"))
         elapsed = time.monotonic() - t0
         assert result.holds
         record = result.stats["portfolio"]
@@ -488,7 +483,6 @@ class TestPortfolioChaos:
         class _TinyBudgetLeg(Backend):
             name = "tiny"
             problem = "vmc"
-            tier = 9
 
             def applicable(self, instance):
                 return True
@@ -496,16 +490,13 @@ class TestPortfolioChaos:
             def cost_estimate(self, instance):
                 return 1.0
 
-            def run(self, instance):  # pragma: no cover
-                raise AssertionError("unused")
-
-            def run_cancellable(self, instance, should_stop=None):
+            def run(self, instance, should_stop=None):
                 raise SearchBudgetExceeded(1)
 
         backend = PortfolioBackend([_TinyBudgetLeg(), SatBackend()])
         backend.chaos = ChaosSpec(leg_stall=1.0, stall_s=0.02, seed=1)
         backend.chaos_key = "'x'#0"
-        result = backend.run_resilient(Instance(ex, address="x", problem="vmc"))
+        result = backend.run(Instance(ex, address="x", problem="vmc"))
         assert result.holds
         assert result.stats["portfolio"]["winner"] == "sat-cdcl"
         assert result.stats["portfolio"]["budget_exceeded"] == 1
@@ -516,7 +507,6 @@ class TestPortfolioChaos:
 
         class _Says(Backend):
             problem = "vmc"
-            tier = 9
 
             def __init__(self, name, holds):
                 self.name = name
@@ -528,10 +518,7 @@ class TestPortfolioChaos:
             def cost_estimate(self, instance):
                 return 1.0
 
-            def run(self, instance):  # pragma: no cover
-                raise AssertionError("unused")
-
-            def run_cancellable(self, instance, should_stop=None):
+            def run(self, instance, should_stop=None):
                 return VerificationResult(holds=self._holds, method=self.name)
 
         ex, _ = make_coherent_execution(8, 2, 15)
@@ -541,14 +528,14 @@ class TestPortfolioChaos:
         backend.chaos = ChaosSpec(slow_cache=1.0, seed=0)  # harmless kind
         backend.chaos_key = "'x'#0"
         with pytest.raises(RuntimeError, match="disagree"):
-            backend.run_resilient(Instance(ex, address="x", problem="vmc"))
+            backend.run(Instance(ex, address="x", problem="vmc"))
 
     def test_external_stop_aborts_the_race(self):
         ex, _ = make_coherent_execution(10, 2, 16)
         backend = PortfolioBackend([_SlowCoopLeg(), _SlowCoopLeg()])
         t0 = time.monotonic()
         with pytest.raises(Cancelled):
-            backend.run_resilient(
+            backend.run(
                 Instance(ex, address="x", problem="vmc"),
                 should_stop=lambda: True,
             )

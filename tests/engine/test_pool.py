@@ -23,14 +23,12 @@ import pytest
 
 from repro.core.types import Execution
 from repro.engine import (
-    BackendRegistry,
     ResiliencePolicy,
     executor,
     plan_batch,
     verify_many,
     verify_vmc,
 )
-from repro.engine.backend import ExactBackend
 from repro.engine.batch import run_plan
 from repro.engine.chaos import ChaosCrash
 from repro.engine.pool import LostResult, run_pool
@@ -51,20 +49,6 @@ def _die_once(marker: str) -> None:
     except FileExistsError:
         return
     os._exit(1)
-
-
-class _DieOnceExact(ExactBackend):
-    """The exact search, except that the first worker to run it dies."""
-
-    name = "die-once"
-
-    def __init__(self, marker: str):
-        super().__init__()
-        self.marker = marker
-
-    def run_resilient(self, instance, should_stop=None):
-        _die_once(self.marker)
-        return super().run_resilient(instance, should_stop)
 
 
 _REAL_DECIDE_TASK = executor._decide_task
@@ -94,23 +78,31 @@ def _per_address(result) -> dict:
     }
 
 
+def _kill_first_worker(monkeypatch, marker) -> None:
+    monkeypatch.setattr(
+        executor, "_decide_task",
+        functools.partial(_die_once_decide, str(marker)),
+    )
+
+
 class TestExecutorWorkerDeath:
-    def _verify(self, ex, marker, **kwargs):
-        registry = BackendRegistry("vmc")
-        registry.register(_DieOnceExact(str(marker)))
+    """The forced exact search runs every heavy task alone; the killer
+    replaces the worker unit."""
+
+    def _verify(self, ex, **kwargs):
         return verify_vmc(
-            ex, method="die-once", registry=registry, cache=False,
-            early_exit=False, **kwargs,
+            ex, method="exact", cache=False, early_exit=False, **kwargs
         )
 
-    def test_dead_worker_is_rebuilt_and_retried(self, tmp_path):
+    def test_dead_worker_is_rebuilt_and_retried(self, tmp_path, monkeypatch):
         verdicts = set()
         for i, ex in enumerate(_heavy_corpus()):
             marker = tmp_path / f"died{i}"
-            serial = self._verify(ex, tmp_path / "serial")
+            serial = self._verify(ex)
             verdicts.add(serial.holds)
+            _kill_first_worker(monkeypatch, marker)
             pooled = self._verify(
-                ex, marker, jobs=2,
+                ex, jobs=2,
                 resilience=ResiliencePolicy(backoff_s=0.0),
             )
             assert marker.exists()  # a worker really died
@@ -124,11 +116,14 @@ class TestExecutorWorkerDeath:
         assert verdicts == {True, False}
         _assert_no_orphans()
 
-    def test_no_retries_quarantines_and_still_decides(self, tmp_path):
+    def test_no_retries_quarantines_and_still_decides(
+        self, tmp_path, monkeypatch
+    ):
         ex = _heavy_corpus()[0]
-        serial = self._verify(ex, tmp_path / "serial")
+        serial = self._verify(ex)
+        _kill_first_worker(monkeypatch, tmp_path / "died")
         pooled = self._verify(
-            ex, tmp_path / "died", jobs=2,
+            ex, jobs=2,
             resilience=ResiliencePolicy(retries=0, backoff_s=0.0),
         )
         assert (tmp_path / "died").exists()
@@ -159,17 +154,11 @@ class TestBatchWorkerDeath:
             (o.verdict, _per_address(o.result)) for o in outcomes
         ]
 
-    def _kill_first_worker(self, monkeypatch, marker):
-        monkeypatch.setattr(
-            executor, "_decide_task",
-            functools.partial(_die_once_decide, str(marker)),
-        )
-
     def test_dead_worker_is_rebuilt_and_retried(
         self, tmp_path, corpus, monkeypatch, force_pool
     ):
         serial = verify_many(corpus, certify="on")
-        self._kill_first_worker(monkeypatch, tmp_path / "died")
+        _kill_first_worker(monkeypatch, tmp_path / "died")
         pooled = verify_many(
             corpus, jobs=2, store=ResultStore(tmp_path / "store"),
             certify="on",
@@ -186,7 +175,7 @@ class TestBatchWorkerDeath:
         self, tmp_path, corpus, monkeypatch, force_pool, retries
     ):
         serial = verify_many(corpus, certify="on")
-        self._kill_first_worker(monkeypatch, tmp_path / "died")
+        _kill_first_worker(monkeypatch, tmp_path / "died")
         store = ResultStore(tmp_path / "store")
         plan = plan_batch([(f"ex{i}", ex, None) for i, ex in enumerate(corpus)])
         outcomes, rec = run_plan(

@@ -1,18 +1,9 @@
-"""Backend registry: routing, lookup, and extensibility."""
+"""The Figure 5.3 ladders: routing and lookup."""
 
 import pytest
 
 from repro.core.builder import ExecutionBuilder, parse_trace
-from repro.core.result import VerificationResult
-from repro.engine import (
-    Backend,
-    BackendRegistry,
-    Instance,
-    build_vmc_registry,
-    verify_vmc,
-    vmc_registry,
-    vsc_registry,
-)
+from repro.engine import Instance, vmc_registry, vsc_registry
 
 
 def _instance(ex, addr="x", write_order=None):
@@ -85,51 +76,3 @@ class TestLookup:
         ex = parse_trace("P0: W(x,1) R(x,1)\nP1: R(x,1)")
         names = [b.name for b in vmc_registry().applicable(_instance(ex))]
         assert names == ["readmap", "exact", "sat-cdcl"]
-
-    def test_duplicate_registration_rejected(self):
-        reg = build_vmc_registry()
-        with pytest.raises(ValueError, match="already registered"):
-            reg.register(vmc_registry().get("exact").__class__())
-
-    def test_wrong_problem_rejected(self):
-        reg = BackendRegistry("vsc")
-        with pytest.raises(ValueError, match="routes 'vsc'"):
-            reg.register(vmc_registry().get("exact").__class__())
-
-
-class _AlwaysHolds(Backend):
-    """A toy decider that front-runs the whole ladder."""
-
-    name = "always-holds"
-    problem = "vmc"
-    tier = -1
-
-    def applicable(self, instance):
-        return True
-
-    def cost_estimate(self, instance):
-        return 0.0
-
-    def run(self, instance):
-        return VerificationResult(holds=True, method=self.name, schedule=[])
-
-
-class TestExtensibility:
-    def test_custom_backend_routes_without_dispatch_changes(self):
-        reg = build_vmc_registry()
-        reg.register(_AlwaysHolds())
-        ex = parse_trace("P0: W(x,1) R(x,1)\nP1: R(x,1)")
-        assert reg.select(_instance(ex)).name == "always-holds"
-        result = verify_vmc(ex, registry=reg)
-        assert result.holds and result.method == "always-holds"
-
-    def test_custom_backend_forcible_by_name(self):
-        reg = build_vmc_registry()
-        reg.register(_AlwaysHolds())
-        ex = parse_trace("P0: W(x,1)\nP1: R(x,1)")
-        result = verify_vmc(ex, method="always-holds", registry=reg)
-        assert result.method == "always-holds"
-
-    def test_default_registry_unaffected(self):
-        with pytest.raises(ValueError):
-            vmc_registry().get("always-holds")
