@@ -77,17 +77,10 @@ from pathlib import Path
 
 from repro import obs
 from repro.core.serialize import save as save_json
+from repro.core.result import CERTIFY_MODES, CertificationError
 from repro.core.types import Execution, schedule_str
-from repro.engine import (
-    CERTIFY_MODES,
-    CHAOS_ENV,
-    DEFAULT_WINDOW,
-    CertificationError,
-    ChaosSpec,
-    ResiliencePolicy,
-    verify_vmc,
-    verify_vsc,
-)
+from repro.engine.chaos import CHAOS_ENV, ChaosSpec
+from repro.engine.streaming import DEFAULT_WINDOW
 
 #: Exit status for a verification abandoned without a verdict.
 EXIT_UNKNOWN = 3
@@ -156,7 +149,7 @@ def _load_trace(path_str: str) -> Execution:
     return _parse_trace_bytes(path.read_bytes(), str(path), path.suffix)
 
 
-def _resilience_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
+def _resilience_from_args(args: argparse.Namespace) -> "ResiliencePolicy | None":
     """Build the engine policy from the verify flags (None = defaults).
 
     ``--chaos`` is gated behind the ``REPRO_CHAOS`` environment
@@ -178,6 +171,8 @@ def _resilience_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
         and chaos is None
     ):
         return None
+    from repro.engine.executor import ResiliencePolicy
+
     policy = ResiliencePolicy(
         timeout=args.timeout,
         task_timeout=args.task_timeout,
@@ -217,6 +212,24 @@ def _store_from_args(args: argparse.Namespace, resilience):
     )
 
 
+def _engine_only_flag(args: argparse.Namespace) -> str | None:
+    """The first engine flag given to ``verify``, if any: a ``--model``
+    other than coherence or SC is checked outside the engine, which
+    would drop it without a word."""
+    for flag, given in (
+        ("--method", args.method != "auto"),
+        ("--jobs", args.jobs > 1),
+        ("--timeout", args.timeout is not None),
+        ("--task-timeout", args.task_timeout is not None),
+        ("--retries", args.retries is not None),
+        ("--chaos", args.chaos is not None),
+        ("--certify", args.certify != "off"),
+    ):
+        if given:
+            return flag
+    return None
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     rec = obs.Record(rows=True)
     with obs.opened(rec):
@@ -225,11 +238,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
         except (OSError, ValueError, FileNotFoundError) as e:
             print(f"error: {e}", file=sys.stderr)
             return 2
+        # --model coherence is the plain path, --model SC the --sc path;
+        # any other model is checked outside the engine.
+        model = args.model.upper() if args.model else None
+        sc = model == "SC" if model else args.sc
+        if model in ("COHERENCE", "SC"):
+            model = None
+        flag = _engine_only_flag(args) if model else None
+        if flag is not None:
+            print(
+                f"error: --model {args.model} does not take {flag} (it "
+                f"applies to coherence and SC verification)",
+                file=sys.stderr,
+            )
+            return 2
         store = None
         try:
             resilience = _resilience_from_args(args)
             store = _store_from_args(args, resilience)
-            if store is not None and (args.sc or args.model):
+            if store is not None and (sc or model):
                 print(
                     "error: --store applies to coherence verification "
                     "(not --sc / --model)",
@@ -241,16 +268,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 from repro.engine import ResultCache
 
                 cache = ResultCache(store=store)
-            if args.model:
+            if model:
                 from repro.consistency.restrict import verifier_for
 
-                name = (
-                    args.model
-                    if args.model.lower() == "coherence"
-                    else args.model.upper()
-                )
-                result, label = verifier_for(name)(execution), args.model
-            elif args.sc:
+                result, label = verifier_for(model)(execution), args.model
+            elif sc:
+                from repro.engine.executor import verify_vsc
+
                 result = verify_vsc(
                     execution,
                     method=args.method,
@@ -259,6 +283,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 )
                 label = "sequential consistency"
             else:
+                from repro.engine.executor import verify_vmc
+
                 result = verify_vmc(
                     execution,
                     method=args.method,
@@ -712,6 +738,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"{len(o.visible_events)} visible, "
             f"{len(o.latent_events)} latent injections"
         )
+    from repro.engine.executor import verify_vmc
+
     with obs.opened(rec):
         result = verify_vmc(
             run.execution,
@@ -895,7 +923,12 @@ def build_parser() -> argparse.ArgumentParser:
         "stream, JSON, or text); '-' reads stdin",
     )
     p.add_argument("--sc", action="store_true", help="check sequential consistency")
-    p.add_argument("--model", help="check a consistency model (TSO/PSO/RMO)")
+    p.add_argument(
+        "--model",
+        help="check a consistency model: 'coherence' and 'SC' are the plain "
+        "and --sc paths; any other (TSO/PSO/RMO...) is checked outside the "
+        "engine and takes no engine flag (--method, --jobs, --certify, ...)",
+    )
     p.add_argument("--witness", action="store_true", help="print the witness schedule")
     p.add_argument(
         "--method",

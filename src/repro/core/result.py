@@ -29,6 +29,9 @@ class CertificationError(RuntimeError):
     quietly pick a side."""
 
 
+#: Certify modes accepted by the engine and every front door.
+CERTIFY_MODES = ("off", "on", "strict")
+
 #: The certificate kinds a result may carry (see :class:`Certificate`).
 CERTIFICATE_KINDS = ("witness", "cycle", "infeasible", "rup", "order")
 

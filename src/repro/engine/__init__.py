@@ -48,7 +48,7 @@ __all__ = _lazy(globals(), {
     "fingerprint": "repro.engine.cache",
     "Certificate": "repro.core.result",
     "CertificationError": "repro.core.result",
-    "CERTIFY_MODES": "repro.engine.certify",
+    "CERTIFY_MODES": "repro.core.result",
     "CertCheck": "repro.engine.certify",
     "ensure_certificate": "repro.engine.certify",
     "validate_result": "repro.engine.certify",

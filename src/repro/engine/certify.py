@@ -58,9 +58,6 @@ from repro.core.types import Execution, Operation
 from repro.sat.drat import check_rup
 from repro.util.control import StopCheck
 
-#: Certify modes accepted by the engine and the CLI.
-CERTIFY_MODES = ("off", "on", "strict")
-
 
 @dataclass(frozen=True)
 class CertCheck:

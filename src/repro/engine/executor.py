@@ -54,16 +54,11 @@ from time import perf_counter
 from typing import Mapping, Sequence
 
 from repro import obs
-from repro.core.result import Certificate, VerificationResult
+from repro.core.result import CERTIFY_MODES, Certificate, VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.engine.backend import PORTFOLIO_MIN_STATES, Instance
 from repro.engine.cache import ResultCache
-from repro.engine.certify import (
-    CERTIFY_MODES,
-    ensure_certificate,
-    refuse,
-    validate_result,
-)
+from repro.engine.certify import ensure_certificate, refuse, validate_result
 from repro.engine.chaos import ChaosCrash, ChaosSpec, tamper_result
 from repro.engine.planner import PlannedTask, plan_task, plan_vmc, plan_vsc
 from repro.engine.pool import LostResult, backoff, run_pool
@@ -420,7 +415,7 @@ def execute_tasks(
     ``resilience.*``, ``certify.*``, ``prepass.*`` and ``portfolio.*``
     counters, and the ``search``/``certify`` spans (:mod:`repro.obs`).
 
-    ``certify`` is one of :data:`~repro.engine.certify.CERTIFY_MODES`:
+    ``certify`` is one of :data:`~repro.core.result.CERTIFY_MODES`:
     with ``"on"`` or ``"strict"`` every decided verdict must carry a
     certificate the trusted checker validates before the result is
     cached or returned.

@@ -68,6 +68,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 from repro.core import serialize_bin
+from repro.core.result import CERTIFY_MODES
 
 PROTOCOL_VERSION = 1
 
@@ -83,9 +84,6 @@ OPS = ("verify", "ping", "stats", "drain")
 
 DEFAULT_TENANT = "public"
 _TENANT_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
-
-_CERTIFY_MODES = ("off", "on", "strict")
-
 
 @dataclass
 class ServiceRequest:
@@ -303,10 +301,10 @@ class RequestParser:
             )
             return
         certify = obj.get("certify")
-        if certify is not None and certify not in _CERTIFY_MODES:
+        if certify is not None and certify not in CERTIFY_MODES:
             self._error(
                 f"bad certify {certify!r}; expected one of "
-                f"{_CERTIFY_MODES}",
+                f"{CERTIFY_MODES}",
                 line_start, req_id,
             )
             return

@@ -3,22 +3,21 @@
 These are deliberately dependency-free (pure Python) so that the hot
 verification paths do not pay for generic-graph-library overhead; the
 digraph here stores adjacency as plain lists keyed by dense integer ids.
+Names load on first use, so importing one utility module loads no
+other.
 """
 
-from repro.util.control import CHECK_INTERVAL, Cancelled, StopCheck
-from repro.util.digraph import Digraph, CycleError
-from repro.util.timing import RepeatTimer, fit_loglog_slope, time_callable
-from repro.util.rng import make_rng, spawn_rngs
+from repro import _lazy
 
-__all__ = [
-    "CHECK_INTERVAL",
-    "Cancelled",
-    "StopCheck",
-    "Digraph",
-    "CycleError",
-    "RepeatTimer",
-    "fit_loglog_slope",
-    "time_callable",
-    "make_rng",
-    "spawn_rngs",
-]
+__all__ = _lazy(globals(), {
+    "CHECK_INTERVAL": "repro.util.control",
+    "Cancelled": "repro.util.control",
+    "StopCheck": "repro.util.control",
+    "Digraph": "repro.util.digraph",
+    "CycleError": "repro.util.digraph",
+    "RepeatTimer": "repro.util.timing",
+    "fit_loglog_slope": "repro.util.timing",
+    "time_callable": "repro.util.timing",
+    "make_rng": "repro.util.rng",
+    "spawn_rngs": "repro.util.rng",
+})

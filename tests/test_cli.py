@@ -86,6 +86,59 @@ class TestVerify:
         assert main(["verify", str(path), "--model", "coherence"]) == 0
         assert "holds" in capsys.readouterr().out
 
+    def test_model_coherence_is_the_plain_path(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)\n")
+        args = ["--certify", "strict", "--method", "exact", "--witness"]
+        assert main(["verify", str(path), *args]) == 1
+        plain = capsys.readouterr().out
+        assert main(["verify", str(path), "--model", "coherence", *args]) == 1
+        assert capsys.readouterr().out == plain
+        assert "method: exact" in plain
+        model = ["--model", "coherence", *args, "--stats"]
+        assert main(["verify", str(path), *model]) == 1
+        assert "certify: " in capsys.readouterr().out
+
+    def test_model_sc_is_the_sc_path(self, tmp_path, capsys):
+        path = tmp_path / "sb.txt"
+        path.write_text("P0: W(x,1) R(y,init)\nP1: W(y,1) R(x,init)\n")
+        args = ["--certify", "on", "--method", "sat"]
+        assert main(["verify", str(path), "--sc", *args]) == 1
+        sc = capsys.readouterr().out
+        assert main(["verify", str(path), "--model", "SC", *args]) == 1
+        assert capsys.readouterr().out == sc
+        assert "sequential consistency: VIOLATED" in sc
+        model = ["--model", "sc", *args, "--stats"]
+        assert main(["verify", str(path), *model]) == 1
+        assert "certify: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--method", "exact"], "--method"),
+        (["--jobs", "2"], "--jobs"),
+        (["--timeout", "5"], "--timeout"),
+        (["--task-timeout", "5"], "--task-timeout"),
+        (["--retries", "1"], "--retries"),
+        (["--chaos", "crash=1"], "--chaos"),
+        (["--certify", "on"], "--certify"),
+        (["--certify", "strict"], "--certify"),
+    ])
+    def test_other_models_reject_engine_flags(
+        self, tmp_path, capsys, flags, named
+    ):
+        path = tmp_path / "t.txt"
+        path.write_text("P0: W(x,1) W(x,2)\nP1: R(x,2) R(x,1)\n")
+        assert main(["verify", str(path), "--model", "TSO", *flags]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err and "TSO" in captured.err
+        assert "VIOLATED" not in captured.out
+
+    def test_other_models_accept_plain_flags(self, tmp_path, capsys):
+        path = tmp_path / "t.txt"
+        path.write_text("P0: W(x,1) R(x,1)\nP1: R(x,1)\n")
+        args = ["--model", "tso", "--certify", "off", "--method", "auto",
+                "--jobs", "1", "--witness"]
+        assert main(["verify", str(path), *args]) == 0
+
     def test_forced_method(self, coherent_trace_file, capsys):
         assert main(["verify", coherent_trace_file, "--method", "exact"]) == 0
         assert "method: exact" in capsys.readouterr().out

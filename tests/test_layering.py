@@ -80,8 +80,16 @@ def test_streaming_loads_no_sat_and_no_other_engine_module():
     assert engine == ["repro.engine.streaming"]
 
 
+def test_cli_loads_no_offline_engine_and_no_sat():
+    """A cold start parses its arguments before it loads what its
+    command runs: ``repro monitor`` never pays for the offline engine."""
+    loaded = loaded_by("repro.cli")
+    assert "repro.engine.executor" not in loaded
+    assert not any(m.startswith("repro.sat") for m in loaded)
+
+
 @pytest.mark.parametrize(
-    "package", ["repro", "repro.core", "repro.engine", "repro.sat"]
+    "package", ["repro", "repro.core", "repro.engine", "repro.sat", "repro.util"]
 )
 def test_every_public_name_resolves(package):
     mod = importlib.import_module(package)
