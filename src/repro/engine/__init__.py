@@ -71,8 +71,6 @@ __all__ = _lazy(globals(), {
     "prepass_vsc": "repro.engine.prepass",
     "BackendRegistry": "repro.engine.registry",
     "LADDERS": "repro.engine.registry",
-    "vmc_registry": "repro.engine.registry",
-    "vsc_registry": "repro.engine.registry",
     "BatchPlan": "repro.engine.batch",
     "SourceOutcome": "repro.engine.batch",
     "batch_exit_code": "repro.engine.batch",

@@ -38,10 +38,6 @@ class BackendRegistry:
             key: b for b in self._backends for key in (b.name, *b.aliases)
         }
 
-    def backends(self) -> list[Backend]:
-        """All backends, in ladder order."""
-        return list(self._backends)
-
     def names(self) -> list[str]:
         return [b.name for b in self._backends]
 
@@ -94,13 +90,3 @@ LADDERS: dict[str, BackendRegistry] = {
     )),
     "vsc": BackendRegistry("vsc", (ExactBackend("vsc"), SatBackend("vsc"))),
 }
-
-
-def vmc_registry() -> BackendRegistry:
-    """The VMC ladder (Figure 5.3)."""
-    return LADDERS["vmc"]
-
-
-def vsc_registry() -> BackendRegistry:
-    """The VSC ladder (Section 6.1)."""
-    return LADDERS["vsc"]

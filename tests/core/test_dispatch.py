@@ -12,14 +12,14 @@ from repro import (
     verify_sequential_consistency,
 )
 
-from repro.engine import Instance, vmc_registry
+from repro.engine import LADDERS, Instance
 
 from tests.conftest import coherent_executions, make_coherent_execution
 
 
 def _routed(ex: Execution) -> str:
     """The backend the Figure 5.3 router picks, before the pre-pass."""
-    return vmc_registry().select(Instance(ex, problem="vmc")).name
+    return LADDERS["vmc"].select(Instance(ex, problem="vmc")).name
 
 
 class TestRouting:

@@ -19,10 +19,10 @@ from repro.consistency.generate import candidate_executions, skeleton
 from repro.core.result import VerificationResult
 from repro.core.types import Execution, OpKind, Operation
 from repro.engine import (
+    LADDERS,
     ensure_certificate,
     validate_result,
     verify_vmc,
-    vmc_registry,
 )
 from tests.conftest import make_coherent_execution
 
@@ -163,6 +163,6 @@ def test_parallel_matches_serial_on_corpus():
 
 
 def test_forcible_covers_registry():
-    """Every registered backend is exercised by the differential loop
+    """Every backend of the VMC ladder is exercised by the differential loop
     (write-order has its own derived-order test)."""
-    assert set(FORCIBLE) | {"write-order"} == set(vmc_registry().names())
+    assert set(FORCIBLE) | {"write-order"} == set(LADDERS["vmc"].names())

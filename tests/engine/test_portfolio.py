@@ -21,7 +21,6 @@ from repro.engine import (
     execute_plan,
     plan_vmc,
     verify_vmc,
-    vmc_registry,
 )
 from repro.engine.backend import Backend, ExactBackend, Instance, SatBackend
 from repro.reductions.sat_to_vmc import SatToVmc
@@ -80,7 +79,7 @@ def test_portfolio_race_matches_serial_verdicts():
     size cutoff, so the race genuinely runs) and compare with the
     forced SAT backend, which never races."""
     backend = PortfolioBackend(
-        [ExactBackend(max_states=100_000), vmc_registry().get("sat-cdcl")]
+        [ExactBackend(max_states=100_000), SatBackend()]
     )
     for ex in CORPUS:
         expected = verify_vmc(ex, method="sat-cdcl", cache=False)
