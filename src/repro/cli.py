@@ -74,6 +74,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro import obs
 from repro.core.serialize import save as save_json
@@ -81,6 +82,9 @@ from repro.core.result import CERTIFY_MODES, CertificationError
 from repro.core.types import Execution, schedule_str
 from repro.engine.chaos import CHAOS_ENV, ChaosSpec
 from repro.engine.streaming import DEFAULT_WINDOW
+
+if TYPE_CHECKING:  # the offline engine loads only in the commands that run it
+    from repro.engine.executor import ResiliencePolicy
 
 #: Exit status for a verification abandoned without a verdict.
 EXIT_UNKNOWN = 3
@@ -149,7 +153,7 @@ def _load_trace(path_str: str) -> Execution:
     return _parse_trace_bytes(path.read_bytes(), str(path), path.suffix)
 
 
-def _resilience_from_args(args: argparse.Namespace) -> "ResiliencePolicy | None":
+def _resilience_from_args(args: argparse.Namespace) -> ResiliencePolicy | None:
     """Build the engine policy from the verify flags (None = defaults).
 
     ``--chaos`` is gated behind the ``REPRO_CHAOS`` environment

@@ -12,11 +12,11 @@ address.  For each task, :func:`plan_task`
    (:mod:`repro.engine.registry`) for ``method="auto"``, or the forced
    backend (validated for applicability),
 3. runs the polynomial pre-pass (:mod:`repro.engine.prepass`) on
-   auto-routed tasks that landed on a search: the pre-pass may decide the task outright, downgrade it to
-   the Section 5.2 ``write-order`` backend, or shrink it to a kernel
-   with ordering hints — the task's ``run_instance`` is what the
-   backend executes, while ``instance`` (the original) is what the
-   verdict is about,
+   auto-routed tasks that landed on a search: the pre-pass may decide
+   the task outright, downgrade it to the Section 5.2 ``write-order``
+   backend, or shrink it to a kernel with ordering hints — the task's
+   ``run_instance`` is what the backend executes, while ``instance``
+   (the original) is what the verdict is about,
 4. races exact search against SAT (:mod:`repro.engine.portfolio`) on
    a residue that still needs a search, unless it is a small exact
    search.

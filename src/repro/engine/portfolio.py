@@ -12,8 +12,9 @@ Race protocol
 -------------
 
 * Each leg runs ``run(instance, stop)`` in its own thread, where
-  ``stop`` fires on the race's stop event or the caller's stop check.  The first leg to produce a verdict sets the shared stop
-  event; the losing leg observes it at its next
+  ``stop`` fires on the race's stop event or the caller's stop check.
+  The first leg to produce a verdict sets the shared stop event; the
+  losing leg observes it at its next
   :data:`~repro.util.control.CHECK_INTERVAL` poll and raises
   :class:`~repro.util.control.Cancelled`, which the race records and
   swallows.
