@@ -35,10 +35,11 @@ from repro.core.result import VerificationResult
 from repro.core.types import Address, Execution, Operation
 from repro.util.control import StopCheck
 
-# The searches' costs, in estimated frontier states (``estimated_states``).
-# With k processes the frontier search visits O(n^k) states; the router
-# picks exact search for instances whose worst-case state count is
-# modest.
+# The searches' budgets, in estimated frontier states (estimated_states).
+
+#: The router picks the exact search while an instance's estimated
+#: state count is within this (with k processes the search visits
+#: O(n^k) states); above it, SAT.
 EXACT_STATE_BUDGET = 2_000_000
 
 #: Instances whose estimated state count is below this are decided by
